@@ -1,7 +1,9 @@
-// P3: homomorphism counting — generic backtracking vs Yannakakis-style
-// join-tree DP on acyclic (path) queries over random graphs. The DP is
-// polynomial in |D| while backtracking can be exponential in the query
-// length; the crossover is the point the bench exhibits.
+// P3: homomorphism counting — backtracking (one homomorphism at a time) vs
+// the junction-tree DP behind cq::CountHomomorphisms, on acyclic (path)
+// queries over random graphs, where the DP's bags are the atoms
+// (Yannakakis), and on the cyclic triangle, where its one bag joins three
+// atoms. The DP is polynomial in |D| while backtracking can be exponential
+// in the query length; the crossover is the point the bench exhibits.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -10,7 +12,6 @@
 #include "cq/homomorphism.h"
 #include "cq/parser.h"
 #include "cq/treewidth_count.h"
-#include "cq/yannakakis.h"
 
 namespace {
 
@@ -39,7 +40,7 @@ void BM_Backtracking(benchmark::State& state) {
   auto d = RandomGraph(q.vocab(), 30, 120, 42);
   int64_t count = 0;
   for (auto _ : state) {
-    count = cq::CountHomomorphisms(q, d);
+    count = cq::CountHomomorphismsBacktracking(q, d);
     benchmark::DoNotOptimize(count);
   }
   state.counters["homs"] = static_cast<double>(count);
@@ -51,7 +52,7 @@ void BM_JoinTreeDp(benchmark::State& state) {
   auto d = RandomGraph(q.vocab(), 30, 120, 42);
   int64_t count = 0;
   for (auto _ : state) {
-    count = *cq::CountHomomorphismsAcyclic(q, d);
+    count = *cq::CountHomomorphismsTreewidth(q, d);
     benchmark::DoNotOptimize(count);
   }
   state.counters["homs"] = static_cast<double>(count);
@@ -63,19 +64,19 @@ void BM_DatabaseScaling(benchmark::State& state) {
   auto d = RandomGraph(q.vocab(), static_cast<int>(state.range(0)),
                        static_cast<int>(state.range(0)) * 4, 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(*cq::CountHomomorphismsAcyclic(q, d));
+    benchmark::DoNotOptimize(*cq::CountHomomorphismsTreewidth(q, d));
   }
 }
 BENCHMARK(BM_DatabaseScaling)->RangeMultiplier(2)->Range(16, 128);
 
-// The third engine on a *cyclic* query (triangle), where Yannakakis does
-// not apply: treewidth DP vs backtracking.
+// The cyclic triangle, where a join tree of atoms does not exist: the DP's
+// single bag joins all three atoms.
 void BM_TriangleBacktracking(benchmark::State& state) {
   auto q = cq::ParseQuery("R(x,y), R(y,z), R(z,x)").ValueOrDie();
   auto d = RandomGraph(q.vocab(), static_cast<int>(state.range(0)),
                        static_cast<int>(state.range(0)) * 3, 13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cq::CountHomomorphisms(q, d));
+    benchmark::DoNotOptimize(cq::CountHomomorphismsBacktracking(q, d));
   }
 }
 BENCHMARK(BM_TriangleBacktracking)->RangeMultiplier(2)->Range(8, 32);

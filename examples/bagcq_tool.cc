@@ -17,7 +17,6 @@
 #include "api/engine.h"
 #include "cq/bag_semantics.h"
 #include "cq/homomorphism.h"
-#include "cq/yannakakis.h"
 #include "graph/chordal.h"
 #include "graph/junction_tree.h"
 
@@ -71,13 +70,10 @@ int CmdEval(Engine& engine, const std::string& query_text,
   auto d = cq::ParseStructureWithVocabulary(db_text, q->vocab());
   if (!d.ok()) return Fail(d.status());
   if (count_only) {
-    long long backtracking = cq::CountHomomorphisms(*q, *d);
-    std::printf("|hom(Q,D)| = %lld", backtracking);
-    if (auto dp = cq::CountHomomorphismsAcyclic(*q, *d)) {
-      std::printf("   (join-tree DP agrees: %lld)",
-                  static_cast<long long>(*dp));
-    }
-    std::printf("\n");
+    const long long dp = cq::CountHomomorphisms(*q, *d);
+    const long long backtracking = cq::CountHomomorphismsBacktracking(*q, *d);
+    std::printf("|hom(Q,D)| = %lld   (backtracking oracle: %lld)\n", dp,
+                backtracking);
     return 0;
   }
   for (const auto& [key, count] : cq::BagSetEvaluate(*q, *d)) {

@@ -2,7 +2,7 @@
 // the core::DeciderOptions + core::WitnessOptions pair at the public
 // boundary. Defaults match the paper's reference configuration: exact
 // arithmetic, Shannon certificates on Contained verdicts, witnesses verified
-// by brute-force homomorphism counting.
+// by exact homomorphism counting.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +37,7 @@ class EngineOptions {
   }
   int64_t witness_max_tuples() const { return witness_max_tuples_; }
 
-  /// Double-check witnesses by counting homomorphisms (slow on big ones).
+  /// Double-check witnesses by counting homomorphisms.
   EngineOptions& set_verify_witness_counts(bool v) {
     verify_witness_counts_ = v;
     return *this;

@@ -6,7 +6,7 @@
 // > log2 |hom(Q2,Q1)| (Lemma 4.8)  →  P = ⊗_W P_W^{levels} (a normal
 // relation, Definition 3.3, realized as a domain product of step relations)
 // →  D = Π_Q1(P) with variable-annotated values (proof of Theorem 4.4)  →
-// verify the counts by brute-force homomorphism counting.
+// verify the counts with cq::CountHomomorphisms (junction-tree DP).
 //
 // Two certificates are produced: the *symbolic* one (exact big-integer
 // comparison |P| > Σ_φ 2^{E_φ(h)}, which is how the proof bounds
@@ -28,7 +28,7 @@ namespace bagcq::core {
 struct WitnessOptions {
   /// Refuse to materialize relations/databases beyond this many tuples.
   int64_t max_tuples = 100'000;
-  /// Count homomorphisms to double-check (can be slow on big witnesses).
+  /// Count homomorphisms to double-check.
   bool verify_counts = true;
 };
 

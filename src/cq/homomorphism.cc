@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cq/treewidth_count.h"
 #include "util/check.h"
 
 namespace bagcq::cq {
@@ -103,8 +104,13 @@ class Searcher {
 
 }  // namespace
 
-int64_t CountHomomorphisms(const ConjunctiveQuery& q, const Structure& d,
-                           int64_t limit) {
+int64_t CountHomomorphisms(const ConjunctiveQuery& q, const Structure& d) {
+  if (auto count = CountHomomorphismsTreewidth(q, d)) return *count;
+  return CountHomomorphismsBacktracking(q, d);
+}
+
+int64_t CountHomomorphismsBacktracking(const ConjunctiveQuery& q,
+                                       const Structure& d, int64_t limit) {
   if (q.num_atoms() == 0) return q.num_vars() == 0 ? 1 : 0;
   return Searcher(q, d, limit, nullptr).Run();
 }
@@ -122,7 +128,7 @@ std::vector<VarMap> EnumerateHomomorphisms(const ConjunctiveQuery& q,
 }
 
 bool HomomorphismExists(const ConjunctiveQuery& q, const Structure& d) {
-  return CountHomomorphisms(q, d, /*limit=*/1) > 0;
+  return CountHomomorphismsBacktracking(q, d, /*limit=*/1) > 0;
 }
 
 std::vector<VarMap> QueryHomomorphisms(const ConjunctiveQuery& from,

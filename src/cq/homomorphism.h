@@ -1,6 +1,8 @@
-// Homomorphism enumeration and counting (Section 2.1): backtracking search
-// with greedy atom ordering. |hom(Q, D)| is the quantity the whole paper is
-// about — bag-set semantics counts homomorphisms (Section 2.2).
+// Homomorphism counting and enumeration (Section 2.1). |hom(Q, D)| is the
+// quantity the whole paper is about — bag-set semantics counts
+// homomorphisms (Section 2.2). Counting runs the junction-tree DP
+// (cq/treewidth_count.h); backtracking search with greedy atom ordering
+// enumerates, decides existence, and is the counting fallback and oracle.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +16,16 @@ namespace bagcq::cq {
 /// A homomorphism as a total map var id -> domain value.
 using VarMap = std::vector<int>;
 
-/// Number of homomorphisms Q -> D. If limit >= 0, stops counting at limit
-/// (the return value is min(count, limit)).
-int64_t CountHomomorphisms(const ConjunctiveQuery& q, const Structure& d,
-                           int64_t limit = -1);
+/// Number of homomorphisms Q -> D, by the junction-tree DP; backtracking
+/// when a bag exceeds the DP's size guard or the count overflows int64.
+int64_t CountHomomorphisms(const ConjunctiveQuery& q, const Structure& d);
+
+/// Number of homomorphisms Q -> D by backtracking, one at a time. If
+/// limit >= 0, stops counting at limit (the return value is
+/// min(count, limit)).
+int64_t CountHomomorphismsBacktracking(const ConjunctiveQuery& q,
+                                       const Structure& d,
+                                       int64_t limit = -1);
 
 /// All homomorphisms Q -> D (up to max_results if >= 0).
 std::vector<VarMap> EnumerateHomomorphisms(const ConjunctiveQuery& q,

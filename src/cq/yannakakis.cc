@@ -1,132 +1,11 @@
 #include "cq/yannakakis.h"
 
-#include <algorithm>
-#include <map>
-
 #include "graph/hypergraph.h"
-#include "util/check.h"
 
 namespace bagcq::cq {
 
 bool IsAcyclic(const ConjunctiveQuery& q) {
   return graph::IsAlphaAcyclic(q.num_vars(), q.AtomVarSets());
-}
-
-std::optional<int64_t> CountHomomorphismsAcyclic(const ConjunctiveQuery& q,
-                                                 const Structure& d) {
-  if (q.num_atoms() == 0) return q.num_vars() == 0 ? 1 : 0;
-  auto tree = graph::JoinTree(q.num_vars(), q.AtomVarSets());
-  if (!tree.has_value()) return std::nullopt;
-
-  const int m = tree->num_nodes();
-  // Assign each atom to the node whose bag equals its variable set (exists
-  // by construction of the join tree).
-  std::vector<std::vector<int>> atoms_of(m);
-  for (int a = 0; a < q.num_atoms(); ++a) {
-    VarSet vars = q.atoms()[a].VarSet_();
-    bool placed = false;
-    for (int t = 0; t < m && !placed; ++t) {
-      if (tree->bags()[t] == vars) {
-        atoms_of[t].push_back(a);
-        placed = true;
-      }
-    }
-    BAGCQ_CHECK(placed) << "atom not covered by its own join-tree bag";
-  }
-
-  // Node tables: assignments over the bag variables satisfying all atoms
-  // assigned there. Key = values of bag variables in increasing var order.
-  using Key = std::vector<int>;
-  auto bag_table = [&](int t) {
-    std::map<Key, int64_t> table;
-    const std::vector<int> bag_vars = tree->bags()[t].Elements();
-    BAGCQ_CHECK(!atoms_of[t].empty());
-    // Seed from the first atom's matches, filter by the rest.
-    const Atom& first = q.atoms()[atoms_of[t][0]];
-    for (const Structure::Tuple& tuple : d.tuples(first.relation)) {
-      // Bind bag vars from the tuple, honouring repeated variables.
-      std::map<int, int> bound;
-      bool ok = true;
-      for (size_t pos = 0; pos < tuple.size() && ok; ++pos) {
-        auto [it, inserted] = bound.insert({first.vars[pos], tuple[pos]});
-        if (!inserted && it->second != tuple[pos]) ok = false;
-      }
-      if (!ok) continue;
-      // Remaining atoms at this node must hold under the binding.
-      for (size_t i = 1; i < atoms_of[t].size() && ok; ++i) {
-        const Atom& atom = q.atoms()[atoms_of[t][i]];
-        Structure::Tuple expect;
-        expect.reserve(atom.vars.size());
-        for (int v : atom.vars) expect.push_back(bound.at(v));
-        ok = d.Contains(atom.relation, expect);
-      }
-      if (!ok) continue;
-      Key key;
-      key.reserve(bag_vars.size());
-      for (int v : bag_vars) key.push_back(bound.at(v));
-      table[key] = 1;  // set semantics: each assignment counted once
-    }
-    return table;
-  };
-
-  // Bottom-up DP over the rooted forest.
-  std::vector<int> parent = tree->RootedParents();
-  // Process children before parents: order nodes by depth descending.
-  std::vector<int> depth(m, 0);
-  for (int t = 0; t < m; ++t) {
-    int x = t;
-    while (parent[x] >= 0) {
-      ++depth[t];
-      x = parent[x];
-    }
-  }
-  std::vector<int> order(m);
-  for (int t = 0; t < m; ++t) order[t] = t;
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return depth[a] > depth[b]; });
-
-  std::vector<std::map<Key, int64_t>> tables(m);
-  for (int t = 0; t < m; ++t) tables[t] = bag_table(t);
-
-  int64_t total = 1;
-  for (int t : order) {
-    if (parent[t] < 0) {
-      // Component root: sum the table and fold into the product of
-      // components.
-      int64_t component = 0;
-      for (const auto& [key, count] : tables[t]) component += count;
-      total *= component;
-      continue;
-    }
-    // Message to parent: sum over assignments grouped by the shared vars.
-    int p = parent[t];
-    VarSet shared = tree->bags()[t].Intersect(tree->bags()[p]);
-    const std::vector<int> bag_vars = tree->bags()[t].Elements();
-    const std::vector<int> parent_vars = tree->bags()[p].Elements();
-    std::map<Key, int64_t> message;
-    for (const auto& [key, count] : tables[t]) {
-      Key proj;
-      for (size_t i = 0; i < bag_vars.size(); ++i) {
-        if (shared.Contains(bag_vars[i])) proj.push_back(key[i]);
-      }
-      message[proj] += count;
-    }
-    // Multiply into the parent.
-    for (auto it = tables[p].begin(); it != tables[p].end();) {
-      Key proj;
-      for (size_t i = 0; i < parent_vars.size(); ++i) {
-        if (shared.Contains(parent_vars[i])) proj.push_back(it->first[i]);
-      }
-      auto msg = message.find(proj);
-      if (msg == message.end()) {
-        it = tables[p].erase(it);
-      } else {
-        it->second *= msg->second;
-        ++it;
-      }
-    }
-  }
-  return total;
 }
 
 }  // namespace bagcq::cq

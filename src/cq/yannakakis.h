@@ -1,21 +1,12 @@
-// Join-tree counting for acyclic queries (Yannakakis-style dynamic
-// programming): |hom(Q, D)| in time polynomial in |D| when Q is α-acyclic.
-// Serves as the second, independent homomorphism-counting engine — the
-// backtracking engine and this one cross-validate each other in tests, and
-// bench P3 compares them.
+// α-acyclicity of a query (Definition 2.6): the class on which Yannakakis'
+// join-tree algorithm runs in time polynomial in |D|. Counting itself goes
+// through the junction-tree DP (cq/treewidth_count.h), whose bags are the
+// maximal atoms exactly when the query is α-acyclic.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-
 #include "cq/query.h"
-#include "cq/structure.h"
 
 namespace bagcq::cq {
-
-/// |hom(Q, D)| via join-tree DP, or nullopt if Q is not α-acyclic.
-std::optional<int64_t> CountHomomorphismsAcyclic(const ConjunctiveQuery& q,
-                                                 const Structure& d);
 
 /// α-acyclicity of the query's atom hypergraph (Definition 2.6).
 bool IsAcyclic(const ConjunctiveQuery& q);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cq/parser.h"
+#include "cq/treewidth_count.h"
 #include "cq/yannakakis.h"
 
 namespace bagcq::cq {
@@ -66,7 +67,7 @@ TEST(HomomorphismTest, DisconnectedQueryMultiplies) {
 TEST(HomomorphismTest, LimitShortCircuits) {
   ConjunctiveQuery q = Parse("R(x,y), R(u,v)");
   Structure d = ParseDb("R = {(1,2), (2,3), (3,1)}", q.vocab());
-  EXPECT_EQ(CountHomomorphisms(q, d, 4), 4);
+  EXPECT_EQ(CountHomomorphismsBacktracking(q, d, 4), 4);
   EXPECT_EQ(EnumerateHomomorphisms(q, d, 2).size(), 2u);
 }
 
@@ -106,42 +107,51 @@ TEST(QueryHomomorphismTest, Example35HasTwoHoms) {
   EXPECT_EQ(homs.size(), 2u);  // all-unprimed or all-primed
 }
 
+// On α-acyclic queries the junction-tree DP's bags are the maximal atoms —
+// Yannakakis' join tree — checked against the backtracking oracle.
 TEST(YannakakisTest, MatchesBacktrackingOnAcyclicQueries) {
   ConjunctiveQuery q = Parse("R(x,y), S(y,z), T(z)");
   Structure d = ParseDb(
       "R = {(1,2),(2,2),(3,1)}; S = {(2,5),(2,6),(1,5)}; T = {(5),(7)}",
       q.vocab());
-  auto dp = CountHomomorphismsAcyclic(q, d);
+  ASSERT_TRUE(IsAcyclic(q));
+  auto dp = CountHomomorphismsTreewidth(q, d);
   ASSERT_TRUE(dp.has_value());
-  EXPECT_EQ(*dp, CountHomomorphisms(q, d));
+  EXPECT_EQ(*dp, CountHomomorphismsBacktracking(q, d));
 }
 
-TEST(YannakakisTest, RejectsCyclicQueries) {
+TEST(YannakakisTest, CyclicQueriesCountToo) {
+  // Yannakakis alone rejects the triangle; the junction-tree DP counts it.
   ConjunctiveQuery q = Parse("R(x,y), R(y,z), R(z,x)");
   Structure d = ParseDb("R = {(1,2)}", q.vocab());
-  EXPECT_FALSE(CountHomomorphismsAcyclic(q, d).has_value());
+  EXPECT_FALSE(IsAcyclic(q));
+  auto dp = CountHomomorphismsTreewidth(q, d);
+  ASSERT_TRUE(dp.has_value());
+  EXPECT_EQ(*dp, 0);
+  EXPECT_EQ(*dp, CountHomomorphismsBacktracking(q, d));
 }
 
 TEST(YannakakisTest, DisconnectedComponentsMultiply) {
   ConjunctiveQuery q = Parse("R(x,y), S(u)");
   Structure d = ParseDb("R = {(1,2),(3,4)}; S = {(1),(2),(3)}", q.vocab());
-  auto dp = CountHomomorphismsAcyclic(q, d);
+  auto dp = CountHomomorphismsTreewidth(q, d);
   ASSERT_TRUE(dp.has_value());
   EXPECT_EQ(*dp, 6);
+  EXPECT_EQ(*dp, CountHomomorphismsBacktracking(q, d));
 }
 
 TEST(YannakakisTest, SameVarSetAtomsJoined) {
   // Two atoms over identical variable sets share one join-tree bag.
   ConjunctiveQuery q = Parse("A(x,y), B(x,y)");
   Structure d = ParseDb("A = {(1,2),(2,3),(1,3)}; B = {(1,2),(1,3)}", q.vocab());
-  auto dp = CountHomomorphismsAcyclic(q, d);
+  auto dp = CountHomomorphismsTreewidth(q, d);
   ASSERT_TRUE(dp.has_value());
   EXPECT_EQ(*dp, 2);
-  EXPECT_EQ(*dp, CountHomomorphisms(q, d));
+  EXPECT_EQ(*dp, CountHomomorphismsBacktracking(q, d));
 }
 
 // Property sweep: random acyclic (path-shaped) queries and random databases
-// — the two counting engines must agree.
+// — the junction-tree DP must agree with the backtracking oracle.
 class EngineAgreementSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(EngineAgreementSweep, BacktrackingEqualsJoinTreeDp) {
@@ -172,10 +182,11 @@ TEST_P(EngineAgreementSweep, BacktrackingEqualsJoinTreeDp) {
       d.AddTuple(r, tuple);
     }
   }
-  auto dp = CountHomomorphismsAcyclic(q, d);
+  auto dp = CountHomomorphismsTreewidth(q, d);
   ASSERT_TRUE(dp.has_value()) << q.ToString();
-  EXPECT_EQ(*dp, CountHomomorphisms(q, d)) << q.ToString() << "\n"
-                                           << d.ToString();
+  EXPECT_EQ(*dp, CountHomomorphismsBacktracking(q, d))
+      << q.ToString() << "\n"
+      << d.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineAgreementSweep, ::testing::Range(1, 60));

@@ -147,6 +147,11 @@ int main(int argc, char** argv) {
   std::unique_ptr<service::Server> server =
       engine_threads > 0 ? std::make_unique<service::Server>(&thread_pool)
                          : std::make_unique<service::Server>(&fork_pool);
+  // Armed before the first listening line: a client may SIGTERM as soon as
+  // it reads one, and a drain requested before Serve() starts still exits 0.
+  // After the pool starts, so fork-mode workers keep the default action.
+  g_server = server.get();
+  std::signal(SIGTERM, OnSigterm);
   auto add_listener = [&](util::Result<int> listener,
                           const char* kind) -> bool {
     if (listener.ok()) {
@@ -160,21 +165,21 @@ int main(int argc, char** argv) {
                  listener.status().ToString().c_str());
     return false;
   };
+  bool listening = true;
   for (const std::string& path : socket_paths) {
-    if (!add_listener(service::ListenUnix(path), "unix")) return 1;
+    listening = listening && add_listener(service::ListenUnix(path), "unix");
   }
   for (const std::string& address : tcp_addresses) {
-    if (!add_listener(service::ListenTcp(address), "tcp")) return 1;
+    listening = listening && add_listener(service::ListenTcp(address), "tcp");
   }
   std::fflush(stdout);
 
-  g_server = server.get();
-  std::signal(SIGTERM, OnSigterm);
-
-  status = server->Serve();
+  if (listening) status = server->Serve();
+  // Disarmed on every path before `server` is destroyed.
   std::signal(SIGTERM, SIG_DFL);
   g_server = nullptr;
   if (engine_threads > 0) thread_pool.Stop();  // joins drained workers
+  if (!listening) return 1;
   std::fprintf(stderr, "bagcq_server: %s\n", status.ToString().c_str());
   return status.ok() ? 0 : 1;
 }
