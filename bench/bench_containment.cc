@@ -144,11 +144,10 @@ void BM_DecideBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_DecideBatch);
 
-// Exact vs tiered backend on a repeated end-to-end decision: the whole
-// decision pipeline (homomorphisms, junction tree, witness) rides along,
-// so this is the user-visible speedup, not the LP-only one.
-void RepeatDecisionBackend(benchmark::State& state, lp::SolverBackend backend) {
-  Engine engine{EngineOptions().set_solver_backend(backend)};
+// A repeated end-to-end decision: the whole decision pipeline
+// (homomorphisms, junction tree, witness, warm-started LPs) rides along.
+void BM_RepeatDecisionExactBackend(benchmark::State& state) {
+  Engine engine;
   auto pair = engine
                   .ParsePair("R(x1,x2), R(x2,x3), R(x3,x1)",
                              "R(y1,y2), R(y1,y3)")
@@ -157,17 +156,8 @@ void RepeatDecisionBackend(benchmark::State& state, lp::SolverBackend backend) {
     auto d = engine.Decide(pair.q1, pair.q2).ValueOrDie();
     benchmark::DoNotOptimize(d.verdict);
   }
-  state.counters["screen_accepts"] =
-      static_cast<double>(engine.stats().lp_screen_accepts);
-}
-void BM_RepeatDecisionExactBackend(benchmark::State& state) {
-  RepeatDecisionBackend(state, lp::SolverBackend::kExactRational);
-}
-void BM_RepeatDecisionTieredBackend(benchmark::State& state) {
-  RepeatDecisionBackend(state, lp::SolverBackend::kDoubleScreened);
 }
 BENCHMARK(BM_RepeatDecisionExactBackend);
-BENCHMARK(BM_RepeatDecisionTieredBackend);
 
 // Serial vs sharded DecideBatch on a mixed 32-pair workload; arg = threads.
 // Deterministic output either way — the threads only split the work.

@@ -1,12 +1,11 @@
-// LP-pipeline perf tracker: times the exact backend against the tiered
-// (double-screened) pipeline — each cold (per-solve phase I from scratch)
-// and warm (keyed warm-start basis chaining, the Engine default) — on the
-// bench_shannon_lp workloads (n=4/n=5 prove, the Zhang–Yeung refutation)
-// and serial vs sharded DecideBatch, then writes a machine-readable
-// BENCH_lp.json so the perf trajectory is comparable across PRs (and gated
-// in CI by tools/check_bench.py against BENCH_lp.baseline.json). No Google
-// Benchmark dependency: this driver always builds, and `--smoke`
-// (1 iteration) keeps it CI-cheap.
+// LP-pipeline perf tracker: times the exact solver cold (per-solve phase I
+// from scratch) and warm (keyed warm-start basis chaining, the Engine
+// default) on the bench_shannon_lp workloads (n=4/n=5 prove, the
+// Zhang–Yeung refutation) and serial vs sharded DecideBatch, then writes a
+// machine-readable BENCH_lp.json so the perf trajectory is comparable
+// across PRs (and gated in CI by tools/check_bench.py against
+// BENCH_lp.baseline.json). No Google Benchmark dependency: this driver
+// always builds, and `--smoke` (1 iteration) keeps it CI-cheap.
 //
 // Usage: bench_lp_pipeline [--smoke] [--out PATH]
 #include <algorithm>
@@ -116,59 +115,24 @@ int main(int argc, char** argv) {
   };
   std::vector<WarmCounters> warm_counters;
 
-  for (auto backend :
-       {lp::SolverBackend::kExactRational, lp::SolverBackend::kDoubleScreened}) {
-    for (bool warm : {false, true}) {
-      const std::string tag = std::string(lp::SolverBackendToString(backend)) +
-                              (warm ? "/warm" : "/cold");
-      Engine engine{EngineOptions()
-                        .set_solver_backend(backend)
-                        .set_warm_starts(warm)};
-      auto e4 = SplitSubmodularity(4);
-      auto e5 = SplitSubmodularity(5);
-      results.push_back(Time("shannon_prove_n4/" + tag, prove4_iters, [&] {
-        engine.ProveInequality(e4).ValueOrDie();
-      }));
-      results.push_back(Time("shannon_prove_n5/" + tag, prove5_iters, [&] {
-        engine.ProveInequality(e5).ValueOrDie();
-      }));
-      results.push_back(Time("zhang_yeung_refute/" + tag, prove4_iters, [&] {
-        engine.ProveInequality(entropy::ZhangYeungExpr()).ValueOrDie();
-      }));
-      EngineStats stats = engine.stats();
-      warm_counters.push_back(
-          {tag, stats.lp_warm_accepts, stats.lp_warm_pivots_saved,
-           stats.lp_solves});
-    }
-  }
-
-  // The exact-arithmetic ablation: the escalation ladder (these integer
-  // elemental systems never leave the word tier) against the reference
-  // vector-of-Rational tableau, both on the exact backend with warm starts
-  // off — the row pair that prices the ladder itself, with no screening or
-  // warm-basis machinery in the frame.
-  for (auto arithmetic :
-       {lp::ExactArithmetic::kLadder, lp::ExactArithmetic::kRational}) {
-    const bool ladder = arithmetic == lp::ExactArithmetic::kLadder;
-    const std::string tag = ladder ? "exact_cold/word" : "exact_cold/bigint";
-    Engine engine{EngineOptions()
-                      .set_solver_backend(lp::SolverBackend::kExactRational)
-                      .set_warm_starts(false)
-                      .set_exact_arithmetic(arithmetic)};
+  for (bool warm : {false, true}) {
+    const std::string tag = warm ? "exact/warm" : "exact/cold";
+    Engine engine{EngineOptions().set_warm_starts(warm)};
     auto e4 = SplitSubmodularity(4);
+    auto e5 = SplitSubmodularity(5);
     results.push_back(Time("shannon_prove_n4/" + tag, prove4_iters, [&] {
       engine.ProveInequality(e4).ValueOrDie();
+    }));
+    results.push_back(Time("shannon_prove_n5/" + tag, prove5_iters, [&] {
+      engine.ProveInequality(e5).ValueOrDie();
     }));
     results.push_back(Time("zhang_yeung_refute/" + tag, prove4_iters, [&] {
       engine.ProveInequality(entropy::ZhangYeungExpr()).ValueOrDie();
     }));
-    // The ladder rows must actually have run on the word tier (and the
-    // rational rows off it), or the comparison is mislabeled.
-    const EngineStats stats = engine.stats();
-    if (ladder !=
-        (stats.lp_word_pivots > 0 && stats.lp_bigint_promotions == 0)) {
-      std::abort();
-    }
+    EngineStats stats = engine.stats();
+    warm_counters.push_back(
+        {tag, stats.lp_warm_accepts, stats.lp_warm_pivots_saved,
+         stats.lp_solves});
   }
 
   for (int threads : {1, 4}) {
@@ -382,8 +346,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Derived speedups: tiered vs exact (both warm — the shipping defaults),
-  // warm vs cold per backend, and t1 vs t4 for the batch.
+  // Derived speedups: warm vs cold, and t1 vs t4 for the batch.
   auto find = [&](const std::string& name) -> const Measurement* {
     for (const Measurement& m : results) {
       if (m.name == name) return &m;
@@ -400,17 +363,8 @@ int main(int argc, char** argv) {
   for (const char* w : {"shannon_prove_n4", "shannon_prove_n5",
                         "zhang_yeung_refute"}) {
     const std::string base(w);
-    add_speedup(base + ":tiered_vs_exact", find(base + "/exact/warm"),
-                find(base + "/tiered/warm"));
     add_speedup(base + "/exact:warm_vs_cold", find(base + "/exact/cold"),
                 find(base + "/exact/warm"));
-    add_speedup(base + "/tiered:warm_vs_cold", find(base + "/tiered/cold"),
-                find(base + "/tiered/warm"));
-  }
-  for (const char* w : {"shannon_prove_n4", "zhang_yeung_refute"}) {
-    const std::string base(w);
-    add_speedup(base + ":word_vs_bigint", find(base + "/exact_cold/bigint"),
-                find(base + "/exact_cold/word"));
   }
   add_speedup("decide_batch:t4_vs_t1", find("decide_batch_t1"),
               find("decide_batch_t4"));

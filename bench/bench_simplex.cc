@@ -1,7 +1,7 @@
-// P4: simplex ablations — exact rationals vs double, Bland vs Dantzig, and
-// the exact backend vs the tiered (double-screened) pipeline — on random
+// P4: simplex ablations — Bland vs Dantzig, workspace reuse, and the
+// escalation ladder vs the reference vector-of-Rational tableau — on random
 // dense LPs. Exactness is mandatory for certificates; this bench quantifies
-// its price and what the screening tier claws back.
+// its price and what the integer ladder claws back.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -33,13 +33,12 @@ lp::LpProblem RandomLp(int vars, int rows, uint64_t seed) {
   return problem;
 }
 
-template <typename Scalar>
 void SolveBench(benchmark::State& state, lp::PivotRule rule) {
   auto problem = RandomLp(static_cast<int>(state.range(0)),
                           static_cast<int>(state.range(0)), 1234);
   lp::SolverOptions options;
   options.pivot_rule = rule;
-  lp::SimplexSolver<Scalar> solver(options);
+  lp::SimplexSolver<Rational> solver(options);
   int64_t pivots = 0;
   for (auto _ : state) {
     auto sol = solver.Solve(problem);
@@ -50,36 +49,27 @@ void SolveBench(benchmark::State& state, lp::PivotRule rule) {
 }
 
 void BM_ExactBland(benchmark::State& state) {
-  SolveBench<Rational>(state, lp::PivotRule::kBland);
+  SolveBench(state, lp::PivotRule::kBland);
 }
 void BM_ExactDantzig(benchmark::State& state) {
-  SolveBench<Rational>(state, lp::PivotRule::kDantzig);
-}
-void BM_DoubleBland(benchmark::State& state) {
-  SolveBench<double>(state, lp::PivotRule::kBland);
-}
-void BM_DoubleDantzig(benchmark::State& state) {
-  SolveBench<double>(state, lp::PivotRule::kDantzig);
+  SolveBench(state, lp::PivotRule::kDantzig);
 }
 BENCHMARK(BM_ExactBland)->RangeMultiplier(2)->Range(4, 32);
 BENCHMARK(BM_ExactDantzig)->RangeMultiplier(2)->Range(4, 32);
-BENCHMARK(BM_DoubleBland)->RangeMultiplier(2)->Range(4, 32);
-BENCHMARK(BM_DoubleDantzig)->RangeMultiplier(2)->Range(4, 32);
 
 // Workspace reuse (the Engine batch path): one long-lived solver keeps its
 // tableau capacity across solves, versus constructing a solver per solve.
 // The delta is pure allocation/free traffic — pivots are identical.
-template <typename Scalar>
 void ReuseBench(benchmark::State& state, bool reuse) {
   auto problem = RandomLp(static_cast<int>(state.range(0)),
                           static_cast<int>(state.range(0)), 1234);
-  lp::SimplexSolver<Scalar> session_solver;
+  lp::SimplexSolver<Rational> session_solver;
   for (auto _ : state) {
     if (reuse) {
       auto sol = session_solver.Solve(problem);
       benchmark::DoNotOptimize(sol.status);
     } else {
-      lp::SimplexSolver<Scalar> fresh;
+      lp::SimplexSolver<Rational> fresh;
       auto sol = fresh.Solve(problem);
       benchmark::DoNotOptimize(sol.status);
     }
@@ -88,56 +78,35 @@ void ReuseBench(benchmark::State& state, bool reuse) {
       session_solver.workspace().RetainedRowCapacity());
 }
 void BM_ExactWorkspaceReused(benchmark::State& state) {
-  ReuseBench<Rational>(state, /*reuse=*/true);
+  ReuseBench(state, /*reuse=*/true);
 }
 void BM_ExactWorkspaceFresh(benchmark::State& state) {
-  ReuseBench<Rational>(state, /*reuse=*/false);
-}
-void BM_DoubleWorkspaceReused(benchmark::State& state) {
-  ReuseBench<double>(state, /*reuse=*/true);
-}
-void BM_DoubleWorkspaceFresh(benchmark::State& state) {
-  ReuseBench<double>(state, /*reuse=*/false);
+  ReuseBench(state, /*reuse=*/false);
 }
 BENCHMARK(BM_ExactWorkspaceReused)->RangeMultiplier(2)->Range(8, 64);
 BENCHMARK(BM_ExactWorkspaceFresh)->RangeMultiplier(2)->Range(8, 64);
-BENCHMARK(BM_DoubleWorkspaceReused)->RangeMultiplier(2)->Range(8, 64);
-BENCHMARK(BM_DoubleWorkspaceFresh)->RangeMultiplier(2)->Range(8, 64);
 
-// Exact backend vs tiered pipeline on the same programs: both return exact,
-// certificate-verified solutions; the delta is the screening win. The
-// screen_accepts counter shows how often the double tier carried the solve.
-void BackendBench(benchmark::State& state, lp::SolverBackend backend) {
+// The production solver (lp::Solver: the ladder plus its stats and warm-start
+// bookkeeping) on the same programs.
+void BM_BackendExact(benchmark::State& state) {
   auto problem = RandomLp(static_cast<int>(state.range(0)),
                           static_cast<int>(state.range(0)), 1234);
-  auto solver = lp::MakeSolver(backend);
+  lp::Solver solver;
   for (auto _ : state) {
-    auto sol = solver->Solve(problem);
+    auto sol = solver.Solve(problem);
     benchmark::DoNotOptimize(sol.status);
   }
-  state.counters["screen_accepts"] =
-      static_cast<double>(solver->stats().screen_accepts);
-  state.counters["exact_fallbacks"] =
-      static_cast<double>(solver->stats().exact_fallbacks);
-}
-void BM_BackendExact(benchmark::State& state) {
-  BackendBench(state, lp::SolverBackend::kExactRational);
-}
-void BM_BackendTiered(benchmark::State& state) {
-  BackendBench(state, lp::SolverBackend::kDoubleScreened);
 }
 BENCHMARK(BM_BackendExact)->RangeMultiplier(2)->Range(4, 32);
-BENCHMARK(BM_BackendTiered)->RangeMultiplier(2)->Range(4, 32);
 
 // The escalation ladder vs the reference Rational tableau on the same
-// programs — the pure exact-arithmetic ablation with no Solver backend or
-// screening machinery around it.
-void LadderBench(benchmark::State& state, lp::ExactArithmetic arithmetic) {
+// programs — the pure exact-arithmetic ablation with no Solver wrapper
+// around either.
+template <typename Simplex>
+void LadderBench(benchmark::State& state) {
   auto problem = RandomLp(static_cast<int>(state.range(0)),
                           static_cast<int>(state.range(0)), 1234);
-  lp::SolverOptions options;
-  options.exact_arithmetic = arithmetic;
-  lp::ExactSimplex solver(options);
+  Simplex solver;
   int64_t word_pivots = 0;
   for (auto _ : state) {
     auto sol = solver.Solve(problem);
@@ -147,10 +116,10 @@ void LadderBench(benchmark::State& state, lp::ExactArithmetic arithmetic) {
   state.counters["word_pivots"] = static_cast<double>(word_pivots);
 }
 void BM_LadderWord(benchmark::State& state) {
-  LadderBench(state, lp::ExactArithmetic::kLadder);
+  LadderBench<lp::LadderSimplex>(state);
 }
 void BM_LadderRational(benchmark::State& state) {
-  LadderBench(state, lp::ExactArithmetic::kRational);
+  LadderBench<lp::SimplexSolver<Rational>>(state);
 }
 BENCHMARK(BM_LadderWord)->RangeMultiplier(2)->Range(4, 32);
 BENCHMARK(BM_LadderRational)->RangeMultiplier(2)->Range(4, 32);

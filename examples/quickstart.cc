@@ -79,10 +79,5 @@ int main() {
       static_cast<long long>(stats.prover_cache_hits),
       static_cast<long long>(stats.lp_solves),
       static_cast<long long>(stats.lp_pivots));
-  std::printf(
-      "solver (%s backend): %lld screen accepts, %lld exact fallbacks\n",
-      lp::SolverBackendToString(engine.options().solver_backend()),
-      static_cast<long long>(stats.lp_screen_accepts),
-      static_cast<long long>(stats.lp_exact_fallbacks));
   return 0;
 }

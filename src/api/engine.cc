@@ -132,18 +132,14 @@ std::string ProofResult::ToString() const {
 
 namespace {
 lp::SolverOptions SolverOptionsFor(const EngineOptions& options) {
-  lp::SolverOptions solver_options;  // inherit the shared max_pivots default
-  solver_options.pivot_rule = options.pivot_rule();
+  lp::SolverOptions solver_options;  // Bland, default max_pivots
   solver_options.warm_starts = options.warm_starts();
-  solver_options.exact_arithmetic = options.exact_arithmetic();
   return solver_options;
 }
 }  // namespace
 
 Engine::Engine(EngineOptions options)
-    : options_(options),
-      solver_(lp::MakeSolver(options.solver_backend(),
-                             SolverOptionsFor(options))) {
+    : options_(options), solver_(SolverOptionsFor(options)) {
   if (options_.shared_prover_pool() != nullptr) {
     provers_.SetShared(options_.shared_prover_pool());
   }
@@ -208,7 +204,7 @@ std::vector<util::Result<DecisionResult>> Engine::DecideBatchParallel(
   // until after the join), so only genuinely new variable counts build.
   struct Worker {
     entropy::ProverCache provers;
-    std::unique_ptr<lp::Solver> solver;
+    lp::Solver solver;
     int64_t decisions = 0;
     int64_t errors = 0;
     int64_t lp_pivots = 0;
@@ -224,8 +220,7 @@ std::vector<util::Result<DecisionResult>> Engine::DecideBatchParallel(
     // A session backed by a process-wide pool passes the pool through, so
     // batch workers of shared-skeleton engines build nothing privately.
     w.provers.SetShared(provers_.shared());
-    w.solver =
-        lp::MakeSolver(options_.solver_backend(), SolverOptionsFor(options_));
+    w.solver = lp::Solver(SolverOptionsFor(options_));
   }
 
   // Slots are indexed by input position, so output order is deterministic no
@@ -241,7 +236,7 @@ std::vector<util::Result<DecisionResult>> Engine::DecideBatchParallel(
       DecideTrace trace;
       auto result =
           DecideMemoized(pair.q1, pair.q2, /*bag_bag=*/false, decider_options,
-                         &w.provers, w.solver.get(), &trace);
+                         &w.provers, &w.solver, &trace);
       w.store_hits += trace.store_hit ? 1 : 0;
       w.store_misses += trace.store_miss ? 1 : 0;
       w.store_appends += trace.store_append ? 1 : 0;
@@ -274,10 +269,8 @@ std::vector<util::Result<DecisionResult>> Engine::DecideBatchParallel(
     stats_.store_rejects += w.store_rejects;
     worker_stats_.prover_constructions += w.provers.constructions();
     worker_stats_.prover_cache_hits += w.provers.hits();
-    const lp::SolverStats& ss = w.solver->stats();
+    const lp::SolverStats& ss = w.solver.stats();
     worker_stats_.lp_solves += ss.solves;
-    worker_stats_.lp_screen_accepts += ss.screen_accepts;
-    worker_stats_.lp_exact_fallbacks += ss.exact_fallbacks;
     worker_stats_.lp_warm_accepts += ss.warm_accepts;
     worker_stats_.lp_warm_pivots_saved += ss.warm_pivots_saved;
     worker_stats_.lp_word_pivots += ss.word_pivots;
@@ -379,7 +372,7 @@ util::Result<DecisionResult> Engine::DecideImpl(
   ++stats_.decisions;
   DecideTrace trace;
   auto result = DecideMemoized(q1, q2, bag_bag, options_.ToDeciderOptions(),
-                               &provers_, solver_.get(), &trace);
+                               &provers_, &solver_, &trace);
   stats_.total_ms += trace.elapsed_ms;
   stats_.store_hits += trace.store_hit ? 1 : 0;
   stats_.store_misses += trace.store_miss ? 1 : 0;
@@ -405,11 +398,11 @@ util::Result<ProofResult> Engine::ProveInequality(
         "inequality must mention at least one variable");
   }
   const int64_t constructions_before = provers_.constructions();
-  const int64_t warm_accepts_before = solver_->stats().warm_accepts;
-  const int64_t warm_saved_before = solver_->stats().warm_pivots_saved;
-  const LadderSnapshot ladder_before = LadderSnapshot::Of(solver_.get());
+  const int64_t warm_accepts_before = solver_.stats().warm_accepts;
+  const int64_t warm_saved_before = solver_.stats().warm_pivots_saved;
+  const LadderSnapshot ladder_before = LadderSnapshot::Of(&solver_);
   const entropy::ShannonProver& prover = provers_.Get(e.num_vars());
-  entropy::IIResult ii = prover.Prove(e, solver_.get());
+  entropy::IIResult ii = prover.Prove(e, &solver_);
 
   ProofResult result;
   result.valid = ii.valid;
@@ -421,10 +414,10 @@ util::Result<ProofResult> Engine::ProveInequality(
   result.stats.prover_cache_hit =
       provers_.constructions() == constructions_before;
   result.stats.lp_warm_accepts =
-      solver_->stats().warm_accepts - warm_accepts_before;
+      solver_.stats().warm_accepts - warm_accepts_before;
   result.stats.lp_warm_pivots_saved =
-      solver_->stats().warm_pivots_saved - warm_saved_before;
-  ladder_before.WriteDeltaTo(solver_.get(), &result.stats);
+      solver_.stats().warm_pivots_saved - warm_saved_before;
+  ladder_before.WriteDeltaTo(&solver_, &result.stats);
   stats_.lp_pivots += ii.lp_pivots;
   stats_.total_ms += result.stats.elapsed_ms;
   return result;
@@ -470,15 +463,15 @@ util::Result<ProofResult> Engine::CheckMaxInequality(
     }
   }
   const int64_t constructions_before = provers_.constructions();
-  const int64_t warm_accepts_before = solver_->stats().warm_accepts;
-  const int64_t warm_saved_before = solver_->stats().warm_pivots_saved;
-  const LadderSnapshot ladder_before = LadderSnapshot::Of(solver_.get());
+  const int64_t warm_accepts_before = solver_.stats().warm_accepts;
+  const int64_t warm_saved_before = solver_.stats().warm_pivots_saved;
+  const LadderSnapshot ladder_before = LadderSnapshot::Of(&solver_);
   // The generator-form cones (Nn, Mn) never touch the elemental system, so
   // only the Γn route pays for (and caches) a prover.
   const entropy::ShannonProver* prover =
       cone == entropy::ConeKind::kPolymatroid ? &provers_.Get(n) : nullptr;
   entropy::MaxIIResult max_result =
-      entropy::MaxIIOracle(n, cone, prover, solver_.get()).Check(branches);
+      entropy::MaxIIOracle(n, cone, prover, &solver_).Check(branches);
 
   ProofResult result;
   result.valid = max_result.valid;
@@ -491,10 +484,10 @@ util::Result<ProofResult> Engine::CheckMaxInequality(
   result.stats.prover_cache_hit =
       provers_.constructions() == constructions_before;
   result.stats.lp_warm_accepts =
-      solver_->stats().warm_accepts - warm_accepts_before;
+      solver_.stats().warm_accepts - warm_accepts_before;
   result.stats.lp_warm_pivots_saved =
-      solver_->stats().warm_pivots_saved - warm_saved_before;
-  ladder_before.WriteDeltaTo(solver_.get(), &result.stats);
+      solver_.stats().warm_pivots_saved - warm_saved_before;
+  ladder_before.WriteDeltaTo(&solver_, &result.stats);
   stats_.lp_pivots += max_result.lp_pivots;
   stats_.total_ms += result.stats.elapsed_ms;
   return result;
@@ -531,11 +524,8 @@ EngineStats Engine::stats() const {
   out.prover_constructions =
       provers_.constructions() + worker_stats_.prover_constructions;
   out.prover_cache_hits = provers_.hits() + worker_stats_.prover_cache_hits;
-  const lp::SolverStats& ss = solver_->stats();
+  const lp::SolverStats& ss = solver_.stats();
   out.lp_solves = ss.solves + worker_stats_.lp_solves;
-  out.lp_screen_accepts = ss.screen_accepts + worker_stats_.lp_screen_accepts;
-  out.lp_exact_fallbacks =
-      ss.exact_fallbacks + worker_stats_.lp_exact_fallbacks;
   out.lp_warm_accepts = ss.warm_accepts + worker_stats_.lp_warm_accepts;
   out.lp_warm_pivots_saved =
       ss.warm_pivots_saved + worker_stats_.lp_warm_pivots_saved;
@@ -548,8 +538,8 @@ EngineStats Engine::stats() const {
 
 void Engine::ClearCache() {
   provers_.Clear();
-  solver_->Reset();
-  solver_->ResetStats();
+  solver_.Reset();
+  solver_.ResetStats();
   {
     util::MutexLock lock(&memo_mutex_);
     memo_.clear();

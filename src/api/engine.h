@@ -21,9 +21,8 @@
 //     const instance — safe because a constructed ShannonProver is
 //     immutable and Prove() is const (the mutable simplex workspace is
 //     always the caller's);
-//   * one lp::Solver backend (exact or double-screened tiered, selected via
-//     EngineOptions) whose tableau workspace persists across calls, so
-//     repeated decisions stop reallocating rows/costs/rhs;
+//   * one exact lp::Solver whose tableau workspace persists across calls,
+//     so repeated decisions stop reallocating rows/costs/rhs;
 //   * optionally, a query-pair → DecisionResult memo for repeated traffic
 //     (EngineOptions::set_memoize_decisions), keyed by the canonical wire
 //     encoding of the pair (wire::CanonicalPairKey) — whitespace- and
@@ -43,9 +42,7 @@
 // share nothing; with a shared prover pool they share exactly the
 // read-only elemental skeletons and nothing else — solver workspaces,
 // warm-start slots, the decision memo, and every counter stay private to
-// the engine (and the memo to its own mutex). For a one-off decision the
-// deprecated free functions in core/decider.h still work — they spin up
-// the state above per call.
+// the engine (and the memo to its own mutex).
 #pragma once
 
 #include <deque>
@@ -87,8 +84,8 @@ struct EngineStats {
   int64_t prover_cache_hits = 0;     // decisions served from the pool
   int64_t lp_solves = 0;        // LPs run across session + batch workers
   int64_t lp_pivots = 0;        // pivots across those LPs
-  int64_t lp_screen_accepts = 0;   // tiered: float solves exactly verified
-  int64_t lp_exact_fallbacks = 0;  // tiered: solves that re-ran exactly
+  int64_t lp_screen_accepts = 0;   // always 0: wire slot of a removed backend
+  int64_t lp_exact_fallbacks = 0;  // always 0: wire slot of a removed backend
   int64_t lp_warm_accepts = 0;     // LPs resumed from a warm-start basis
   int64_t lp_warm_pivots_saved = 0;  // pivots saved vs cold baselines
   int64_t lp_word_pivots = 0;      // exact pivots done in the int64 tier
@@ -250,7 +247,7 @@ class Engine {
 
   EngineOptions options_;
   entropy::ProverCache provers_;
-  std::unique_ptr<lp::Solver> solver_;
+  lp::Solver solver_;
   EngineStats stats_;
   /// Prover/solver counters folded in from parallel-batch workers (their
   /// caches are transient; the numbers must survive the join).

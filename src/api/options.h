@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "core/decider.h"
-#include "lp/solver.h"
 
 namespace bagcq::entropy {
 class SharedProverPool;  // entropy/prover_cache.h — cross-engine skeleton pool
@@ -43,39 +42,6 @@ class EngineOptions {
     return *this;
   }
   bool verify_witness_counts() const { return verify_witness_counts_; }
-
-  /// Pivot rule for every exact LP the session runs. Bland guarantees
-  /// termination with exact arithmetic; Dantzig is the ablation alternative.
-  EngineOptions& set_pivot_rule(lp::PivotRule rule) {
-    pivot_rule_ = rule;
-    return *this;
-  }
-  lp::PivotRule pivot_rule() const { return pivot_rule_; }
-
-  /// LP backend for every program the session solves (lp/solver.h). The
-  /// default kExactRational runs the fraction-free escalation-ladder exact
-  /// simplex directly — since the ladder (PR 7) it beats the tiered
-  /// pipeline on every measured workload. kDoubleScreened is kept as a
-  /// documented ablation: it screens in double, re-factorizes the terminal
-  /// basis exactly, and falls back to the full exact simplex when
-  /// verification fails — verdicts and certificate guarantees are
-  /// identical either way.
-  EngineOptions& set_solver_backend(lp::SolverBackend backend) {
-    solver_backend_ = backend;
-    return *this;
-  }
-  lp::SolverBackend solver_backend() const { return solver_backend_; }
-
-  /// Arithmetic of the exact simplex tier (both backends). The default
-  /// kLadder runs the fraction-free machine-word escalation ladder
-  /// (lp/ladder_simplex.h) — identical results to the reference
-  /// vector-of-Rational tableau, typically an order of magnitude faster;
-  /// kRational forces the reference path (the ablation/fallback switch).
-  EngineOptions& set_exact_arithmetic(lp::ExactArithmetic arithmetic) {
-    exact_arithmetic_ = arithmetic;
-    return *this;
-  }
-  lp::ExactArithmetic exact_arithmetic() const { return exact_arithmetic_; }
 
   /// Warm starts across the session's LPs (on by default): each LP shape
   /// keeps its last terminal basis on the solver, and the next same-shaped
@@ -159,9 +125,6 @@ class EngineOptions {
   bool want_shannon_certificate_ = true;
   int64_t witness_max_tuples_ = 100'000;
   bool verify_witness_counts_ = true;
-  lp::PivotRule pivot_rule_ = lp::PivotRule::kBland;
-  lp::SolverBackend solver_backend_ = lp::SolverBackend::kExactRational;
-  lp::ExactArithmetic exact_arithmetic_ = lp::ExactArithmetic::kLadder;
   bool warm_starts_ = true;
   int num_threads_ = 1;
   bool memoize_decisions_ = false;

@@ -26,15 +26,14 @@ struct CallStats {
   /// Total simplex pivots across every LP the call ran.
   int64_t lp_pivots = 0;
   /// LPs in this call that resumed from a warm-start basis (a keyed slot on
-  /// the session solver, or the tiered screen→exact handoff).
+  /// the session solver).
   int64_t lp_warm_accepts = 0;
   /// Pivots those warm starts saved vs the recorded cold baseline of the
   /// same LP shape.
   int64_t lp_warm_pivots_saved = 0;
-  /// Escalation-ladder split of this call's *exact* pivots (lp_pivots also
-  /// counts double-screen pivots): pivots completed in the int64 tier, in
-  /// the 128-bit tier, and how many exact solves promoted to BigInt. All
-  /// zero under ExactArithmetic::kRational.
+  /// Escalation-ladder split of this call's pivots: pivots completed in the
+  /// int64 tier, in the 128-bit tier, and how many solves promoted to
+  /// BigInt.
   int64_t lp_word_pivots = 0;
   int64_t lp_wide_pivots = 0;
   int64_t lp_bigint_promotions = 0;

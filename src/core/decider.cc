@@ -195,18 +195,6 @@ util::Result<Decision> DecideBagBagContainmentWithContext(
   return DecideBagContainmentWithContext(t1, t2, options, context);
 }
 
-util::Result<Decision> DecideBagContainment(const cq::ConjunctiveQuery& q1,
-                                            const cq::ConjunctiveQuery& q2,
-                                            const DeciderOptions& options) {
-  return DecideBagContainmentWithContext(q1, q2, options, DeciderContext{});
-}
-
-util::Result<Decision> DecideBagBagContainment(
-    const cq::ConjunctiveQuery& q1, const cq::ConjunctiveQuery& q2,
-    const DeciderOptions& options) {
-  return DecideBagBagContainmentWithContext(q1, q2, options, DeciderContext{});
-}
-
 std::string Decision::ToString() const {
   std::ostringstream os;
   os << VerdictToString(verdict) << " [" << method << "]";

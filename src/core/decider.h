@@ -46,7 +46,7 @@ struct DeciderOptions {
 /// Borrowed session state threaded through a decision (the bagcq::Engine
 /// path). `provers` supplies per-n elemental systems — including the dense
 /// constraint skeleton shared by every Γn LP — built once and reused;
-/// `solver` supplies an LP backend (exact or tiered, lp/solver.h) with a
+/// `solver` supplies the exact LP solver (lp/solver.h) with a
 /// persistent workspace and per-shape warm-start basis slots, so the branch
 /// LPs of one decision (Nn → Γn) and of every following same-shaped decision
 /// resume from the previous terminal basis instead of re-running phase I.
@@ -92,22 +92,5 @@ util::Result<Decision> DecideBagContainmentWithContext(
 util::Result<Decision> DecideBagBagContainmentWithContext(
     const cq::ConjunctiveQuery& q1, const cq::ConjunctiveQuery& q2,
     const DeciderOptions& options, const DeciderContext& context);
-
-/// One-off decision without session state. Thin compatibility wrapper:
-/// every call rebuilds the elemental system and LP workspace from scratch.
-[[deprecated(
-    "use bagcq::Engine (api/engine.h), which caches prover state across "
-    "calls")]]
-util::Result<Decision> DecideBagContainment(const cq::ConjunctiveQuery& q1,
-                                            const cq::ConjunctiveQuery& q2,
-                                            const DeciderOptions& options = {});
-
-/// One-off bag-bag decision. Thin compatibility wrapper; see above.
-[[deprecated(
-    "use bagcq::Engine (api/engine.h), which caches prover state across "
-    "calls")]]
-util::Result<Decision> DecideBagBagContainment(
-    const cq::ConjunctiveQuery& q1, const cq::ConjunctiveQuery& q2,
-    const DeciderOptions& options = {});
 
 }  // namespace bagcq::core

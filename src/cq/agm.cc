@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "lp/lp_problem.h"
-#include "lp/simplex.h"
+#include "lp/solver.h"
 #include "util/check.h"
 
 namespace bagcq::cq {
@@ -61,7 +61,7 @@ util::Result<AgmBound> ComputeAgmBound(const ConjunctiveQuery& q,
   }
   problem.SetObjective(lp::Objective::kMinimize, std::move(objective));
 
-  auto solution = lp::SimplexSolver<Rational>().Solve(problem);
+  auto solution = lp::Solver().Solve(problem);
   if (solution.status != lp::SolveStatus::kOptimal) {
     return util::Status::Internal("edge cover LP not optimal");
   }

@@ -59,7 +59,7 @@ lp::Solution<Rational> MaxIIOracle::RunSimplex(
   // Keys encode (form, cone, n, branch count), so equal keys mean equal LP
   // shape and the session solver can chain terminal bases across branch LPs.
   if (solver_ != nullptr) return solver_->SolveKeyed(problem, warm_key);
-  return lp::ExactSolver().Solve(problem);
+  return lp::Solver().Solve(problem);
 }
 
 MaxIIResult MaxIIOracle::Check(const std::vector<LinearExpr>& branches) const {

@@ -58,7 +58,7 @@ class MaxIIOracle {
   /// Session-state sharing (the Engine path): a cached ShannonProver whose
   /// precomputed constraint skeleton replaces the per-call
   /// ElementalInequalities(n) build on the Γn route, and a long-lived
-  /// lp::Solver (any backend) whose workspace — and per-shape warm-start
+  /// lp::Solver whose workspace — and per-shape warm-start
   /// basis, keyed by (form, cone, n, branch count) — is reused across calls:
   /// the branch LPs of one decision, and of every following decision at the
   /// same shape, resume from the previous terminal basis. Either may be

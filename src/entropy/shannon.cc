@@ -72,7 +72,7 @@ IIResult ShannonProver::Prove(const LinearExpr& e, lp::Solver* solver) const {
       solver != nullptr
           ? solver->SolveKeyed(problem,
                                "shannon/prove/n=" + std::to_string(n_))
-          : lp::ExactSolver().Solve(problem);
+          : lp::Solver().Solve(problem);
   IIResult out;
   out.lp_pivots = solution.pivots;
 

@@ -69,7 +69,7 @@ class ShannonProver {
 
   /// Is 0 ≤ E(h) for all h ∈ Γn? Certificates and counterexamples are
   /// CHECK-verified before being returned. With a non-null `solver`, the LP
-  /// runs on that backend with its persistent workspace and a per-n warm
+  /// runs on that solver with its persistent workspace and a per-n warm
   /// keyed basis (the Engine batch path — repeated proofs at one n resume
   /// from the previous terminal basis); otherwise a throwaway exact solver
   /// is used.

@@ -1,80 +1,36 @@
 #include "graph/hypergraph.h"
 
-#include <algorithm>
-
-#include "util/check.h"
-
 namespace bagcq::graph {
 
-namespace {
-
-// GYO with ear bookkeeping. Returns the parent-witness of each removed edge
-// (-1 for edges removed without a witness, i.e. isolated components' last
-// edges), or nullopt if the reduction gets stuck.
-std::optional<std::vector<int>> GyoReduce(const std::vector<VarSet>& edges) {
+bool IsAlphaAcyclic(int num_vars, const std::vector<VarSet>& edges) {
+  (void)num_vars;
   const int m = static_cast<int>(edges.size());
   std::vector<bool> alive(m, true);
-  std::vector<int> witness(m, -1);
   int remaining = m;
   bool progress = true;
   while (remaining > 0 && progress) {
     progress = false;
     for (int e = 0; e < m && remaining > 0; ++e) {
       if (!alive[e]) continue;
-      // Vertices of e shared with other alive edges.
+      // Vertices of e shared with other alive edges. An ear is an edge whose
+      // shared vertices all lie in one other alive edge (or that shares
+      // none: the last edge of a component).
       VarSet shared;
       for (int f = 0; f < m; ++f) {
         if (f != e && alive[f]) shared = shared.Union(edges[e].Intersect(edges[f]));
       }
-      if (shared.empty()) {
-        // Fully exclusive edge: an ear with no witness (component root).
+      bool ear = shared.empty();
+      for (int f = 0; f < m && !ear; ++f) {
+        ear = f != e && alive[f] && shared.IsSubsetOf(edges[f]);
+      }
+      if (ear) {
         alive[e] = false;
         --remaining;
         progress = true;
-        continue;
-      }
-      for (int f = 0; f < m; ++f) {
-        if (f == e || !alive[f]) continue;
-        if (shared.IsSubsetOf(edges[f])) {
-          witness[e] = f;
-          alive[e] = false;
-          --remaining;
-          progress = true;
-          break;
-        }
       }
     }
   }
-  if (remaining > 0) return std::nullopt;
-  return witness;
-}
-
-}  // namespace
-
-bool IsAlphaAcyclic(int num_vars, const std::vector<VarSet>& edges) {
-  (void)num_vars;
-  return GyoReduce(edges).has_value();
-}
-
-std::optional<TreeDecomposition> JoinTree(int num_vars,
-                                          const std::vector<VarSet>& edges) {
-  // Collapse duplicate hyperedges (GYO would remove them anyway, but the
-  // join tree is cleaner without repeated bags).
-  std::vector<VarSet> bags = edges;
-  std::sort(bags.begin(), bags.end());
-  bags.erase(std::unique(bags.begin(), bags.end()), bags.end());
-
-  auto witness = GyoReduce(bags);
-  if (!witness.has_value()) return std::nullopt;
-  std::vector<std::pair<int, int>> tree_edges;
-  for (int e = 0; e < static_cast<int>(bags.size()); ++e) {
-    if ((*witness)[e] >= 0) tree_edges.emplace_back(e, (*witness)[e]);
-  }
-  TreeDecomposition td(num_vars, bags, std::move(tree_edges));
-  BAGCQ_CHECK(td.HasRunningIntersection())
-      << "GYO join tree violated running intersection";
-  BAGCQ_CHECK(td.Covers(edges));
-  return td;
+  return remaining == 0;
 }
 
 }  // namespace bagcq::graph

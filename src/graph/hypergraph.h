@@ -1,27 +1,19 @@
-// Hypergraph α-acyclicity via the GYO reduction (Definition 2.6 / [Fagin83])
-// and join-tree construction for acyclic hyperedge families.
+// Hypergraph α-acyclicity via the GYO reduction (Definition 2.6 / [Fagin83]).
 //
 // A query is acyclic iff its atom hypergraph admits a tree decomposition
-// whose bags are atom variable-sets; GYO decides this and the join tree is
-// that decomposition.
+// whose bags are atom variable-sets (a join tree); GYO decides this.
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "graph/tree_decomposition.h"
 #include "util/varset.h"
 
 namespace bagcq::graph {
 
+using util::VarSet;
+
 /// True iff the hyperedge family reduces to empty under GYO (repeatedly
 /// remove isolated vertices and edges contained in other edges).
 bool IsAlphaAcyclic(int num_vars, const std::vector<VarSet>& edges);
-
-/// A join tree: a tree decomposition whose bag multiset is exactly `edges`
-/// (one node per hyperedge, duplicates collapsed), or nullopt if the family
-/// is not α-acyclic.
-std::optional<TreeDecomposition> JoinTree(int num_vars,
-                                          const std::vector<VarSet>& edges);
 
 }  // namespace bagcq::graph

@@ -139,7 +139,7 @@ constexpr size_t kWideBits = 126;
 // The fraction-free tableau + driver. Mirrors Tableau<Scalar> in simplex.cc
 // decision for decision — same column layout, same Bland/Dantzig selection,
 // same warm-install and artificial-pivot-out flow — so that the two exact
-// backends emit identical results (see the header for why the pivot
+// simplexes emit identical results (see the header for why the pivot
 // sequences coincide). Storage is the flat block in LadderWorkspace: rows
 // 0..m-1 are constraints, row m is the cost row, column ncols is the rhs,
 // and the trailing cell is the shared denominator d (> 0 always).
@@ -944,7 +944,7 @@ class LadderTableau {
   // (d*c_identity - C[identity]) / d, un-flipped by the row sign, times the
   // row scale t_i, divided by the phase's objective scale (lcm(t) for the
   // phase-I/Farkas certificate, L for phase-II duals) — which lands exactly
-  // on what the reference backend extracts.
+  // on what the reference simplex extracts.
   std::vector<Rational> ExtractRowMultipliers(bool phase_one) const {
     const BigInt d = DenBig();
     const BigInt& scale = phase_one ? ws_.art_scale : ws_.cost_scale;
@@ -992,14 +992,12 @@ size_t LadderWorkspace::RetainedBytes() const {
 }
 
 Solution<util::Rational> LadderSimplex::Solve(const LpProblem& problem) {
-  ++solves_;
   LadderTableau tableau(problem, options_, workspace_);
   return tableau.Run(nullptr);
 }
 
 Solution<util::Rational> LadderSimplex::SolveFrom(
     const LpProblem& problem, const std::vector<BasisEntry>& basis) {
-  ++solves_;
   LadderTableau tableau(problem, options_, workspace_);
   return tableau.Run(&basis);
 }

@@ -25,14 +25,14 @@
 //   * Lossless Rational conversion only at the boundary: Solution values /
 //     objective / duals / farkas / warm-start basis export are built as
 //     Rational(M, d) (plus the integerization scales below), so VerifyDuals
-//     and VerifyFarkas consume exactly what the Rational backend produces.
+//     and VerifyFarkas consume exactly what the Rational reference produces.
 //
 // Non-integer input is integerized: constraint row i is scaled by t_i (the
 // lcm of its coefficient/rhs denominators), the objective by L, and the
 // phase-I cost of row i's artificial is lcm(t)/t_i — a uniform positive
 // rescaling of the reference phase-I objective, which is what keeps Bland's
 // pivot sequence (signs and cross-multiplied ratio tests are invariant under
-// positive row/column scalings) identical to the reference backend. Integer
+// positive row/column scalings) identical to the reference simplex. Integer
 // input takes a fast path with t_i = L = 1 and no BigInt staging at all.
 #pragma once
 
@@ -110,47 +110,11 @@ class LadderSimplex {
   /// Drops the persistent arena. Subsequent solves start cold.
   void Reset() { workspace_.Release(); }
 
-  int64_t solves() const { return solves_; }
   const LadderWorkspace& workspace() const { return workspace_; }
 
  private:
   SolverOptions options_;
   LadderWorkspace workspace_;
-  int64_t solves_ = 0;
-};
-
-/// The exact solver every backend routes through: dispatches between the
-/// ladder and the reference vector-of-Rational simplex according to
-/// SolverOptions::exact_arithmetic. Both paths satisfy the same contract and
-/// produce identical results; the enum is the ablation/fallback switch.
-class ExactSimplex {
- public:
-  explicit ExactSimplex(SolverOptions options = {})
-      : use_ladder_(options.exact_arithmetic == ExactArithmetic::kLadder),
-        ladder_(options),
-        reference_(options) {}
-
-  Solution<util::Rational> Solve(const LpProblem& problem) {
-    return use_ladder_ ? ladder_.Solve(problem) : reference_.Solve(problem);
-  }
-  Solution<util::Rational> SolveFrom(const LpProblem& problem,
-                                     const std::vector<BasisEntry>& basis) {
-    return use_ladder_ ? ladder_.SolveFrom(problem, basis)
-                       : reference_.SolveFrom(problem, basis);
-  }
-  void Reset() {
-    ladder_.Reset();
-    reference_.Reset();
-  }
-  int64_t solves() const {
-    return use_ladder_ ? ladder_.solves() : reference_.solves();
-  }
-  bool uses_ladder() const { return use_ladder_; }
-
- private:
-  bool use_ladder_;
-  LadderSimplex ladder_;
-  SimplexSolver<util::Rational> reference_;
 };
 
 }  // namespace bagcq::lp

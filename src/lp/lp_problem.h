@@ -1,6 +1,6 @@
-// Linear program description, independent of the solving scalar type.
+// Linear program description.
 //
-// Coefficients are exact rationals; SimplexSolver<double> converts on entry.
+// Coefficients are exact rationals.
 // Variables are nonnegative by default; free variables are supported (the
 // solver splits them internally).
 #pragma once

@@ -1,7 +1,6 @@
 #include "lp/simplex.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -21,19 +20,9 @@ const char* SolveStatusToString(SolveStatus status) {
   return "?";
 }
 
-const char* ExactArithmeticToString(ExactArithmetic arithmetic) {
-  switch (arithmetic) {
-    case ExactArithmetic::kLadder:
-      return "ladder";
-    case ExactArithmetic::kRational:
-      return "rational";
-  }
-  return "?";
-}
-
 namespace {
 
-// Scalar abstraction: exact comparisons for Rational, epsilon for double.
+// Scalar abstraction: the exact comparisons the tableau pivots on.
 template <typename Scalar>
 struct Field;
 
@@ -46,16 +35,6 @@ struct Field<util::Rational> {
   static bool Less(const util::Rational& a, const util::Rational& b) {
     return a < b;
   }
-};
-
-template <>
-struct Field<double> {
-  static constexpr double kEps = 1e-9;
-  static double FromRational(const util::Rational& r) { return r.ToDouble(); }
-  static bool IsZero(double v) { return std::fabs(v) <= kEps; }
-  static bool IsNegative(double v) { return v < -kEps; }
-  static bool IsPositive(double v) { return v > kEps; }
-  static bool Less(double a, double b) { return a < b - kEps; }
 };
 
 // Internal tableau. Columns: structural (original variables, free ones
@@ -324,7 +303,7 @@ class Tableau {
     BAGCQ_DCHECK(!F::IsZero(pivot));
     for (Scalar& a : prow) a = a / pivot;
     ws_.rhs[leave] = ws_.rhs[leave] / pivot;
-    prow[enter] = Scalar{1};  // kill residual rounding for double
+    prow[enter] = Scalar{1};
 
     for (int i = 0; i < static_cast<int>(ws_.rows.size()); ++i) {
       if (i == leave) continue;
@@ -634,8 +613,6 @@ bool VerifyFarkas(const LpProblem& problem,
 }
 
 template struct SimplexWorkspace<util::Rational>;
-template struct SimplexWorkspace<double>;
 template class SimplexSolver<util::Rational>;
-template class SimplexSolver<double>;
 
 }  // namespace bagcq::lp

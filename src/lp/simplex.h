@@ -1,9 +1,9 @@
-// Two-phase tableau simplex, templated over the scalar field.
+// Two-phase tableau simplex over a vector-of-Rational tableau.
 //
-// SimplexSolver<util::Rational> is the exact solver used for all theorem-level
-// results (certificates are proofs, so they must be exact). The <double>
-// instantiation exists for the speed/precision ablation bench and for quick
-// screening.
+// SimplexSolver<util::Rational> is the reference implementation: the
+// production solver (lp::Solver, over the escalation-ladder LadderSimplex) is
+// tested for pivot parity against it. This header also holds the contract
+// both share — Solution, SolverOptions, and the exact certificate checks.
 //
 // The solver reports, besides the primal solution:
 //   * dual values (one per constraint) satisfying strong duality and the sign
@@ -13,8 +13,8 @@
 //     when the program is infeasible — this becomes the counterexample
 //     polymatroid in the entropy layer.
 //
-// Anti-cycling: Bland's rule (default for Rational) guarantees termination;
-// Dantzig's rule is available for the pivoting ablation.
+// Anti-cycling: Bland's rule (the default) guarantees termination; Dantzig's
+// rule is available for the pivoting ablation.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,7 @@
 namespace bagcq::lp {
 
 /// kPivotLimit is a soft failure: the pivot cap was hit (cycling, or a cap
-/// deliberately set low by a screening tier) and the reported solution
-/// carries no certificate. With Bland's rule and exact arithmetic the cap is
+/// deliberately set low) and the reported solution carries no certificate. With Bland's rule and exact arithmetic the cap is
 /// unreachable at the default setting.
 enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kPivotLimit };
 enum class PivotRule { kBland, kDantzig };
@@ -38,8 +37,7 @@ const char* SolveStatusToString(SolveStatus status);
 /// What occupies one basis slot at termination, in *problem* terms (not
 /// internal tableau columns): the positive or negative half of a structural
 /// variable, the slack/surplus of a constraint, or a phase-I artificial.
-/// This is the warm-start/refinement hint the tiered pipeline consumes: a
-/// basis from a double solve can be re-factorized exactly.
+/// This is the warm-start hint SolveFrom consumes.
 enum class BasisKind : uint8_t {
   kStructural,     // index = variable j (its nonnegative / positive half)
   kNegStructural,  // index = variable j (negative half of a free variable)
@@ -83,31 +81,16 @@ struct Solution {
   int64_t bigint_promotions = 0;
 };
 
-/// Which arithmetic the *exact* backends run the simplex in. Both produce
-/// identical (exact, certificate-carrying) results; kLadder is the fast path.
-enum class ExactArithmetic {
-  /// Fraction-free integer tableau with an overflow-checked int64 → 128-bit
-  /// → BigInt escalation ladder (LadderSimplex). The default.
-  kLadder,
-  /// The reference vector-of-Rational tableau (SimplexSolver<Rational>).
-  kRational,
-};
-
-const char* ExactArithmeticToString(ExactArithmetic arithmetic);
-
 struct SolverOptions {
   PivotRule pivot_rule = PivotRule::kBland;
-  /// Cap on pivots (guards the double instantiation against cycling). The
-  /// solve fails soft with SolveStatus::kPivotLimit when the cap is hit.
+  /// Cap on pivots (guards a cycling pivot rule). The solve fails soft with
+  /// SolveStatus::kPivotLimit when the cap is hit.
   /// Warm-start installation eliminations count toward the cap.
   int64_t max_pivots = 1'000'000;
-  /// Consumed by the lp::Solver backends (not by SimplexSolver itself):
-  /// gates the keyed warm-start slots behind Solver::SolveKeyed. Off, every
-  /// keyed solve runs cold — the ablation switch for warm-vs-cold benches.
+  /// Consumed by lp::Solver (not by the simplexes themselves): gates the
+  /// keyed warm-start slots behind Solver::SolveKeyed. Off, every keyed
+  /// solve runs cold — the ablation switch for warm-vs-cold benches.
   bool warm_starts = true;
-  /// Consumed by ExactSimplex (the wrapper both exact backends solve
-  /// through): picks the arithmetic ladder or the reference Rational path.
-  ExactArithmetic exact_arithmetic = ExactArithmetic::kLadder;
 };
 
 /// Persistent tableau storage. Kept inside the solver across Solve() calls so
@@ -181,8 +164,7 @@ class SimplexSolver {
   int64_t solves_ = 0;
 };
 
-/// Exact (or epsilon, for double) verification that `solution.duals` is a
-/// certificate of optimality:
+/// Exact verification that `solution.duals` is a certificate of optimality:
 ///   * primal feasible, and c.x == objective == b.y;
 ///   * minimize: ≤-rows have y ≤ 0, ≥-rows have y ≥ 0, =-rows free, and for
 ///     every variable j: sum_i y_i A_ij ≤ c_j (== for free variables);
@@ -195,8 +177,6 @@ bool VerifyDuals(const LpProblem& problem, const Solution<util::Rational>& solut
 bool VerifyFarkas(const LpProblem& problem, const std::vector<util::Rational>& farkas);
 
 extern template struct SimplexWorkspace<util::Rational>;
-extern template struct SimplexWorkspace<double>;
 extern template class SimplexSolver<util::Rational>;
-extern template class SimplexSolver<double>;
 
 }  // namespace bagcq::lp

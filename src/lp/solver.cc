@@ -1,33 +1,8 @@
 #include "lp/solver.h"
 
-#include "lp/tiered_solver.h"
 #include "util/check.h"
 
 namespace bagcq::lp {
-
-const char* SolverBackendToString(SolverBackend backend) {
-  switch (backend) {
-    case SolverBackend::kExactRational:
-      return "exact";
-    case SolverBackend::kDoubleScreened:
-      return "tiered";
-  }
-  return "?";
-}
-
-bool ParseSolverBackend(std::string_view text, SolverBackend* out) {
-  if (text == "exact" || text == "exact-rational" ||
-      text == "kExactRational") {
-    *out = SolverBackend::kExactRational;
-    return true;
-  }
-  if (text == "tiered" || text == "double-screened" ||
-      text == "kDoubleScreened") {
-    *out = SolverBackend::kDoubleScreened;
-    return true;
-  }
-  return false;
-}
 
 Solution<util::Rational> Solver::SolveKeyed(const LpProblem& problem,
                                             std::string_view shape_key) {
@@ -50,43 +25,31 @@ Solution<util::Rational> Solver::SolveKeyed(const LpProblem& problem,
   return out;
 }
 
-Solution<util::Rational> ExactSolver::Finish(Solution<util::Rational> out) {
+Solution<util::Rational> Solver::Finish(Solution<util::Rational> out) {
   stats_.exact_pivots += out.pivots;
   stats_.word_pivots += out.word_pivots;
   stats_.wide_pivots += out.wide_pivots;
   stats_.bigint_promotions += out.bigint_promotions;
-  // The Solver contract promises a certified answer; an exact tier that hits
-  // the cap (only reachable with a cycling pivot rule or a misconfigured
-  // cap) is a programmer error, as it was before kPivotLimit existed.
+  // The Solver contract promises a certified answer; hitting the cap (only
+  // reachable with a cycling pivot rule or a misconfigured cap) is a
+  // programmer error, as it was before kPivotLimit existed.
   BAGCQ_CHECK(out.status != SolveStatus::kPivotLimit)
       << "exact simplex hit max_pivots — cycling pivot rule or cap too low?";
   return out;
 }
 
-Solution<util::Rational> ExactSolver::Solve(const LpProblem& problem) {
+Solution<util::Rational> Solver::Solve(const LpProblem& problem) {
   ++stats_.solves;
   return Finish(simplex_.Solve(problem));
 }
 
-Solution<util::Rational> ExactSolver::SolveFrom(
+Solution<util::Rational> Solver::SolveFrom(
     const LpProblem& problem, const std::vector<BasisEntry>& hint) {
   ++stats_.solves;
   ++stats_.warm_attempts;
   Solution<util::Rational> out = simplex_.SolveFrom(problem, hint);
   if (out.warm_started) ++stats_.warm_accepts;
   return Finish(std::move(out));
-}
-
-std::unique_ptr<Solver> MakeSolver(SolverBackend backend,
-                                   SolverOptions options) {
-  switch (backend) {
-    case SolverBackend::kExactRational:
-      return std::make_unique<ExactSolver>(options);
-    case SolverBackend::kDoubleScreened:
-      return std::make_unique<TieredSolver>(options);
-  }
-  BAGCQ_CHECK(false) << "unknown solver backend";
-  return nullptr;
 }
 
 }  // namespace bagcq::lp

@@ -1,27 +1,20 @@
-// lp::Solver — the backend interface every LP consumer in the decision
+// lp::Solver — the one exact LP solver every consumer in the decision
 // pipeline programs against (ShannonProver, MaxIIOracle, core::decider,
-// bagcq::Engine), replacing direct use of the SimplexSolver<Scalar> template.
+// bagcq::Engine, the AGM bound).
 //
-// Every backend returns *exact* Rational solutions whose certificates are
-// machine-checked proofs; backends differ only in how they get there:
+// It wraps the fraction-free escalation-ladder simplex (ladder_simplex.h)
+// with what a long-lived session needs on top: the persistent tableau arena,
+// keyed warm-start slots, and cumulative SolverStats. Every Solution it
+// returns is exact, and its certificate (duals or Farkas) passes
+// VerifyDuals/VerifyFarkas. SimplexSolver<Rational> (simplex.h) is the
+// reference implementation the ladder is pivot-parity tested against.
 //
-//   kExactRational  — one exact-Rational two-phase simplex per Solve. The
-//                     reference backend: slow (bigint pivot arithmetic) but
-//                     with no screening machinery at all.
-//   kDoubleScreened — the tiered pipeline (tiered_solver.h): solve in double
-//                     first, re-factorize the terminal float basis exactly,
-//                     and accept only if VerifyDuals/VerifyFarkas passes;
-//                     otherwise fall back to the full exact solve. Same
-//                     verdicts and the same exactness guarantee, typically a
-//                     large constant factor faster.
-//
-// Backends are not thread-safe (they own a mutable tableau workspace): one
-// Solver per thread, matching the one-Engine-per-thread rule.
+// Not thread-safe (it owns a mutable tableau workspace): one Solver per
+// thread, matching the one-Engine-per-thread rule.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,28 +24,11 @@
 
 namespace bagcq::lp {
 
-enum class SolverBackend { kExactRational, kDoubleScreened };
-
-const char* SolverBackendToString(SolverBackend backend);
-/// Parses "exact" / "tiered" (and the enum spellings); false on unknown text.
-bool ParseSolverBackend(std::string_view text, SolverBackend* out);
-
-/// Cumulative per-backend counters (monotone until ResetStats).
+/// Cumulative counters (monotone until ResetStats).
 struct SolverStats {
   int64_t solves = 0;
-  /// Solves answered by the double tier: float certificate re-factorized and
-  /// exactly verified. Always 0 for kExactRational.
-  int64_t screen_accepts = 0;
-  /// Solves that fell back to the full exact simplex (verification failure,
-  /// unbounded/pivot-limited screen, or refinement mismatch).
-  int64_t exact_fallbacks = 0;
-  /// Double-tier solves that hit the pivot cap (a subset of the fallbacks).
-  int64_t pivot_limit_hits = 0;
-  /// Pivots spent in the double tier / the exact tier.
-  int64_t double_pivots = 0;
   int64_t exact_pivots = 0;
-  /// Solves handed a starting-basis hint — via SolveFrom/SolveKeyed, or the
-  /// tiered screen→exact-fallback basis handoff.
+  /// Solves handed a starting-basis hint via SolveFrom/SolveKeyed.
   int64_t warm_attempts = 0;
   /// Hinted solves where the simplex actually resumed from the hint instead
   /// of rejecting it (singular / stale / infeasible basis) and going cold.
@@ -60,9 +36,8 @@ struct SolverStats {
   /// Pivots avoided by keyed warm starts, measured against the recorded
   /// cold-solve pivot count of the same shape slot (SolveKeyed only).
   int64_t warm_pivots_saved = 0;
-  /// Escalation-ladder accounting (ExactArithmetic::kLadder only, both
-  /// backends' exact tier): exact pivots completed in the int64 tier, in the
-  /// 128-bit tier, and how many solves promoted all the way to BigInt.
+  /// Escalation-ladder accounting: exact pivots completed in the int64 tier,
+  /// in the 128-bit tier, and how many solves promoted all the way to BigInt.
   int64_t word_pivots = 0;
   int64_t wide_pivots = 0;
   int64_t bigint_promotions = 0;
@@ -70,22 +45,21 @@ struct SolverStats {
 
 class Solver {
  public:
-  virtual ~Solver() = default;
+  explicit Solver(SolverOptions options = {})
+      : simplex_(options), warm_enabled_(options.warm_starts) {}
 
   /// Solves the program exactly. The returned certificate (duals or Farkas)
-  /// always passes VerifyDuals/VerifyFarkas, whatever the backend. An
-  /// *exact* tier hitting max_pivots (only reachable with a cycling pivot
-  /// rule or a deliberately tiny cap) CHECK-fails rather than returning an
-  /// uncertified kPivotLimit; the double tier of kDoubleScreened fails soft
-  /// and falls back.
-  virtual Solution<util::Rational> Solve(const LpProblem& problem) = 0;
+  /// always passes VerifyDuals/VerifyFarkas. Hitting max_pivots (only
+  /// reachable with a cycling pivot rule or a deliberately tiny cap)
+  /// CHECK-fails rather than returning an uncertified kPivotLimit.
+  Solution<util::Rational> Solve(const LpProblem& problem);
 
   /// Warm-started solve: resumes from `hint` (see SimplexSolver::SolveFrom)
   /// when it applies, falling back to the cold path — never to a wrong
   /// answer — when it does not. Exactness and certification guarantees are
-  /// identical to Solve on every backend.
-  virtual Solution<util::Rational> SolveFrom(
-      const LpProblem& problem, const std::vector<BasisEntry>& hint) = 0;
+  /// identical to Solve.
+  Solution<util::Rational> SolveFrom(const LpProblem& problem,
+                                     const std::vector<BasisEntry>& hint);
 
   /// Keyed warm start: remembers the terminal basis of the last solve per
   /// caller-chosen shape key and hands it to the next solve under the same
@@ -102,22 +76,14 @@ class Solver {
   /// subsequent solves start cold.
   void Reset() {
     warm_slots_.clear();
-    ResetWorkspace();
+    simplex_.Reset();
   }
 
-  virtual SolverBackend backend() const = 0;
   const SolverStats& stats() const { return stats_; }
   void ResetStats() { stats_ = SolverStats{}; }
 
-  int64_t solves() const { return stats_.solves; }
   /// Keyed warm-basis slots currently held.
   size_t warm_slot_count() const { return warm_slots_.size(); }
-
- protected:
-  explicit Solver(bool warm_starts) : warm_enabled_(warm_starts) {}
-  virtual void ResetWorkspace() = 0;
-
-  SolverStats stats_;
 
  private:
   struct WarmSlot {
@@ -130,39 +96,15 @@ class Solver {
   /// guards against a pathological caller.
   static constexpr size_t kMaxWarmSlots = 256;
 
+  Solution<util::Rational> Finish(Solution<util::Rational> out);
+
+  LadderSimplex simplex_;
+  SolverStats stats_;
   std::map<std::string, WarmSlot, std::less<>> warm_slots_;
   bool warm_enabled_ = true;
 };
 
-/// The kExactRational backend: a thin Solver wrapper over the exact simplex
-/// (the ladder by default, the reference Rational tableau under
-/// SolverOptions::exact_arithmetic) with its persistent workspace.
-/// Stack-constructible for throwaway one-off solves.
-class ExactSolver final : public Solver {
- public:
-  explicit ExactSolver(SolverOptions options = {})
-      : Solver(options.warm_starts), simplex_(options) {}
-
-  Solution<util::Rational> Solve(const LpProblem& problem) override;
-  Solution<util::Rational> SolveFrom(
-      const LpProblem& problem, const std::vector<BasisEntry>& hint) override;
-  SolverBackend backend() const override {
-    return SolverBackend::kExactRational;
-  }
-
- protected:
-  void ResetWorkspace() override { simplex_.Reset(); }
-
- private:
-  Solution<util::Rational> Finish(Solution<util::Rational> out);
-
-  ExactSimplex simplex_;
-};
-
-/// Backend registry: constructs the chosen backend. `options` applies to the
-/// exact tier; the double tier of kDoubleScreened derives its own screening
-/// options (Dantzig, low pivot cap) from it.
-std::unique_ptr<Solver> MakeSolver(SolverBackend backend,
-                                   SolverOptions options = {});
+/// Old name, kept because perfbench/driver.cc still constructs it.
+using ExactSolver = Solver;
 
 }  // namespace bagcq::lp

@@ -208,23 +208,5 @@ TEST(DeciderTest, MismatchedHeadArityRejected) {
   EXPECT_FALSE(DecideBagContainmentWithContext(q1, q2, {}, {}).ok());
 }
 
-TEST(DeciderTest, DeprecatedOneOffWrappersStillDecide) {
-  // The compatibility wrappers stay callable until removal — this is the one
-  // deliberately deprecated call site left in the repo.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  cq::ConjunctiveQuery q1 = Parse("R(x,y), R(y,z), R(z,x)");
-  cq::ConjunctiveQuery q2 = ParseWith("R(a,b), R(a,c)", q1.vocab());
-  EXPECT_EQ(DecideBagContainment(q1, q2).ValueOrDie().verdict,
-            DecideBagContainmentWithContext(q1, q2, {}, {})
-                .ValueOrDie()
-                .verdict);
-  EXPECT_EQ(DecideBagBagContainment(q1, q2).ValueOrDie().verdict,
-            DecideBagBagContainmentWithContext(q1, q2, {}, {})
-                .ValueOrDie()
-                .verdict);
-#pragma GCC diagnostic pop
-}
-
 }  // namespace
 }  // namespace bagcq::core

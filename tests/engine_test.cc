@@ -296,7 +296,7 @@ TEST(EngineOptionsTest, CertificateCanBeDisabled) {
   EXPECT_FALSE(d.validity->certificate.has_value());
 }
 
-// ------------------------------------------------------- solver backends
+// ------------------------------------------------------------ LP stats
 
 // The decision rows of exp_decidability: every verdict class (Contained,
 // NotContained, Unknown) and every structural class of Q2.
@@ -320,41 +320,15 @@ std::vector<QueryPair> DecisionSuite(Engine& engine) {
   return pairs;
 }
 
-TEST(EngineBackendTest, TieredAndExactBackendsAgreeOnTheDecisionSuite) {
-  Engine exact{EngineOptions().set_solver_backend(
-      lp::SolverBackend::kExactRational)};
-  Engine tiered{EngineOptions().set_solver_backend(
-      lp::SolverBackend::kDoubleScreened)};
-  for (const QueryPair& pair : DecisionSuite(exact)) {
-    auto reference = exact.Decide(pair.q1, pair.q2).ValueOrDie();
-    auto screened = tiered.Decide(pair.q1, pair.q2).ValueOrDie();
-    EXPECT_EQ(screened.verdict, reference.verdict) << reference.ToString();
-    EXPECT_EQ(screened.method, reference.method);
-    // Tiered certificates are exactly verified, not merely float-plausible.
-    if (screened.validity.has_value() &&
-        screened.validity->certificate.has_value()) {
-      ASSERT_TRUE(screened.inequality.has_value());
-      const auto& branches = screened.inequality->branches;
-      entropy::LinearExpr combined(branches[0].num_vars());
-      for (size_t l = 0; l < branches.size(); ++l) {
-        combined = combined + branches[l] * screened.validity->lambda[l];
-      }
-      EXPECT_TRUE(screened.validity->certificate->Verify(combined));
-    }
-  }
-  EXPECT_EQ(exact.stats().lp_screen_accepts, 0);
-  EXPECT_GT(tiered.stats().lp_screen_accepts, 0);
-}
-
-TEST(EngineBackendTest, DefaultBackendIsExactLadder) {
-  // The exact int64 → 128-bit → BigInt escalation ladder is the default:
-  // every certificate is exactly verified with no float screen in the path.
-  // kDoubleScreened stays available as a documented ablation (the test
-  // above pins its agreement with the exact backend).
+TEST(EngineStatsTest, RetiredScreenCountersStayZero) {
+  // lp_screen_accepts and lp_exact_fallbacks belonged to an LP backend that
+  // no longer exists. They stay in EngineStats (and on the wire) as slots
+  // that are always zero, however much LP work the session does.
   Engine engine;
-  EXPECT_EQ(engine.options().solver_backend(),
-            lp::SolverBackend::kExactRational);
   engine.ProveInequality("H(A) + H(B) >= H(A,B)").ValueOrDie();
+  for (const QueryPair& pair : DecisionSuite(engine)) {
+    engine.Decide(pair.q1, pair.q2).ValueOrDie();
+  }
   EngineStats stats = engine.stats();
   EXPECT_GT(stats.lp_solves, 0);
   EXPECT_EQ(stats.lp_screen_accepts, 0);
@@ -536,13 +510,11 @@ TEST(EngineOptionsTest, BuilderFoldsDeciderAndWitnessOptions) {
   EngineOptions options = EngineOptions()
                               .set_want_shannon_certificate(false)
                               .set_witness_max_tuples(42)
-                              .set_verify_witness_counts(false)
-                              .set_pivot_rule(lp::PivotRule::kDantzig);
+                              .set_verify_witness_counts(false);
   core::DeciderOptions legacy = options.ToDeciderOptions();
   EXPECT_FALSE(legacy.want_shannon_certificate);
   EXPECT_EQ(legacy.witness.max_tuples, 42);
   EXPECT_FALSE(legacy.witness.verify_counts);
-  EXPECT_EQ(options.pivot_rule(), lp::PivotRule::kDantzig);
 }
 
 // ------------------------------------------------------------- warm starts
@@ -573,28 +545,22 @@ TEST(EngineWarmStartTest, WarmAndColdEnginesAgreeOnTheDecisionSuite) {
       {"R(x,y), R(y,x)", "R(a,b)"},
       {"R(x,y), R(y,z), R(z,x)", "R(a,b), R(b,c), R(c,a)"},
   };
-  for (auto backend : {lp::SolverBackend::kExactRational,
-                       lp::SolverBackend::kDoubleScreened}) {
-    Engine warm{EngineOptions().set_solver_backend(backend)};
-    Engine cold{
-        EngineOptions().set_solver_backend(backend).set_warm_starts(false)};
-    for (int round = 0; round < 2; ++round) {  // round 2 hits warm slots
-      for (const auto& row : pairs) {
-        auto w = warm.Decide(row[0], row[1]).ValueOrDie();
-        auto c = cold.Decide(row[0], row[1]).ValueOrDie();
-        EXPECT_EQ(w.verdict, c.verdict)
-            << row[0] << " vs " << row[1] << " on "
-            << lp::SolverBackendToString(backend);
-        ASSERT_EQ(w.validity.has_value(), c.validity.has_value());
-        if (w.validity.has_value()) {
-          EXPECT_EQ(w.validity->lambda, c.validity->lambda);
-        }
+  Engine warm;
+  Engine cold{EngineOptions().set_warm_starts(false)};
+  for (int round = 0; round < 2; ++round) {  // round 2 hits warm slots
+    for (const auto& row : pairs) {
+      auto w = warm.Decide(row[0], row[1]).ValueOrDie();
+      auto c = cold.Decide(row[0], row[1]).ValueOrDie();
+      EXPECT_EQ(w.verdict, c.verdict) << row[0] << " vs " << row[1];
+      ASSERT_EQ(w.validity.has_value(), c.validity.has_value());
+      if (w.validity.has_value()) {
+        EXPECT_EQ(w.validity->lambda, c.validity->lambda);
       }
     }
-    EXPECT_GT(warm.stats().lp_warm_accepts, 0);
-    EXPECT_EQ(cold.stats().lp_warm_accepts, 0);
-    EXPECT_EQ(cold.stats().lp_warm_pivots_saved, 0);
   }
+  EXPECT_GT(warm.stats().lp_warm_accepts, 0);
+  EXPECT_EQ(cold.stats().lp_warm_accepts, 0);
+  EXPECT_EQ(cold.stats().lp_warm_pivots_saved, 0);
 }
 
 TEST(EngineWarmStartTest, RefutationsWarmStartThePhaseOneResume) {

@@ -220,35 +220,5 @@ TEST(GyoTest, CyclicFamilies) {
                                   VarSet::Of({2, 3}), VarSet::Of({3, 0})}));
 }
 
-TEST(GyoTest, JoinTreeOfPath) {
-  auto td = JoinTree(4, {VarSet::Of({0, 1}), VarSet::Of({1, 2}),
-                         VarSet::Of({2, 3})});
-  ASSERT_TRUE(td.has_value());
-  EXPECT_EQ(td->num_nodes(), 3);
-  EXPECT_TRUE(td->HasRunningIntersection());
-  EXPECT_TRUE(td->IsSimple());
-}
-
-TEST(GyoTest, JoinTreeCollapsesDuplicates) {
-  auto td = JoinTree(3, {VarSet::Of({0, 1}), VarSet::Of({0, 1}),
-                         VarSet::Of({1, 2})});
-  ASSERT_TRUE(td.has_value());
-  EXPECT_EQ(td->num_nodes(), 2);
-}
-
-TEST(GyoTest, JoinTreeOfTriangleFails) {
-  EXPECT_FALSE(JoinTree(3, {VarSet::Of({0, 1}), VarSet::Of({1, 2}),
-                            VarSet::Of({0, 2})})
-                   .has_value());
-}
-
-TEST(GyoTest, DisconnectedJoinForest) {
-  auto td = JoinTree(4, {VarSet::Of({0, 1}), VarSet::Of({2, 3})});
-  ASSERT_TRUE(td.has_value());
-  EXPECT_EQ(td->num_nodes(), 2);
-  EXPECT_TRUE(td->edges().empty());
-  EXPECT_TRUE(td->IsTotallyDisconnected());
-}
-
 }  // namespace
 }  // namespace bagcq::graph

@@ -265,34 +265,10 @@ TEST(LadderWorkspaceTest, ArenaIsReusedAcrossSolvesAndReleased) {
   EXPECT_EQ(session.Solve(lp).status, ReferenceSolver().Solve(lp).status);
 }
 
-TEST(LadderDispatchTest, ExactSimplexRoutesOnTheArithmeticOption) {
-  SolverOptions ladder_options;
-  ASSERT_EQ(ladder_options.exact_arithmetic, ExactArithmetic::kLadder);
-  SolverOptions rational_options;
-  rational_options.exact_arithmetic = ExactArithmetic::kRational;
-
-  ExactSimplex fast(ladder_options);
-  ExactSimplex slow(rational_options);
-  EXPECT_TRUE(fast.uses_ladder());
-  EXPECT_FALSE(slow.uses_ladder());
-
-  const LpProblem lp = RandomLp(23, /*rational_coeffs=*/true);
-  const auto a = fast.Solve(lp);
-  const auto b = slow.Solve(lp);
-  ExpectParity(lp, a, b, /*same_pivots=*/true);
-  // Only the ladder reports tier counters.
-  EXPECT_EQ(b.word_pivots, 0);
-  EXPECT_EQ(fast.solves(), 1);
-  EXPECT_EQ(slow.solves(), 1);
-}
-
 TEST(LadderDispatchTest, TierNamesAreStable) {
   EXPECT_STREQ(LadderTierToString(LadderTier::kWord), "word");
   EXPECT_STREQ(LadderTierToString(LadderTier::kWide), "wide");
   EXPECT_STREQ(LadderTierToString(LadderTier::kBig), "big");
-  EXPECT_STREQ(ExactArithmeticToString(ExactArithmetic::kLadder), "ladder");
-  EXPECT_STREQ(ExactArithmeticToString(ExactArithmetic::kRational),
-               "rational");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "entropy/max_ii.h"
 
+#include <ostream>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -132,6 +133,14 @@ struct SweepParams {
   int n;
   bool unconditioned;
 };
+
+// Prints s101_n4_uncond. Without it gtest prints the struct's raw bytes,
+// padding included, and the padding differs from run to run; CTest puts
+// the printed value in the test name.
+void PrintTo(const SweepParams& p, std::ostream* os) {
+  *os << "s" << p.seed << "_n" << p.n
+      << (p.unconditioned ? "_uncond" : "_simple");
+}
 
 class Theorem36Sweep : public ::testing::TestWithParam<SweepParams> {};
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "lp/lp_problem.h"
+#include "lp/solver.h"
 #include "util/rational.h"
 
 namespace bagcq::lp {
@@ -13,7 +14,6 @@ namespace {
 using util::Rational;
 
 using RationalSolver = SimplexSolver<util::Rational>;
-using DoubleSolver = SimplexSolver<double>;
 
 Rational R(int64_t n, int64_t d = 1) { return Rational(n, d); }
 
@@ -225,23 +225,9 @@ TEST(SimplexTest, DantzigRuleAgreesWithBland) {
   EXPECT_TRUE(VerifyDuals(lp, dantzig));
 }
 
-TEST(SimplexTest, DoubleSolverTracksExactSolver) {
-  LpProblem lp;
-  lp.AddVariable("x");
-  lp.AddVariable("y");
-  lp.AddConstraint({R(3), R(2)}, Sense::kLessEqual, R(12));
-  lp.AddConstraint({R(1), R(2)}, Sense::kGreaterEqual, R(2));
-  lp.SetObjective(Objective::kMaximize, {R(2), R(3)});
-
-  auto exact = RationalSolver().Solve(lp);
-  auto approx = DoubleSolver().Solve(lp);
-  ASSERT_EQ(exact.status, SolveStatus::kOptimal);
-  ASSERT_EQ(approx.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(approx.objective, exact.objective.ToDouble(), 1e-6);
-}
-
-// Property sweep: random small LPs; exact solver results must satisfy the
-// certificate checks, and the double solver must agree on status and value.
+// Property sweep: random small LPs; reference solver results must satisfy
+// the certificate checks, and the production solver (lp::Solver, over the
+// escalation ladder) must agree on status and value exactly.
 class RandomLpTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomLpTest, CertificatesAlwaysVerify) {
@@ -278,11 +264,10 @@ TEST_P(RandomLpTest, CertificatesAlwaysVerify) {
       break;  // nothing to verify
   }
 
-  // Status must agree with the double solver on these benign instances.
-  auto approx = DoubleSolver().Solve(lp);
-  EXPECT_EQ(approx.status, sol.status) << lp.ToString();
+  auto production = Solver().Solve(lp);
+  EXPECT_EQ(production.status, sol.status) << lp.ToString();
   if (sol.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(approx.objective, sol.objective.ToDouble(), 1e-6);
+    EXPECT_EQ(production.objective, sol.objective) << lp.ToString();
   }
 }
 
@@ -509,17 +494,6 @@ TEST(SimplexWarmStartTest, RejectedHintDoesNotEatThePivotBudget) {
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_FALSE(sol.warm_started);
   EXPECT_EQ(sol.pivots, cold.pivots);
-}
-
-TEST(SimplexWarmStartTest, DoubleInstantiationWarmParity) {
-  LpProblem lp = EqualityPair();
-  DoubleSolver solver;
-  auto cold = solver.Solve(lp);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  auto warm = solver.SolveFrom(lp, cold.basis);
-  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// The lp::Solver backend contract: the tiered (double-screened) backend must
-// be observationally identical to the exact backend — same status on every
-// program, same optimal objective, and certificates that pass the exact
-// verification predicates — while reporting its screening economics honestly.
+// The lp::Solver contract: exact statuses and objectives, certificates that
+// pass the exact verification predicates, a hard failure instead of an
+// uncertified answer at the pivot cap, and keyed warm starts that never
+// change an answer — with stats that account for every solve.
 #include "lp/solver.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <random>
 
 #include "lp/lp_problem.h"
-#include "lp/tiered_solver.h"
 
 namespace bagcq::lp {
 namespace {
@@ -47,82 +46,13 @@ LpProblem RandomLp(int vars, int rows, uint64_t seed) {
   return problem;
 }
 
-TEST(SolverBackendTest, RegistryConstructsTheRightBackend) {
-  auto exact = MakeSolver(SolverBackend::kExactRational);
-  auto tiered = MakeSolver(SolverBackend::kDoubleScreened);
-  EXPECT_EQ(exact->backend(), SolverBackend::kExactRational);
-  EXPECT_EQ(tiered->backend(), SolverBackend::kDoubleScreened);
-}
-
-TEST(SolverBackendTest, NamesRoundTrip) {
-  for (SolverBackend backend :
-       {SolverBackend::kExactRational, SolverBackend::kDoubleScreened}) {
-    SolverBackend parsed;
-    ASSERT_TRUE(ParseSolverBackend(SolverBackendToString(backend), &parsed));
-    EXPECT_EQ(parsed, backend);
-  }
-  SolverBackend unused;
-  EXPECT_FALSE(ParseSolverBackend("simulated-annealing", &unused));
-}
-
-TEST(SolverParityTest, RandomizedProgramsAgreeAcrossBackends) {
-  int optimal = 0, infeasible = 0, unbounded = 0;
-  for (uint64_t seed = 0; seed < 60; ++seed) {
-    const int size = 3 + static_cast<int>(seed % 6);
-    LpProblem problem = RandomLp(size, size + 1, seed);
-    ExactSolver exact;
-    TieredSolver tiered;
-    auto reference = exact.Solve(problem);
-    auto screened = tiered.Solve(problem);
-    ASSERT_EQ(screened.status, reference.status)
-        << "seed " << seed << ": tiered " << SolveStatusToString(screened.status)
-        << " vs exact " << SolveStatusToString(reference.status);
-    switch (reference.status) {
-      case SolveStatus::kOptimal:
-        ++optimal;
-        // The optimum value is unique even when the vertex is not.
-        EXPECT_EQ(screened.objective, reference.objective) << "seed " << seed;
-        EXPECT_TRUE(VerifyDuals(problem, screened)) << "seed " << seed;
-        break;
-      case SolveStatus::kInfeasible:
-        ++infeasible;
-        EXPECT_TRUE(VerifyFarkas(problem, screened.farkas)) << "seed " << seed;
-        break;
-      case SolveStatus::kUnbounded:
-        ++unbounded;
-        break;
-      case SolveStatus::kPivotLimit:
-        FAIL() << "default caps must never be hit (seed " << seed << ")";
-    }
-  }
-  // The sweep must actually cover all three outcomes to mean anything.
-  EXPECT_GT(optimal, 0);
-  EXPECT_GT(infeasible, 0);
-  EXPECT_GT(unbounded, 0);
-}
-
-TEST(SolverParityTest, TieredStatsAccountForEverySolve) {
-  TieredSolver tiered;
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    tiered.Solve(RandomLp(4, 5, seed));
-  }
-  const SolverStats& stats = tiered.stats();
-  EXPECT_EQ(stats.solves, 20);
-  EXPECT_EQ(stats.screen_accepts + stats.exact_fallbacks, stats.solves);
-  // Small integer programs refine cleanly: the screen must carry real weight,
-  // not silently punt everything to the exact tier.
-  EXPECT_GT(stats.screen_accepts, 0);
-  tiered.ResetStats();
-  EXPECT_EQ(tiered.stats().solves, 0);
-}
-
 TEST(SolverParityTest, ExactBackendNeverScreens) {
-  ExactSolver exact;
+  Solver exact;
   exact.Solve(RandomLp(4, 5, 7));
   EXPECT_EQ(exact.stats().solves, 1);
-  EXPECT_EQ(exact.stats().screen_accepts, 0);
-  EXPECT_EQ(exact.stats().exact_fallbacks, 0);
   EXPECT_GT(exact.stats().exact_pivots, 0);
+  exact.ResetStats();
+  EXPECT_EQ(exact.stats().solves, 0);
 }
 
 TEST(SolverParityTest, TerminalBasisIsReported) {
@@ -133,30 +63,10 @@ TEST(SolverParityTest, TerminalBasisIsReported) {
   problem.AddConstraint({Rational(1), Rational(1)}, Sense::kGreaterEqual,
                         Rational(2));
   problem.SetObjective(Objective::kMinimize, {Rational(1), Rational(1)});
-  auto solution = ExactSolver().Solve(problem);
+  auto solution = Solver().Solve(problem);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   ASSERT_EQ(solution.basis.size(), 1u);
   EXPECT_EQ(solution.basis[0].kind, BasisKind::kStructural);
-}
-
-TEST(SolverPivotLimitTest, DoubleTierFailsSoftAndTieredFallsBack) {
-  // A program that needs several pivots; a 1-pivot cap cannot finish it.
-  LpProblem problem = RandomLp(6, 7, 7);
-  SolverOptions strangled;
-  strangled.max_pivots = 1;
-  SimplexSolver<double> screen(strangled);
-  auto screened = screen.Solve(problem);
-  EXPECT_EQ(screened.status, SolveStatus::kPivotLimit);  // soft, no abort
-
-  // The exact solver under the same cap also fails soft.
-  SimplexSolver<Rational> exact(strangled);
-  EXPECT_EQ(exact.Solve(problem).status, SolveStatus::kPivotLimit);
-
-  // A tiered solver whose *screen* is strangled by construction still
-  // answers exactly: the internal cap only bounds the double tier.
-  TieredSolver tiered;
-  ExactSolver reference;
-  EXPECT_EQ(tiered.Solve(problem).status, reference.Solve(problem).status);
 }
 
 TEST(SolverPivotLimitTest, CapIsInclusive) {
@@ -191,53 +101,46 @@ TEST(SolverPivotLimitTest, StatusHasAName) {
 // ------------------------------------------------------------- warm starts
 
 TEST(SolverWarmStartTest, SolveKeyedResumesAndCounts) {
-  for (SolverBackend backend :
-       {SolverBackend::kExactRational, SolverBackend::kDoubleScreened}) {
-    auto solver = MakeSolver(backend);
-    LpProblem problem = RandomLp(5, 6, 13);
-    auto first = solver->SolveKeyed(problem, "suite/shape-a");
-    ASSERT_EQ(first.status, SolveStatus::kOptimal);
-    EXPECT_EQ(solver->stats().warm_attempts, 0);
-    EXPECT_EQ(solver->warm_slot_count(), 1u);
+  Solver solver;
+  LpProblem problem = RandomLp(5, 6, 13);
+  auto first = solver.SolveKeyed(problem, "suite/shape-a");
+  ASSERT_EQ(first.status, SolveStatus::kOptimal);
+  EXPECT_EQ(solver.stats().warm_attempts, 0);
+  EXPECT_EQ(solver.warm_slot_count(), 1u);
 
-    auto second = solver->SolveKeyed(problem, "suite/shape-a");
-    ASSERT_EQ(second.status, SolveStatus::kOptimal)
-        << SolverBackendToString(backend);
-    EXPECT_EQ(second.objective, first.objective);
-    EXPECT_TRUE(VerifyDuals(problem, second));
-    EXPECT_EQ(solver->stats().warm_attempts, 1);
-    EXPECT_EQ(solver->stats().warm_accepts, 1);
-    EXPECT_GE(solver->stats().warm_pivots_saved, 0);
+  auto second = solver.SolveKeyed(problem, "suite/shape-a");
+  ASSERT_EQ(second.status, SolveStatus::kOptimal);
+  EXPECT_EQ(second.objective, first.objective);
+  EXPECT_TRUE(VerifyDuals(problem, second));
+  EXPECT_EQ(solver.stats().warm_attempts, 1);
+  EXPECT_EQ(solver.stats().warm_accepts, 1);
+  EXPECT_GE(solver.stats().warm_pivots_saved, 0);
 
-    // A different key never sees shape-a's basis.
-    auto other = solver->SolveKeyed(problem, "suite/shape-b");
-    ASSERT_EQ(other.status, SolveStatus::kOptimal);
-    EXPECT_EQ(solver->stats().warm_attempts, 1);
-    EXPECT_EQ(solver->warm_slot_count(), 2u);
+  // A different key never sees shape-a's basis.
+  auto other = solver.SolveKeyed(problem, "suite/shape-b");
+  ASSERT_EQ(other.status, SolveStatus::kOptimal);
+  EXPECT_EQ(solver.stats().warm_attempts, 1);
+  EXPECT_EQ(solver.warm_slot_count(), 2u);
 
-    // Reset drops the slots; the next keyed solve runs cold again.
-    solver->Reset();
-    EXPECT_EQ(solver->warm_slot_count(), 0u);
-    solver->SolveKeyed(problem, "suite/shape-a");
-    EXPECT_EQ(solver->stats().warm_attempts, 1);
-  }
+  // Reset drops the slots; the next keyed solve runs cold again.
+  solver.Reset();
+  EXPECT_EQ(solver.warm_slot_count(), 0u);
+  solver.SolveKeyed(problem, "suite/shape-a");
+  EXPECT_EQ(solver.stats().warm_attempts, 1);
 }
 
 TEST(SolverWarmStartTest, DisabledWarmStartsAlwaysRunCold) {
   SolverOptions options;
   options.warm_starts = false;
-  for (SolverBackend backend :
-       {SolverBackend::kExactRational, SolverBackend::kDoubleScreened}) {
-    auto solver = MakeSolver(backend, options);
-    LpProblem problem = RandomLp(5, 6, 13);
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_EQ(solver->SolveKeyed(problem, "suite/shape-a").status,
-                SolveStatus::kOptimal);
-    }
-    EXPECT_EQ(solver->stats().warm_attempts, 0);
-    EXPECT_EQ(solver->stats().warm_accepts, 0);
-    EXPECT_EQ(solver->warm_slot_count(), 0u);
+  Solver solver(options);
+  LpProblem problem = RandomLp(5, 6, 13);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(solver.SolveKeyed(problem, "suite/shape-a").status,
+              SolveStatus::kOptimal);
   }
+  EXPECT_EQ(solver.stats().warm_attempts, 0);
+  EXPECT_EQ(solver.stats().warm_accepts, 0);
+  EXPECT_EQ(solver.warm_slot_count(), 0u);
 }
 
 TEST(SolverWarmStartTest, KeyedSweepOverChangingProgramsStaysExact) {
@@ -245,66 +148,57 @@ TEST(SolverWarmStartTest, KeyedSweepOverChangingProgramsStaysExact) {
   // solve resumes from (or rejects) the previous program's terminal basis,
   // and must stay observationally identical to a cold reference — statuses,
   // objectives, and exactly verified certificates.
-  for (SolverBackend backend :
-       {SolverBackend::kExactRational, SolverBackend::kDoubleScreened}) {
-    auto keyed = MakeSolver(backend);
-    int optimal = 0, infeasible = 0;
-    for (uint64_t seed = 0; seed < 40; ++seed) {
-      LpProblem problem = RandomLp(5, 6, seed);
-      auto reference = ExactSolver().Solve(problem);
-      auto warmed = keyed->SolveKeyed(problem, "sweep/5x6");
-      ASSERT_EQ(warmed.status, reference.status)
-          << SolverBackendToString(backend) << " seed " << seed;
-      switch (reference.status) {
-        case SolveStatus::kOptimal:
-          ++optimal;
-          EXPECT_EQ(warmed.objective, reference.objective) << "seed " << seed;
-          EXPECT_TRUE(VerifyDuals(problem, warmed)) << "seed " << seed;
-          break;
-        case SolveStatus::kInfeasible:
-          ++infeasible;
-          EXPECT_TRUE(VerifyFarkas(problem, warmed.farkas)) << "seed " << seed;
-          break;
-        default:
-          break;
-      }
+  Solver keyed;
+  int optimal = 0, infeasible = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    LpProblem problem = RandomLp(5, 6, seed);
+    auto reference = Solver().Solve(problem);
+    auto warmed = keyed.SolveKeyed(problem, "sweep/5x6");
+    ASSERT_EQ(warmed.status, reference.status) << "seed " << seed;
+    switch (reference.status) {
+      case SolveStatus::kOptimal:
+        ++optimal;
+        EXPECT_EQ(warmed.objective, reference.objective) << "seed " << seed;
+        EXPECT_TRUE(VerifyDuals(problem, warmed)) << "seed " << seed;
+        break;
+      case SolveStatus::kInfeasible:
+        ++infeasible;
+        EXPECT_TRUE(VerifyFarkas(problem, warmed.farkas)) << "seed " << seed;
+        break;
+      default:
+        break;
     }
-    // The sweep must exercise both verdicts and genuinely hand out hints.
-    // (Unrelated random programs rarely *accept* a stale basis — the
-    // acceptance path is asserted on the rhs-sweep test below, which models
-    // the pipeline's real traffic: one skeleton, changing data.)
-    EXPECT_GT(optimal, 0);
-    EXPECT_GT(infeasible, 0);
-    EXPECT_GT(keyed->stats().warm_attempts, 0);
   }
+  // The sweep must exercise both verdicts and genuinely hand out hints.
+  // (Unrelated random programs rarely *accept* a stale basis — the
+  // acceptance path is asserted on the rhs-sweep test below, which models
+  // the pipeline's real traffic: one skeleton, changing data.)
+  EXPECT_GT(optimal, 0);
+  EXPECT_GT(infeasible, 0);
+  EXPECT_GT(keyed.stats().warm_attempts, 0);
 }
 
 TEST(SolverWarmStartTest, RhsSweepAcceptsWarmBasesAcrossBackends) {
   // One constraint skeleton, rhs changing per call — the decision pipeline's
   // actual shape of repeated traffic. The previous terminal basis stays
   // feasible for every rhs here, so each keyed solve resumes warm.
-  for (SolverBackend backend :
-       {SolverBackend::kExactRational, SolverBackend::kDoubleScreened}) {
-    auto solver = MakeSolver(backend);
-    for (int c = 2; c <= 8; ++c) {
-      LpProblem problem;
-      problem.AddVariable("x");
-      problem.AddVariable("y");
-      problem.AddConstraint({Rational(1), Rational(1)}, Sense::kEqual,
-                            Rational(c));
-      problem.AddConstraint({Rational(1), Rational(-1)}, Sense::kEqual,
-                            Rational(0));
-      problem.SetObjective(Objective::kMinimize, {Rational(1), Rational(2)});
-      auto sol = solver->SolveKeyed(problem, "rhs-sweep");
-      ASSERT_EQ(sol.status, SolveStatus::kOptimal)
-          << SolverBackendToString(backend) << " c=" << c;
-      EXPECT_EQ(sol.objective, Rational(3 * c, 2));
-      EXPECT_TRUE(VerifyDuals(problem, sol));
-    }
-    EXPECT_EQ(solver->stats().warm_attempts, 6);
-    EXPECT_EQ(solver->stats().warm_accepts, 6)
-        << SolverBackendToString(backend);
+  Solver solver;
+  for (int c = 2; c <= 8; ++c) {
+    LpProblem problem;
+    problem.AddVariable("x");
+    problem.AddVariable("y");
+    problem.AddConstraint({Rational(1), Rational(1)}, Sense::kEqual,
+                          Rational(c));
+    problem.AddConstraint({Rational(1), Rational(-1)}, Sense::kEqual,
+                          Rational(0));
+    problem.SetObjective(Objective::kMinimize, {Rational(1), Rational(2)});
+    auto sol = solver.SolveKeyed(problem, "rhs-sweep");
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal) << "c=" << c;
+    EXPECT_EQ(sol.objective, Rational(3 * c, 2));
+    EXPECT_TRUE(VerifyDuals(problem, sol));
   }
+  EXPECT_EQ(solver.stats().warm_attempts, 6);
+  EXPECT_EQ(solver.stats().warm_accepts, 6);
 }
 
 TEST(SolverWarmStartTest, ExplicitHintsMatchColdAcrossBackends) {
@@ -313,25 +207,18 @@ TEST(SolverWarmStartTest, ExplicitHintsMatchColdAcrossBackends) {
   std::vector<BasisEntry> previous;
   for (uint64_t seed = 0; seed < 25; ++seed) {
     LpProblem problem = RandomLp(4, 5, seed);
-    auto reference = ExactSolver().Solve(problem);
+    auto reference = Solver().Solve(problem);
     if (!previous.empty()) {
-      ExactSolver exact;
-      TieredSolver tiered;
+      Solver exact;
       auto exact_warm = exact.SolveFrom(problem, previous);
-      auto tiered_warm = tiered.SolveFrom(problem, previous);
       ASSERT_EQ(exact_warm.status, reference.status) << "seed " << seed;
-      ASSERT_EQ(tiered_warm.status, reference.status) << "seed " << seed;
       if (reference.status == SolveStatus::kOptimal) {
         EXPECT_EQ(exact_warm.objective, reference.objective);
-        EXPECT_EQ(tiered_warm.objective, reference.objective);
         EXPECT_TRUE(VerifyDuals(problem, exact_warm));
-        EXPECT_TRUE(VerifyDuals(problem, tiered_warm));
       } else if (reference.status == SolveStatus::kInfeasible) {
         EXPECT_TRUE(VerifyFarkas(problem, exact_warm.farkas));
-        EXPECT_TRUE(VerifyFarkas(problem, tiered_warm.farkas));
       }
       EXPECT_EQ(exact.stats().warm_attempts, 1);
-      EXPECT_EQ(tiered.stats().warm_attempts, 1);
     }
     if (!reference.basis.empty()) previous = reference.basis;
   }
@@ -339,17 +226,17 @@ TEST(SolverWarmStartTest, ExplicitHintsMatchColdAcrossBackends) {
 
 TEST(SolverWarmStartTest, WarmPivotsSavedAccumulatesOnRepeatedShape) {
   // Re-solving the same program under one key must save pivots relative to
-  // the recorded cold baseline (the exact backend pays full phase I cold).
-  auto solver = MakeSolver(SolverBackend::kExactRational);
+  // the recorded cold baseline (a cold solve pays full phase I).
+  Solver solver;
   LpProblem problem = RandomLp(6, 7, 7);
-  ASSERT_EQ(solver->SolveKeyed(problem, "repeat").status,
+  ASSERT_EQ(solver.SolveKeyed(problem, "repeat").status,
             SolveStatus::kOptimal);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(solver->SolveKeyed(problem, "repeat").status,
+    ASSERT_EQ(solver.SolveKeyed(problem, "repeat").status,
               SolveStatus::kOptimal);
   }
-  EXPECT_EQ(solver->stats().warm_accepts, 3);
-  EXPECT_GT(solver->stats().warm_pivots_saved, 0);
+  EXPECT_EQ(solver.stats().warm_accepts, 3);
+  EXPECT_GT(solver.stats().warm_pivots_saved, 0);
 }
 
 }  // namespace

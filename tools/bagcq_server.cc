@@ -29,7 +29,7 @@
 // contract. Anything harsher loses only unpersisted cache state.
 //
 //   bagcq_server (--socket PATH | --listen HOST:PORT)...
-//                [--workers N | --engine-threads N] [--backend exact]
+//                [--workers N | --engine-threads N]
 //                [--threads K] [--no-memoize] [--cold] [--store PATH]
 #include <csignal>
 #include <cstdio>
@@ -50,7 +50,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s (--socket PATH | --listen HOST:PORT)...\n"
-      "          [--workers N | --engine-threads N] [--backend exact|tiered]\n"
+      "          [--workers N | --engine-threads N]\n"
       "          [--threads K] [--no-memoize] [--cold] [--store PATH]\n"
       "  --socket PATH      serve a Unix domain socket at PATH\n"
       "  --listen H:P       serve TCP at host:port (port 0 picks a free\n"
@@ -62,7 +62,6 @@ int Usage(const char* argv0) {
       "                     sharing constraint skeletons, with per-worker\n"
       "                     queues and work stealing; SIGTERM drains\n"
       "                     gracefully (mutually exclusive with --workers)\n"
-      "  --backend B        LP backend per worker (default exact)\n"
       "  --threads K        in-process batch threads per worker (default 1)\n"
       "  --no-memoize       disable the per-worker decision memo\n"
       "  --cold             disable LP warm starts (deterministic pivots)\n"
@@ -99,10 +98,6 @@ int main(int argc, char** argv) {
       explicit_workers = true;
     } else if (arg == "--engine-threads" && i + 1 < argc) {
       engine_threads = std::atoi(argv[++i]);
-    } else if (arg == "--backend" && i + 1 < argc) {
-      lp::SolverBackend backend;
-      if (!lp::ParseSolverBackend(argv[++i], &backend)) return Usage(argv[0]);
-      options.engine.set_solver_backend(backend);
     } else if (arg == "--threads" && i + 1 < argc) {
       options.engine.set_num_threads(std::atoi(argv[++i]));
     } else if (arg == "--no-memoize") {

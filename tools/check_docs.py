@@ -17,9 +17,8 @@ Checks, each grep-level simple so failures are self-explanatory:
    bound) appears by name in docs/proof-store.md — the log layout is a
    second normative spec that must not drift either.
 6. Every arithmetic tier of the exact-simplex escalation ladder (the
-   LadderTier enumerators of src/lp/ladder_simplex.h) and every
-   ExactArithmetic mode (src/lp/simplex.h) appears, by its ToString
-   spelling, in the ladder section of docs/architecture.md.
+   LadderTier enumerators of src/lp/ladder_simplex.h) appears, by its
+   ToString spelling, in the ladder section of docs/architecture.md.
 7. The serving surface cannot drift from its ops guide: every `--flag`
    the bagcq_server usage text declares appears in docs/serving.md, and
    every StatsResponse field name (src/service/message.h) appears there
@@ -120,11 +119,8 @@ def main():
     # the enumerator kFoo is documented as its ToString spelling "foo".
     arch = read(root, os.path.join("docs", "architecture.md"))
     ladder_h = read(root, os.path.join("src", "lp", "ladder_simplex.h"))
-    simplex_h = read(root, os.path.join("src", "lp", "simplex.h"))
     tier_names = [name[1:].lower()
                   for name in enum_names(ladder_h, "LadderTier")]
-    tier_names += [name[1:].lower()
-                   for name in enum_names(simplex_h, "ExactArithmetic")]
     missing_tiers = [
         name for name in tier_names
         if not re.search(r"\b" + re.escape(name) + r"\b", arch)]
