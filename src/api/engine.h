@@ -13,16 +13,17 @@
 //
 // What the session caches (the reason the Engine exists):
 //   * a per-n ShannonProver pool — the elemental system of Γn (which grows
-//     as ~n·2ⁿ constraints) is constructed once per variable count and
-//     shared by every subsequent decision, proof, and batch element. With
+//     as ~n·2ⁿ constraints, stored as sparse int8 LP columns) is
+//     constructed once per variable count and shared by every subsequent
+//     decision, proof, and batch element. With
 //     EngineOptions::set_shared_prover_pool the pool is process-wide
 //     instead of per-session: N engines in one process (the threaded
-//     serving tier) build each skeleton exactly once and read the same
-//     const instance — safe because a constructed ShannonProver is
+//     serving tier) build each elemental system exactly once and read the
+//     same const instance — safe because a constructed ShannonProver is
 //     immutable and Prove() is const (the mutable simplex workspace is
 //     always the caller's);
-//   * one exact lp::Solver whose tableau workspace persists across calls,
-//     so repeated decisions stop reallocating rows/costs/rhs;
+//   * one exact lp::Solver whose tableau arena persists across calls, so
+//     repeated decisions stop reallocating it;
 //   * optionally, a query-pair → DecisionResult memo for repeated traffic
 //     (EngineOptions::set_memoize_decisions), keyed by the canonical wire
 //     encoding of the pair (wire::CanonicalPairKey) — whitespace- and
@@ -40,7 +41,7 @@
 //
 // Engines are not thread-safe; use one Engine per thread. By default they
 // share nothing; with a shared prover pool they share exactly the
-// read-only elemental skeletons and nothing else — solver workspaces,
+// read-only elemental systems and nothing else — solver workspaces,
 // warm-start slots, the decision memo, and every counter stay private to
 // the engine (and the memo to its own mutex).
 #pragma once
@@ -88,8 +89,10 @@ struct EngineStats {
   int64_t lp_exact_fallbacks = 0;  // always 0: wire slot of a removed backend
   int64_t lp_warm_accepts = 0;     // LPs resumed from a warm-start basis
   int64_t lp_warm_pivots_saved = 0;  // pivots saved vs cold baselines
-  int64_t lp_word_pivots = 0;      // exact pivots done in the int64 tier
-  int64_t lp_wide_pivots = 0;      // exact pivots done in the 128-bit tier
+  // Ladder pivots done in the int64 / 128-bit tier. Unlike lp_pivots they
+  // include phase-I artificial pivot-outs (see CallStats).
+  int64_t lp_word_pivots = 0;
+  int64_t lp_wide_pivots = 0;
   int64_t lp_bigint_promotions = 0;  // exact solves escalated to BigInt
   int64_t decision_memo_hits = 0;  // decisions served from the memo cache
   int64_t store_hits = 0;      // decisions served from the persistent store
@@ -204,7 +207,7 @@ class Engine {
   const entropy::ShannonProver& prover(int n) { return provers_.Get(n); }
   /// Drops every cached prover, the LP workspace, and the decision memo;
   /// counters reset. A process-wide shared prover pool is deliberately NOT
-  /// cleared — its skeletons are pure functions of n and other engines may
+  /// cleared — its provers are pure functions of n and other engines may
   /// be reading them concurrently.
   void ClearCache();
 

@@ -31,9 +31,12 @@ struct CallStats {
   /// Pivots those warm starts saved vs the recorded cold baseline of the
   /// same LP shape.
   int64_t lp_warm_pivots_saved = 0;
-  /// Escalation-ladder split of this call's pivots: pivots completed in the
-  /// int64 tier, in the 128-bit tier, and how many solves promoted to
-  /// BigInt.
+  /// Escalation-ladder tallies: pivots completed in the int64 tier, in the
+  /// 128-bit tier, and how many solves promoted to BigInt. The two pivot
+  /// tallies also count the pivots that move basic artificials out of the
+  /// basis after phase I, which lp_pivots (like the reference simplex) does
+  /// not count, so they are not a split of lp_pivots: their sum can exceed
+  /// it.
   int64_t lp_word_pivots = 0;
   int64_t lp_wide_pivots = 0;
   int64_t lp_bigint_promotions = 0;

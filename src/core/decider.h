@@ -44,8 +44,8 @@ struct DeciderOptions {
 };
 
 /// Borrowed session state threaded through a decision (the bagcq::Engine
-/// path). `provers` supplies per-n elemental systems — including the dense
-/// constraint skeleton shared by every Γn LP — built once and reused;
+/// path). `provers` supplies per-n elemental systems — including the sparse
+/// int8 elemental columns every Γn LP is built from — built once and reused;
 /// `solver` supplies the exact LP solver (lp/solver.h) with a
 /// persistent workspace and per-shape warm-start basis slots, so the branch
 /// LPs of one decision (Nn → Γn) and of every following same-shaped decision

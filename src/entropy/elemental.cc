@@ -49,6 +49,23 @@ std::vector<ElementalInequality> ElementalInequalities(int n) {
   return out;
 }
 
+std::vector<ElementalColumn> ElementalColumns(
+    int n, const std::vector<ElementalInequality>& elementals) {
+  std::vector<ElementalColumn> out(elementals.size());
+  for (size_t t = 0; t < elementals.size(); ++t) {
+    ElementalColumn& column = out[t];
+    const LinearExpr expr = elementals[t].ToExpr(n);
+    for (const auto& [x, c] : expr.terms()) {
+      BAGCQ_CHECK(column.size < 4 && (c == Rational(1) || c == Rational(-1)))
+          << "elemental " << t << " is not a 4-term, +-1 column";
+      column.row[column.size] = static_cast<uint32_t>(x.mask() - 1);
+      column.coeff[column.size] = static_cast<int8_t>(c.sign());
+      ++column.size;
+    }
+  }
+  return out;
+}
+
 std::vector<std::pair<ElementalInequality, Rational>> DecomposeFullEntropy(
     int n) {
   // Chain rule: h(V) = Σ_i h(X_i | X_{>i}), and each

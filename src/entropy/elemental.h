@@ -10,6 +10,8 @@
 // prover's LP dual produces as a certificate.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,20 @@ struct ElementalInequality {
 
 /// All elemental inequalities over n variables, in a deterministic order.
 std::vector<ElementalInequality> ElementalInequalities(int n);
+
+/// One elemental inequality as a sparse LP column: its nonzero coefficients
+/// on the subset rows, where row s − 1 holds h(X) for the subset X of mask
+/// s. Monotonicity has two terms and submodularity three or four, each ±1.
+struct ElementalColumn {
+  std::array<uint32_t, 4> row{};
+  std::array<int8_t, 4> coeff{};
+  int size = 0;
+};
+
+/// `elementals` (over n variables) as columns, in the same order: the
+/// constraint matrix every LP over Γn shares.
+std::vector<ElementalColumn> ElementalColumns(
+    int n, const std::vector<ElementalInequality>& elementals);
 
 /// An exact decomposition  h(V) = Σ_t weight_t · elemental_t  (all weights 1),
 /// via the entropy chain rule. Used to fold the residual μ·h(V) of a prover

@@ -1,6 +1,9 @@
 #include "entropy/max_ii.h"
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "entropy/functions.h"
 #include "entropy/mobius.h"
@@ -22,26 +25,32 @@ const char* ConeKindToString(ConeKind kind) {
   return "?";
 }
 
-std::vector<SetFunction> ConeGenerators(int n, ConeKind kind) {
-  std::vector<SetFunction> out;
-  VarSet full = VarSet::Full(n);
-  switch (kind) {
-    case ConeKind::kPolymatroid:
-      BAGCQ_CHECK(false) << "Gamma_n is constraint-generated, not generator-form";
-      break;
-    case ConeKind::kNormal:
-      // All step functions h_W for W a proper subset of V.
-      ForEachSubset(full, [&](VarSet w) {
-        if (w != full) out.push_back(StepFunction(n, w));
-      });
-      break;
-    case ConeKind::kModular:
-      // h_{V - {i}}(X) = [i ∈ X]: the unit masses.
-      for (int i = 0; i < n; ++i) {
-        out.push_back(StepFunction(n, full.Without(i)));
-      }
-      break;
+namespace {
+
+// The generators' index sets W: every proper subset for Nn (the step
+// functions h_W), the co-singletons V − {i} for Mn (h_{V−{i}}(X) = [i ∈ X],
+// the unit masses). The LPs use W itself; a generator is never
+// materialized as a dense vector there.
+std::vector<VarSet> GeneratorSets(int n, ConeKind kind) {
+  std::vector<VarSet> out;
+  const VarSet full = VarSet::Full(n);
+  if (kind == ConeKind::kNormal) {
+    ForEachSubset(full, [&](VarSet w) {
+      if (w != full) out.push_back(w);
+    });
+  } else {
+    for (int i = 0; i < n; ++i) out.push_back(full.Without(i));
   }
+  return out;
+}
+
+}  // namespace
+
+std::vector<SetFunction> ConeGenerators(int n, ConeKind kind) {
+  BAGCQ_CHECK(kind != ConeKind::kPolymatroid)
+      << "Gamma_n is constraint-generated, not generator-form";
+  std::vector<SetFunction> out;
+  for (VarSet w : GeneratorSets(n, kind)) out.push_back(StepFunction(n, w));
   return out;
 }
 
@@ -54,12 +63,115 @@ MaxIIOracle::MaxIIOracle(int n, ConeKind kind, const ShannonProver* prover,
       << "cached prover variable count mismatch";
 }
 
+template <typename Program>
 lp::Solution<Rational> MaxIIOracle::RunSimplex(
-    const lp::LpProblem& problem, const std::string& warm_key) const {
+    const Program& program, const std::string& warm_key) const {
   // Keys encode (form, cone, n, branch count), so equal keys mean equal LP
   // shape and the session solver can chain terminal bases across branch LPs.
-  if (solver_ != nullptr) return solver_->SolveKeyed(problem, warm_key);
-  return lp::Solver().Solve(problem);
+  if (solver_ != nullptr) return solver_->SolveKeyed(program, warm_key);
+  return lp::Solver().Solve(program);
+}
+
+std::optional<lp::IntegerProgram> GammaIntegerProgram(
+    int n, const std::vector<ElementalColumn>& columns,
+    const std::vector<LinearExpr>& branches) {
+  const uint32_t num_sets = (1u << n) - 1;
+  lp::IntegerProgram program;
+  for (uint32_t s = 0; s < num_sets; ++s) program.AddRow(lp::Sense::kEqual, 0);
+  const int convexity = program.AddRow(lp::Sense::kEqual, 1);
+  for (const LinearExpr& e : branches) {
+    program.AddColumn();
+    for (const auto& [x, c] : e.terms()) {
+      int64_t v = 0;
+      if (!lp::IntegerProgram::FromRational(c, &v)) return std::nullopt;
+      program.AddEntry(static_cast<int>(x.mask() - 1), v);
+    }
+    program.AddEntry(convexity, 1);
+  }
+  for (const ElementalColumn& column : columns) {
+    program.AddColumn();
+    for (int q = 0; q < column.size; ++q) {
+      program.AddEntry(static_cast<int>(column.row[q]), -column.coeff[q]);
+    }
+  }
+  return program;
+}
+
+lp::LpProblem GammaLpProblem(int n,
+                             const std::vector<ElementalColumn>& columns,
+                             const std::vector<LinearExpr>& branches) {
+  const size_t k = branches.size();
+  const size_t m = columns.size();
+  const uint32_t num_sets = (1u << n) - 1;
+  lp::LpProblem problem;
+  for (size_t j = 0; j < k + m; ++j) problem.AddVariable();
+  std::vector<std::vector<Rational>> rows(num_sets,
+                                          std::vector<Rational>(k + m));
+  for (size_t l = 0; l < k; ++l) {
+    for (const auto& [x, c] : branches[l].terms()) rows[x.mask() - 1][l] = c;
+  }
+  for (size_t t = 0; t < m; ++t) {
+    for (int q = 0; q < columns[t].size; ++q) {
+      rows[columns[t].row[q]][k + t] = Rational(-columns[t].coeff[q]);
+    }
+  }
+  for (std::vector<Rational>& row : rows) {
+    problem.AddConstraint(std::move(row), lp::Sense::kEqual, Rational(0));
+  }
+  problem.AddConstraint(std::vector<Rational>(k, Rational(1)),
+                        lp::Sense::kEqual, Rational(1), "convexity");
+  problem.SetObjective(lp::Objective::kMinimize, {});
+  return problem;
+}
+
+std::optional<lp::IntegerProgram> GeneratorIntegerProgram(
+    int n, ConeKind kind, const std::vector<LinearExpr>& branches) {
+  // Each branch's terms as int64; E_ℓ(h_W) = Σ_{X ⊄ W} c_X is then summed
+  // with checked adds.
+  std::vector<std::vector<std::pair<VarSet, int64_t>>> terms(branches.size());
+  for (size_t l = 0; l < branches.size(); ++l) {
+    for (const auto& [x, c] : branches[l].terms()) {
+      int64_t v = 0;
+      if (!lp::IntegerProgram::FromRational(c, &v)) return std::nullopt;
+      terms[l].push_back({x, v});
+    }
+  }
+  lp::IntegerProgram program;
+  for (size_t l = 0; l < branches.size(); ++l) {
+    program.AddRow(lp::Sense::kLessEqual, -1);
+  }
+  for (VarSet w : GeneratorSets(n, kind)) {
+    program.AddColumn(/*cost=*/1);
+    for (size_t l = 0; l < terms.size(); ++l) {
+      int64_t value = 0;
+      for (const auto& [x, c] : terms[l]) {
+        if (!x.IsSubsetOf(w) && __builtin_add_overflow(value, c, &value)) {
+          return std::nullopt;
+        }
+      }
+      if (!lp::IntegerProgram::Fits(value)) return std::nullopt;
+      program.AddEntry(static_cast<int>(l), value);
+    }
+  }
+  return program;
+}
+
+lp::LpProblem GeneratorLpProblem(int n, ConeKind kind,
+                                 const std::vector<LinearExpr>& branches) {
+  const std::vector<VarSet> generator_sets = GeneratorSets(n, kind);
+  const size_t num_gens = generator_sets.size();
+  lp::LpProblem problem;
+  for (size_t w = 0; w < num_gens; ++w) problem.AddVariable();
+  for (const LinearExpr& e : branches) {
+    std::vector<Rational> row(num_gens);
+    for (size_t w = 0; w < num_gens; ++w) {
+      row[w] = e.EvaluateOnStep(generator_sets[w]);
+    }
+    problem.AddConstraint(std::move(row), lp::Sense::kLessEqual, Rational(-1));
+  }
+  problem.SetObjective(lp::Objective::kMinimize,
+                       std::vector<Rational>(num_gens, Rational(1)));
+  return problem;
 }
 
 MaxIIResult MaxIIOracle::Check(const std::vector<LinearExpr>& branches) const {
@@ -99,54 +211,29 @@ MaxIIResult MaxIIOracle::Check(const std::vector<LinearExpr>& branches) const {
 MaxIIResult MaxIIOracle::CheckConstraintForm(
     const std::vector<LinearExpr>& branches) const {
   // Cached elemental system when a session prover is attached; otherwise a
-  // per-call build (standalone use).
+  // per-call build (standalone use) through the same ElementalColumns.
   std::vector<ElementalInequality> local_elementals;
-  if (prover_ == nullptr) local_elementals = ElementalInequalities(n_);
+  std::vector<ElementalColumn> local_columns;
+  if (prover_ == nullptr) {
+    local_elementals = ElementalInequalities(n_);
+    local_columns = ElementalColumns(n_, local_elementals);
+  }
   const std::vector<ElementalInequality>& elementals =
       prover_ != nullptr ? prover_->elementals() : local_elementals;
+  const std::vector<ElementalColumn>& columns =
+      prover_ != nullptr ? prover_->columns() : local_columns;
   const size_t k = branches.size();
   const size_t m = elementals.size();
   const uint32_t num_sets = (1u << n_) - 1;
 
-  lp::LpProblem problem;
-  for (size_t l = 0; l < k; ++l) problem.AddVariable("lambda" + std::to_string(l));
-  for (size_t t = 0; t < m; ++t) problem.AddVariable("y" + std::to_string(t));
-
-  std::vector<std::vector<Rational>> rows(num_sets);
-  for (uint32_t s = 0; s < num_sets; ++s) {
-    rows[s].assign(k + m, Rational(0));
-  }
-  for (size_t l = 0; l < k; ++l) {
-    for (const auto& [x, c] : branches[l].terms()) rows[x.mask() - 1][l] = c;
-  }
-  if (prover_ != nullptr) {
-    // The negated elemental block comes straight from the prover's
-    // precomputed skeleton — the shared spine of every Γn LP this decision
-    // (and session) builds.
-    const auto& skeleton = prover_->constraint_skeleton();
-    for (uint32_t s = 0; s < num_sets; ++s) {
-      for (size_t t = 0; t < m; ++t) {
-        if (!skeleton[s][t].is_zero()) rows[s][k + t] = -skeleton[s][t];
-      }
-    }
-  } else {
-    for (size_t t = 0; t < m; ++t) {
-      const LinearExpr expr = elementals[t].ToExpr(n_);
-      for (const auto& [x, c] : expr.terms()) {
-        rows[x.mask() - 1][k + t] = -c;
-      }
-    }
-  }
-  for (uint32_t s = 0; s < num_sets; ++s) {
-    problem.AddConstraint(std::move(rows[s]), lp::Sense::kEqual, Rational(0));
-  }
-  std::vector<Rational> convex(k, Rational(1));
-  problem.AddConstraint(std::move(convex), lp::Sense::kEqual, Rational(1),
-                        "convexity");
-  problem.SetObjective(lp::Objective::kMinimize, {});
-
-  auto solution = RunSimplex(problem, "maxii/gamma/n=" + std::to_string(n_) +
-                                          "/k=" + std::to_string(k));
+  const std::string key =
+      "maxii/gamma/n=" + std::to_string(n_) + "/k=" + std::to_string(k);
+  const std::optional<lp::IntegerProgram> program =
+      GammaIntegerProgram(n_, columns, branches);
+  const lp::Solution<Rational> solution =
+      program.has_value()
+          ? RunSimplex(*program, key)
+          : RunSimplex(GammaLpProblem(n_, columns, branches), key);
   MaxIIResult out;
   out.lp_pivots = solution.pivots;
 
@@ -193,38 +280,20 @@ MaxIIResult MaxIIOracle::CheckConstraintForm(
 //                Σ_ℓ λ_ℓ E_ℓ(g_W) ≥ 0 for every generator.
 MaxIIResult MaxIIOracle::CheckGeneratorForm(
     const std::vector<LinearExpr>& branches) const {
-  // Generator index sets W, never materialized as dense vectors:
-  // E_ℓ(h_W) comes from LinearExpr::EvaluateOnStep in O(#terms).
-  std::vector<VarSet> generator_sets;
-  VarSet full = VarSet::Full(n_);
-  if (kind_ == ConeKind::kNormal) {
-    ForEachSubset(full, [&](VarSet w) {
-      if (w != full) generator_sets.push_back(w);
-    });
-  } else {
-    for (int i = 0; i < n_; ++i) generator_sets.push_back(full.Without(i));
-  }
+  const std::vector<VarSet> generator_sets = GeneratorSets(n_, kind_);
   const size_t k = branches.size();
   const size_t num_gens = generator_sets.size();
 
-  lp::LpProblem problem;
-  for (size_t w = 0; w < num_gens; ++w) {
-    problem.AddVariable("c" + std::to_string(w));
-  }
-  for (size_t l = 0; l < k; ++l) {
-    std::vector<Rational> row(num_gens);
-    for (size_t w = 0; w < num_gens; ++w) {
-      row[w] = branches[l].EvaluateOnStep(generator_sets[w]);
-    }
-    problem.AddConstraint(std::move(row), lp::Sense::kLessEqual, Rational(-1));
-  }
-  problem.SetObjective(lp::Objective::kMinimize,
-                       std::vector<Rational>(num_gens, Rational(1)));
-
-  auto solution = RunSimplex(
-      problem, std::string("maxii/gen/") +
-                   (kind_ == ConeKind::kNormal ? "normal" : "modular") +
-                   "/n=" + std::to_string(n_) + "/k=" + std::to_string(k));
+  const std::string key =
+      std::string("maxii/gen/") +
+      (kind_ == ConeKind::kNormal ? "normal" : "modular") +
+      "/n=" + std::to_string(n_) + "/k=" + std::to_string(k);
+  const std::optional<lp::IntegerProgram> program =
+      GeneratorIntegerProgram(n_, kind_, branches);
+  const lp::Solution<Rational> solution =
+      program.has_value()
+          ? RunSimplex(*program, key)
+          : RunSimplex(GeneratorLpProblem(n_, kind_, branches), key);
   MaxIIResult out;
   out.lp_pivots = solution.pivots;
 

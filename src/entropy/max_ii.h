@@ -56,7 +56,7 @@ class MaxIIOracle {
   MaxIIOracle(int n, ConeKind kind);
 
   /// Session-state sharing (the Engine path): a cached ShannonProver whose
-  /// precomputed constraint skeleton replaces the per-call
+  /// elementals and sparse elemental columns replace the per-call
   /// ElementalInequalities(n) build on the Γn route, and a long-lived
   /// lp::Solver whose workspace — and per-shape warm-start
   /// basis, keyed by (form, cone, n, branch count) — is reused across calls:
@@ -81,7 +81,8 @@ class MaxIIOracle {
  private:
   MaxIIResult CheckConstraintForm(const std::vector<LinearExpr>& branches) const;
   MaxIIResult CheckGeneratorForm(const std::vector<LinearExpr>& branches) const;
-  lp::Solution<Rational> RunSimplex(const lp::LpProblem& problem,
+  template <typename Program>
+  lp::Solution<Rational> RunSimplex(const Program& program,
                                     const std::string& warm_key) const;
 
   int n_;
@@ -90,6 +91,27 @@ class MaxIIOracle {
   const ShannonProver* prover_ = nullptr;
   lp::Solver* solver_ = nullptr;
 };
+
+/// The LPs MaxIIOracle::Check solves, each in both input forms, row for row
+/// and column for column the same program. The integer form exists when
+/// every coefficient is an integer that fits lp::IntegerProgram (Eq. (8)
+/// branches always are); Check falls back to the LpProblem form otherwise.
+///
+/// The Γn LP over the elemental `columns` of n variables: one equality row
+/// per nonempty subset plus the convexity row Σ λ = 1, then λ_ℓ columns
+/// (branch ℓ's coefficients) and y_t columns (−elemental_t).
+std::optional<lp::IntegerProgram> GammaIntegerProgram(
+    int n, const std::vector<ElementalColumn>& columns,
+    const std::vector<LinearExpr>& branches);
+lp::LpProblem GammaLpProblem(int n,
+                             const std::vector<ElementalColumn>& columns,
+                             const std::vector<LinearExpr>& branches);
+/// The Nn/Mn violation LP: one row Σ_W c_W E_ℓ(h_W) ≤ −1 per branch, one
+/// column per generator h_W, minimizing Σ_W c_W.
+std::optional<lp::IntegerProgram> GeneratorIntegerProgram(
+    int n, ConeKind kind, const std::vector<LinearExpr>& branches);
+lp::LpProblem GeneratorLpProblem(int n, ConeKind kind,
+                                 const std::vector<LinearExpr>& branches);
 
 /// Builds the branches of "q·h(V) ≤ max_ℓ exprs[ℓ](h)" (Theorem 3.6 form):
 /// branch ℓ is exprs[ℓ] - q·h(V).

@@ -1,7 +1,10 @@
 // ProverCache: per-n memoization of ShannonProver instances.
 //
-// The elemental system of Γn has n + C(n,2)·2^(n-2) inequalities and is by
-// far the most expensive prover state to build; it depends only on n. A
+// The elemental system of Γn has n + C(n,2)·2^(n-2) inequalities, kept as
+// the inequalities themselves (to name certificate terms) and as sparse
+// int8 LP columns (ShannonProver::columns, at most four ±1 entries each);
+// it is by far the most expensive prover state to build and depends only
+// on n. A
 // cache shared across decisions (the Engine session, the batch API) builds
 // each elemental system exactly once and reuses it for every subsequent
 // decision at the same variable count.
@@ -30,8 +33,9 @@
 namespace bagcq::entropy {
 
 /// Thread-safe per-n prover pool for engines that share one address space
-/// (the server's --engine-threads mode): the elemental constraint skeleton
-/// is built exactly once per variable count for the whole process, under
+/// (the server's --engine-threads mode): the elemental system and its
+/// sparse LP columns are built exactly once per variable count for the
+/// whole process, under
 /// the pool's mutex, and every engine reads the same const instance.
 ///
 /// Thread-safety contract: Get() may be called concurrently from any
@@ -106,7 +110,7 @@ class ProverCache {
   void AbsorbFrom(ProverCache&& other);
 
   /// Drops the local entries and counters. A shared pool (SetShared) is
-  /// deliberately left intact: its skeletons are pure functions of n and
+  /// deliberately left intact: its provers are pure functions of n and
   /// other engines may be reading them.
   void Clear();
 

@@ -1,6 +1,9 @@
 #include "entropy/shannon.h"
 
+#include <cstdint>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "lp/lp_problem.h"
 #include "lp/solver.h"
@@ -27,18 +30,58 @@ std::string ShannonCertificate::ToString(
 }
 
 ShannonProver::ShannonProver(int n)
-    : n_(n), elementals_(ElementalInequalities(n)) {
-  // Dense subset-row × elemental-column skeleton, built once per n. Eager
-  // (not lazy) because provers are shared read-only across batch workers.
-  const uint32_t num_sets = (1u << n_) - 1;
-  skeleton_.assign(num_sets, std::vector<Rational>(elementals_.size()));
-  for (size_t t = 0; t < elementals_.size(); ++t) {
-    const LinearExpr expr = elementals_[t].ToExpr(n_);
-    for (const auto& [x, c] : expr.terms()) {
-      skeleton_[x.mask() - 1][t] = c;
+    : n_(n),
+      elementals_(ElementalInequalities(n)),
+      columns_(ElementalColumns(n, elementals_)) {}
+
+namespace {
+
+// The LP of Prove: find y ≥ 0 with Σ_t y_t · elemental_t = E, one equality
+// row per nonempty subset (row s − 1 for mask s), one column per elemental.
+// The integer form exists when every coefficient of E is an integer that
+// fits; the LpProblem form takes any E.
+std::optional<lp::IntegerProgram> ProofIntegerProgram(
+    int n, const std::vector<ElementalColumn>& columns, const LinearExpr& e) {
+  const uint32_t num_sets = (1u << n) - 1;
+  std::vector<int64_t> rhs(num_sets, 0);
+  for (const auto& [x, c] : e.terms()) {
+    if (!lp::IntegerProgram::FromRational(c, &rhs[x.mask() - 1])) {
+      return std::nullopt;
     }
   }
+  lp::IntegerProgram program;
+  for (int64_t b : rhs) program.AddRow(lp::Sense::kEqual, b);
+  for (const ElementalColumn& column : columns) {
+    program.AddColumn();
+    for (int q = 0; q < column.size; ++q) {
+      program.AddEntry(static_cast<int>(column.row[q]), column.coeff[q]);
+    }
+  }
+  return program;
 }
+
+lp::LpProblem ProofLpProblem(int n,
+                             const std::vector<ElementalColumn>& columns,
+                             const LinearExpr& e) {
+  const uint32_t num_sets = (1u << n) - 1;
+  lp::LpProblem problem;
+  for (size_t t = 0; t < columns.size(); ++t) problem.AddVariable();
+  std::vector<std::vector<Rational>> rows(
+      num_sets, std::vector<Rational>(columns.size()));
+  for (size_t t = 0; t < columns.size(); ++t) {
+    for (int q = 0; q < columns[t].size; ++q) {
+      rows[columns[t].row[q]][t] = Rational(columns[t].coeff[q]);
+    }
+  }
+  for (uint32_t s = 1; s <= num_sets; ++s) {
+    problem.AddConstraint(std::move(rows[s - 1]), lp::Sense::kEqual,
+                          e.Coeff(VarSet(s)));
+  }
+  problem.SetObjective(lp::Objective::kMinimize, {});
+  return problem;
+}
+
+}  // namespace
 
 IIResult ShannonProver::Prove(const LinearExpr& e, lp::Solver* solver) const {
   BAGCQ_CHECK_EQ(e.num_vars(), n_);
@@ -51,28 +94,21 @@ IIResult ShannonProver::Prove(const LinearExpr& e, lp::Solver* solver) const {
   //   feasible   → y is the Shannon proof;
   //   infeasible → the Farkas vector f has elemental_t(f) ≤ 0 and E(f) > 0,
   //                so h = -f (grounded) is a polymatroid with E(h) < 0.
-  lp::LpProblem problem;
-  for (size_t t = 0; t < elementals_.size(); ++t) {
-    problem.AddVariable("y" + std::to_string(t));
-  }
   const uint32_t num_sets = (1u << n_) - 1;  // nonempty subsets
-  // Rows indexed by subset mask; columns by elemental — copied straight out
-  // of the precomputed skeleton.
-  for (uint32_t s = 1; s <= num_sets; ++s) {
-    problem.AddConstraint(std::vector<Rational>(skeleton_[s - 1]),
-                          lp::Sense::kEqual, e.Coeff(VarSet(s)));
-  }
-  problem.SetObjective(lp::Objective::kMinimize, {});
-
   // The LP shape depends only on n, so a session solver warm-starts each
   // proof from the previous one's terminal basis (for a feasibility LP a
   // re-installed feasible basis is immediately optimal; infeasibility hints
   // resume phase I from the previous Farkas basis).
-  auto solution =
-      solver != nullptr
-          ? solver->SolveKeyed(problem,
-                               "shannon/prove/n=" + std::to_string(n_))
-          : lp::Solver().Solve(problem);
+  const std::string key = "shannon/prove/n=" + std::to_string(n_);
+  auto solve = [solver, &key](const auto& program) {
+    return solver != nullptr ? solver->SolveKeyed(program, key)
+                             : lp::Solver().Solve(program);
+  };
+  const std::optional<lp::IntegerProgram> program =
+      ProofIntegerProgram(n_, columns_, e);
+  const lp::Solution<Rational> solution =
+      program.has_value() ? solve(*program)
+                          : solve(ProofLpProblem(n_, columns_, e));
   IIResult out;
   out.lp_pivots = solution.pivots;
 

@@ -47,8 +47,8 @@ struct IIResult {
 };
 
 /// Prover for a fixed variable count n. Construction precomputes the
-/// elemental system and its dense constraint skeleton; Prove() runs one
-/// exact LP per call.
+/// elemental system and its sparse columns; Prove() runs one exact LP per
+/// call.
 class ShannonProver {
  public:
   explicit ShannonProver(int n);
@@ -58,14 +58,10 @@ class ShannonProver {
     return elementals_;
   }
 
-  /// Dense elemental-constraint skeleton, shared by every LP over Γn:
-  /// constraint_skeleton()[s-1][t] is the coefficient of elemental t on the
-  /// subset row with mask s (1 ≤ s ≤ 2ⁿ−1). Built once at construction; the
-  /// per-call LPs (Prove here, the Γn route of MaxIIOracle) only copy rows
-  /// out of it instead of re-expanding every elemental.
-  const std::vector<std::vector<Rational>>& constraint_skeleton() const {
-    return skeleton_;
-  }
+  /// The elementals as sparse ±1 columns over the 2ⁿ−1 subset rows
+  /// (ElementalColumns), shared by every LP over Γn: Prove here and the Γn
+  /// route of MaxIIOracle build their programs straight from it.
+  const std::vector<ElementalColumn>& columns() const { return columns_; }
 
   /// Is 0 ≤ E(h) for all h ∈ Γn? Certificates and counterexamples are
   /// CHECK-verified before being returned. With a non-null `solver`, the LP
@@ -78,7 +74,7 @@ class ShannonProver {
  private:
   int n_;
   std::vector<ElementalInequality> elementals_;
-  std::vector<std::vector<Rational>> skeleton_;
+  std::vector<ElementalColumn> columns_;
 };
 
 }  // namespace bagcq::entropy

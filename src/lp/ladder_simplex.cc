@@ -147,7 +147,10 @@ class LadderTableau {
  public:
   LadderTableau(const LpProblem& problem, const SolverOptions& options,
                 LadderWorkspace& workspace)
-      : problem_(problem), options_(options), ws_(workspace) {}
+      : lp_(&problem), options_(options), ws_(workspace) {}
+  LadderTableau(const IntegerProgram& program, const SolverOptions& options,
+                LadderWorkspace& workspace)
+      : ip_(&program), options_(options), ws_(workspace) {}
 
   Solution<Rational> Run(const std::vector<BasisEntry>* hint) {
     Solution<Rational> out = RunImpl(hint);
@@ -233,7 +236,29 @@ class LadderTableau {
 
   void Build() {
     BuildLayout();
-    if (!TryBuildWordFill()) BuildStagedFill();
+    if (ip_ != nullptr) {
+      BuildIntegerFill();
+    } else {
+      BuildStagedFill();
+    }
+  }
+
+  // The input program, whichever form it came in.
+  int NumVariables() const {
+    return ip_ != nullptr ? ip_->num_columns() : lp_->num_variables();
+  }
+  bool IsFree(int j) const {
+    return ip_ == nullptr && lp_->variable_is_free(j);
+  }
+  Sense RowSense(int i) const {
+    return ip_ != nullptr ? ip_->sense(i) : lp_->constraints()[i].sense;
+  }
+  bool RhsNegative(int i) const {
+    return ip_ != nullptr ? ip_->rhs(i) < 0
+                          : lp_->constraints()[i].rhs.sign() < 0;
+  }
+  int SlackCoeff(int i) const {
+    return (RowSense(i) == Sense::kLessEqual ? 1 : -1) * ws_.row_sign[i];
   }
 
   // Column layout, row signs, and basis bookkeeping — everything that does
@@ -242,9 +267,10 @@ class LadderTableau {
   // the end, so "is artificial" is a range check), in the same order the
   // reference's AddColumn calls produce.
   void BuildLayout() {
-    maximize_ = problem_.objective_sense() == Objective::kMaximize;
-    const int n = problem_.num_variables();
-    m_ = problem_.num_constraints();
+    maximize_ =
+        ip_ == nullptr && lp_->objective_sense() == Objective::kMaximize;
+    const int n = NumVariables();
+    m_ = ip_ != nullptr ? ip_->num_rows() : lp_->num_constraints();
 
     ws_.col_of_var.resize(n);
     ws_.neg_col_of_var.assign(n, -1);
@@ -253,7 +279,7 @@ class LadderTableau {
     for (int j = 0; j < n; ++j) {
       ws_.col_of_var[j] = col++;
       ws_.col_entry.push_back({BasisKind::kStructural, j});
-      if (problem_.variable_is_free(j)) {
+      if (IsFree(j)) {
         ws_.neg_col_of_var[j] = col++;
         ws_.col_entry.push_back({BasisKind::kNegStructural, j});
       }
@@ -266,16 +292,13 @@ class LadderTableau {
     ws_.art_col_of_row.assign(m_, -1);
     ws_.basis.assign(m_, -1);
     for (int i = 0; i < m_; ++i) {
-      if (problem_.constraints()[i].rhs.sign() < 0) ws_.row_sign[i] = -1;
+      if (RhsNegative(i)) ws_.row_sign[i] = -1;
     }
     for (int i = 0; i < m_; ++i) {
-      const Constraint& row = problem_.constraints()[i];
-      if (row.sense == Sense::kEqual) continue;
-      const int coeff =
-          (row.sense == Sense::kLessEqual ? 1 : -1) * ws_.row_sign[i];
+      if (RowSense(i) == Sense::kEqual) continue;
       ws_.slack_col_of_row[i] = col;
       ws_.col_entry.push_back({BasisKind::kSlack, i});
-      if (coeff == 1) {
+      if (SlackCoeff(i) == 1) {
         ws_.identity_col[i] = col;
         ws_.basis[i] = col;
       }
@@ -301,71 +324,48 @@ class LadderTableau {
     return j < static_cast<int>(row.coeffs.size()) ? row.coeffs[j] : Rational();
   }
 
-  // Fast path: every coefficient, rhs, and objective entry is an integer
-  // whose magnitude fits the word tier. No scaling (t_i = L = 1) and no
-  // BigInt staging — the arena is filled with raw int64 directly.
-  bool TryBuildWordFill() {
-    const int n = problem_.num_variables();
-    for (int i = 0; i < m_; ++i) {
-      const Constraint& row = problem_.constraints()[i];
-      for (int j = 0; j < n; ++j) {
-        const Rational a = CoeffAt(row, j);
-        if (!a.is_integer() || a.num().BitLength() > kWordBits) return false;
-      }
-      if (!row.rhs.is_integer() || row.rhs.num().BitLength() > kWordBits) {
-        return false;
-      }
-    }
-    for (int j = 0; j < n; ++j) {
-      const Rational c = problem_.objective_coeff(j);
-      if (!c.is_integer() || c.num().BitLength() > kWordBits) return false;
-    }
-
+  // Integer input: no scaling (t_i = L = 1) and no staging. The word-tier
+  // arena is zeroed and each sparse column scattered into it.
+  void BuildIntegerFill() {
+    const int n = ip_->num_columns();
     ws_.row_scale.assign(m_, BigInt(1));
     ws_.cost_scale = BigInt(1);
     ws_.art_scale = BigInt(1);
     ws_.structural_cost.assign(ncols_, BigInt());
     for (int j = 0; j < n; ++j) {
-      BigInt c = problem_.objective_coeff(j).num();
-      if (maximize_) c = -c;
-      ws_.structural_cost[ws_.col_of_var[j]] = c;
-      if (ws_.neg_col_of_var[j] >= 0) {
-        ws_.structural_cost[ws_.neg_col_of_var[j]] = -std::move(c);
-      }
+      if (ip_->cost(j) != 0) ws_.structural_cost[j] = BigInt(ip_->cost(j));
     }
 
     ws_.w64.assign(cells_, 0);
     int64_t* a = ws_.w64.data();
-    for (int i = 0; i < m_; ++i) {
-      const Constraint& row = problem_.constraints()[i];
-      const int64_t s = ws_.row_sign[i];
-      int64_t* ri = a + static_cast<size_t>(i) * stride_;
-      for (int j = 0; j < n; ++j) {
-        const int64_t v = CoeffAt(row, j).num().ToInt64() * s;
-        ri[ws_.col_of_var[j]] = v;
-        if (ws_.neg_col_of_var[j] >= 0) ri[ws_.neg_col_of_var[j]] = -v;
+    // No free variables: program column j is tableau column j.
+    for (int j = 0; j < n; ++j) {
+      for (const IntegerProgram::Entry& e : ip_->column(j)) {
+        a[static_cast<size_t>(e.row) * stride_ + j] =
+            e.value * ws_.row_sign[e.row];
       }
-      ri[ncols_] = row.rhs.num().ToInt64() * s;
+    }
+    for (int i = 0; i < m_; ++i) {
+      int64_t* ri = a + static_cast<size_t>(i) * stride_;
+      ri[ncols_] = ip_->rhs(i) * ws_.row_sign[i];
       if (ws_.slack_col_of_row[i] >= 0) {
-        const int coeff =
-            (row.sense == Sense::kLessEqual ? 1 : -1) * ws_.row_sign[i];
-        ri[ws_.slack_col_of_row[i]] = coeff;
+        ri[ws_.slack_col_of_row[i]] = SlackCoeff(i);
       }
       if (ws_.art_col_of_row[i] >= 0) ri[ws_.art_col_of_row[i]] = 1;
     }
     a[den_index_] = 1;
     tier_ = LadderTier::kWord;
-    return true;
   }
 
   // General path: integerize (row i scaled by t_i = lcm of its
   // denominators, objective by L), stage the scaled tableau in BigInt, and
   // narrow the whole block into the smallest tier that holds it.
   void BuildStagedFill() {
-    const int n = problem_.num_variables();
+    const LpProblem& problem = *lp_;
+    const int n = problem.num_variables();
     ws_.row_scale.assign(m_, BigInt(1));
     for (int i = 0; i < m_; ++i) {
-      const Constraint& row = problem_.constraints()[i];
+      const Constraint& row = problem.constraints()[i];
       BigInt t(1);
       for (int j = 0; j < n; ++j) t = BigInt::Lcm(t, CoeffAt(row, j).den());
       t = BigInt::Lcm(t, row.rhs.den());
@@ -374,7 +374,7 @@ class LadderTableau {
     ws_.cost_scale = BigInt(1);
     for (int j = 0; j < n; ++j) {
       ws_.cost_scale =
-          BigInt::Lcm(ws_.cost_scale, problem_.objective_coeff(j).den());
+          BigInt::Lcm(ws_.cost_scale, problem.objective_coeff(j).den());
     }
     ws_.art_scale = BigInt(1);
     for (int i = 0; i < m_; ++i) {
@@ -388,7 +388,7 @@ class LadderTableau {
 
     ws_.structural_cost.assign(ncols_, BigInt());
     for (int j = 0; j < n; ++j) {
-      const Rational c = problem_.objective_coeff(j);
+      const Rational c = problem.objective_coeff(j);
       BigInt ci = (ws_.cost_scale / c.den()) * c.num();
       if (maximize_) ci = -ci;
       track(ci);
@@ -406,7 +406,7 @@ class LadderTableau {
     BigInt* a = ws_.wbig.data();
     for (size_t k = 0; k < cells_; ++k) a[k] = BigInt();
     for (int i = 0; i < m_; ++i) {
-      const Constraint& row = problem_.constraints()[i];
+      const Constraint& row = problem.constraints()[i];
       const BigInt& t = ws_.row_scale[i];
       BigInt* ri = a + static_cast<size_t>(i) * stride_;
       for (int j = 0; j < n; ++j) {
@@ -423,9 +423,7 @@ class LadderTableau {
       track(b);
       ri[ncols_] = std::move(b);
       if (ws_.slack_col_of_row[i] >= 0) {
-        const int coeff =
-            (row.sense == Sense::kLessEqual ? 1 : -1) * ws_.row_sign[i];
-        ri[ws_.slack_col_of_row[i]] = BigInt(coeff);
+        ri[ws_.slack_col_of_row[i]] = BigInt(SlackCoeff(i));
       }
       if (ws_.art_col_of_row[i] >= 0) ri[ws_.art_col_of_row[i]] = BigInt(1);
     }
@@ -518,6 +516,18 @@ class LadderTableau {
   // overflowed: resume_ then records the exact cell to continue from —
   // committed cells of the current row were already divided by the old d,
   // which promotion preserves verbatim, so resuming is exact.
+  //
+  // A unit pivot (piv == d) leaves a row with factor f = 0 unchanged, so
+  // it skips such rows. When moreover d == 1 the update is
+  // M'[i][j] = M[i][j] - f*M[r][j]: an entry in a column where the pivot
+  // row is zero keeps its value, and nothing the dense loop checks there
+  // can overflow. So that pivot computes only the pivot row's nonzero
+  // columns (its support), with the dense loop's checked operations, and a
+  // resume lands on the first support column at or after the saved one;
+  // tiers and promotions are exactly the dense loop's. These are most
+  // pivots of the elemental LPs, whose pivot rows are mostly zero. With
+  // d > 1 the dense loop's product piv*M[i][j] of an unchanged entry can
+  // overflow and promote, so the dense loop runs.
   template <typename Ops>
   bool PivotT(int r, int c) {
     using T = typename Ops::T;
@@ -528,6 +538,14 @@ class LadderTableau {
     BAGCQ_DCHECK(Ops::Sign(piv) > 0);
     const bool unit_pivot = piv == d;
     const bool unit_den = d == T{1};
+    const bool sparse = unit_pivot && unit_den;
+    std::vector<int>& support = ws_.pivot_support;
+    if (sparse) {
+      support.clear();
+      for (int j = 0; j <= ncols_; ++j) {
+        if (!Ops::IsZero(pr[j])) support.push_back(j);
+      }
+    }
     for (int i = resume_.row; i <= m_; ++i) {
       if (i == r) continue;
       T* ri = a + static_cast<size_t>(i) * stride_;
@@ -538,9 +556,20 @@ class LadderTableau {
         j0 = resume_.col;
       } else {
         f = ri[c];
-        // Unit pivot (piv == d): untouched rows with factor 0 are exactly
-        // invariant — the sparsity skip that keeps elemental LPs cheap.
         if (Ops::IsZero(f) && unit_pivot) continue;
+      }
+      if (sparse) {
+        for (auto k = std::lower_bound(support.begin(), support.end(), j0);
+             k != support.end(); ++k) {
+          const int j = *k;
+          T t, next;
+          if (Ops::Mul(f, pr[j], &t) || Ops::Sub(ri[j], t, &next)) {
+            return SaveResume(i, j, f);
+          }
+          ri[j] = std::move(next);
+        }
+        resume_.mid_row = false;
+        continue;
       }
       const bool f_zero = Ops::IsZero(f);
       for (int j = j0; j <= ncols_; ++j) {
@@ -811,7 +840,7 @@ class LadderTableau {
   // ---- warm start / artificials -------------------------------------------
 
   int ColumnOfEntry(const BasisEntry& entry) const {
-    const int n = problem_.num_variables();
+    const int n = NumVariables();
     switch (entry.kind) {
       case BasisKind::kStructural:
         return entry.index >= 0 && entry.index < n
@@ -929,7 +958,7 @@ class LadderTableau {
     for (int i = 0; i < m_; ++i) {
       internal[ws_.basis[i]] = Rational(CellBig(i, ncols_), d);
     }
-    const int n = problem_.num_variables();
+    const int n = NumVariables();
     std::vector<Rational> out(n);
     for (int j = 0; j < n; ++j) {
       out[j] = internal[ws_.col_of_var[j]];
@@ -960,7 +989,9 @@ class LadderTableau {
     return out;
   }
 
-  const LpProblem& problem_;
+  // Exactly one of the two is set.
+  const LpProblem* lp_ = nullptr;
+  const IntegerProgram* ip_ = nullptr;
   SolverOptions options_;
   LadderWorkspace& ws_;
 
@@ -999,6 +1030,17 @@ Solution<util::Rational> LadderSimplex::Solve(const LpProblem& problem) {
 Solution<util::Rational> LadderSimplex::SolveFrom(
     const LpProblem& problem, const std::vector<BasisEntry>& basis) {
   LadderTableau tableau(problem, options_, workspace_);
+  return tableau.Run(&basis);
+}
+
+Solution<util::Rational> LadderSimplex::Solve(const IntegerProgram& program) {
+  LadderTableau tableau(program, options_, workspace_);
+  return tableau.Run(nullptr);
+}
+
+Solution<util::Rational> LadderSimplex::SolveFrom(
+    const IntegerProgram& program, const std::vector<BasisEntry>& basis) {
+  LadderTableau tableau(program, options_, workspace_);
   return tableau.Run(&basis);
 }
 

@@ -13,6 +13,8 @@
 //     M'[i][j] = (piv*M[i][j] - M[i][c]*M[r][j]) / d — the division is
 //     exact (entries are subdeterminants of the integer input) — leaves the
 //     pivot row untouched, and sets d' = piv.
+//     A pivot with piv == d == 1 changes only the entries in the pivot
+//     row's nonzero columns, so it computes only those.
 //
 //   * A three-tier arithmetic ladder. The tableau starts in the narrowest
 //     tier that holds the input and every multiply/add is overflow-checked
@@ -32,8 +34,10 @@
 // phase-I cost of row i's artificial is lcm(t)/t_i — a uniform positive
 // rescaling of the reference phase-I objective, which is what keeps Bland's
 // pivot sequence (signs and cross-multiplied ratio tests are invariant under
-// positive row/column scalings) identical to the reference simplex. Integer
-// input takes a fast path with t_i = L = 1 and no BigInt staging at all.
+// positive row/column scalings) identical to the reference simplex. An
+// LpProblem is staged in BigInt and narrowed to the smallest tier that holds
+// it. An IntegerProgram (lp_problem.h) needs none of that: t_i = L = 1, and
+// its sparse columns are scattered straight into the zeroed int64 arena.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +88,8 @@ struct LadderWorkspace {
   util::BigInt art_scale;
   std::vector<util::BigInt> structural_cost;
   std::vector<util::BigInt> phase_cost;
+  // The nonzero columns of a unit pivot's pivot row.
+  std::vector<int> pivot_support;
   // The tiered arenas.
   std::vector<int64_t> w64;
   std::vector<LadderWide> wwide;
@@ -105,6 +111,11 @@ class LadderSimplex {
 
   Solution<util::Rational> Solve(const LpProblem& problem);
   Solution<util::Rational> SolveFrom(const LpProblem& problem,
+                                     const std::vector<BasisEntry>& basis);
+  /// Integer input fills the word-tier arena directly (no integerization,
+  /// no staging); results are those of the equivalent LpProblem.
+  Solution<util::Rational> Solve(const IntegerProgram& program);
+  Solution<util::Rational> SolveFrom(const IntegerProgram& program,
                                      const std::vector<BasisEntry>& basis);
 
   /// Drops the persistent arena. Subsequent solves start cold.

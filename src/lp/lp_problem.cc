@@ -80,4 +80,33 @@ std::string LpProblem::ToString() const {
   return os.str();
 }
 
+bool IntegerProgram::FromRational(const util::Rational& v, int64_t* out) {
+  if (!v.is_integer() || v.num().BitLength() > 62) return false;
+  *out = v.num().ToInt64();
+  return true;
+}
+
+int IntegerProgram::AddRow(Sense sense, int64_t rhs) {
+  BAGCQ_CHECK(Fits(rhs)) << "rhs " << rhs << " exceeds 62 bits";
+  sense_.push_back(sense);
+  rhs_.push_back(rhs);
+  return num_rows() - 1;
+}
+
+int IntegerProgram::AddColumn(int64_t cost) {
+  BAGCQ_CHECK(Fits(cost)) << "cost " << cost << " exceeds 62 bits";
+  cost_.push_back(cost);
+  column_end_.push_back(entries_.size());
+  return num_columns() - 1;
+}
+
+void IntegerProgram::AddEntry(int row, int64_t value) {
+  BAGCQ_CHECK(!cost_.empty()) << "AddEntry before the first AddColumn";
+  BAGCQ_CHECK(row >= 0 && row < num_rows()) << "row " << row;
+  BAGCQ_CHECK(Fits(value)) << "coefficient " << value << " exceeds 62 bits";
+  if (value == 0) return;
+  entries_.push_back({row, value});
+  ++column_end_.back();
+}
+
 }  // namespace bagcq::lp

@@ -75,7 +75,10 @@ struct Solution {
   /// Escalation-ladder accounting (LadderSimplex only; zero elsewhere):
   /// pivots completed entirely in the overflow-checked int64 tier, pivots
   /// completed in the 128-bit tier, and whether this solve's tableau ever
-  /// promoted all the way to BigInt arithmetic (0 or 1).
+  /// promoted all the way to BigInt arithmetic (0 or 1). The two pivot
+  /// tallies also count the pivots that move basic artificials out after
+  /// phase I, which `pivots` does not count, and leave out pivots completed
+  /// in BigInt; they are not a split of `pivots`.
   int64_t word_pivots = 0;
   int64_t wide_pivots = 0;
   int64_t bigint_promotions = 0;

@@ -38,6 +38,8 @@ struct SolverStats {
   int64_t warm_pivots_saved = 0;
   /// Escalation-ladder accounting: exact pivots completed in the int64 tier,
   /// in the 128-bit tier, and how many solves promoted all the way to BigInt.
+  /// The tier tallies include the phase-I artificial pivot-outs that
+  /// exact_pivots leaves out (see Solution::word_pivots).
   int64_t word_pivots = 0;
   int64_t wide_pivots = 0;
   int64_t bigint_promotions = 0;
@@ -72,6 +74,15 @@ class Solver {
   Solution<util::Rational> SolveKeyed(const LpProblem& problem,
                                       std::string_view shape_key);
 
+  /// The same three calls on integer input (lp_problem.h): the ladder fills
+  /// its int64 arena from the program directly. Results, certificates and
+  /// stats are those of the equivalent LpProblem.
+  Solution<util::Rational> Solve(const IntegerProgram& program);
+  Solution<util::Rational> SolveFrom(const IntegerProgram& program,
+                                     const std::vector<BasisEntry>& hint);
+  Solution<util::Rational> SolveKeyed(const IntegerProgram& program,
+                                      std::string_view shape_key);
+
   /// Drops persistent workspace memory and every keyed warm-basis slot;
   /// subsequent solves start cold.
   void Reset() {
@@ -96,6 +107,15 @@ class Solver {
   /// guards against a pathological caller.
   static constexpr size_t kMaxWarmSlots = 256;
 
+  // One body per call for both input forms (solver.cc).
+  template <typename Program>
+  Solution<util::Rational> SolveImpl(const Program& program);
+  template <typename Program>
+  Solution<util::Rational> SolveFromImpl(const Program& program,
+                                         const std::vector<BasisEntry>& hint);
+  template <typename Program>
+  Solution<util::Rational> SolveKeyedImpl(const Program& program,
+                                          std::string_view shape_key);
   Solution<util::Rational> Finish(Solution<util::Rational> out);
 
   LadderSimplex simplex_;

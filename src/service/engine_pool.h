@@ -2,8 +2,9 @@
 // sibling of WorkerPool. N worker threads each own a Service (hence an
 // Engine), all sharing exactly three read-only-or-thread-safe things:
 //
-//   * one SharedProverPool, so the elemental constraint skeleton of Γn
-//     (~n·2ⁿ inequalities) is built once per process, not once per worker;
+//   * one SharedProverPool, so the elemental system of Γn (~n·2ⁿ
+//     inequalities and their sparse LP columns) is built once per process,
+//     not once per worker;
 //   * one store::ProofStore handle (thread-safe by contract), repaired once
 //     at Start before any worker serves;
 //   * the queue fabric below.

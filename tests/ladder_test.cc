@@ -4,15 +4,28 @@
 // certificates, bases, and (under Bland) pivot counts — across feasible,
 // infeasible, degenerate, rational-coefficient, free-variable, and
 // near-overflow (INT64_MAX/2-scale) programs, and every certificate must pass
-// the exact VerifyDuals/VerifyFarkas predicates in its own right.
+// the exact VerifyDuals/VerifyFarkas predicates in its own right. Integer
+// input (IntegerProgram) must match the reference on the equivalent
+// LpProblem, on the decision procedure's own LPs included.
 #include "lp/ladder_simplex.h"
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <random>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/containment_inequality.h"
+#include "cq/homomorphism.h"
+#include "cq/transforms.h"
+#include "cq/workload.h"
+#include "entropy/elemental.h"
+#include "entropy/max_ii.h"
 #include "lp/lp_problem.h"
 #include "lp/simplex.h"
 #include "util/rational.h"
@@ -243,6 +256,154 @@ TEST(LadderEscalationTest, PivotLimitFailsSoftLikeReference) {
   EXPECT_EQ(fast.status, SolveStatus::kPivotLimit);
   EXPECT_EQ(fast.status, slow.status);
   EXPECT_EQ(fast.pivots, slow.pivots);
+}
+
+// ------------------------------------------------------- integer input
+
+// The Eq. (8) branches of seeded generated pairs whose entropy space has n
+// variables, reduced as the decider reduces them.
+std::vector<std::vector<entropy::LinearExpr>> DecisionBranches(int n) {
+  std::vector<std::vector<entropy::LinearExpr>> out;
+  for (cq::ShapeRegime regime :
+       {cq::ShapeRegime::kAcyclic, cq::ShapeRegime::kCyclic}) {
+    if (regime == cq::ShapeRegime::kCyclic && n < 3) continue;
+    cq::WorkloadOptions options;
+    options.seed = 900 + n;
+    options.min_vars = options.max_vars = n;
+    options.contained_fraction = 0.75;
+    options.regime = regime;
+    cq::WorkloadGenerator generator(options);
+    for (int tries = 0, taken = 0; taken < 4 && tries < 40; ++tries) {
+      const cq::GeneratedPair g = generator.Next();
+      cq::ConjunctiveQuery q1 = cq::RemoveDuplicateAtoms(g.pair.q1);
+      cq::ConjunctiveQuery q2 = cq::RemoveDuplicateAtoms(g.pair.q2);
+      if (!q1.IsBoolean()) std::tie(q1, q2) = cq::MakeBooleanPair(q1, q2);
+      if (q1.num_vars() != n || cq::QueryHomomorphisms(q2, q1).empty()) {
+        continue;
+      }
+      auto inequality = core::BuildContainmentInequality(q1, q2);
+      if (!inequality.ok()) continue;
+      out.push_back(std::move(inequality).ValueOrDie().branches);
+      ++taken;
+    }
+  }
+  return out;
+}
+
+// Ladder on `program` against the reference on the equivalent `lp`: cold,
+// then warm from the previous basis of the same shape (`key`), both
+// starting from that one basis.
+void ExpectIntegerParity(const std::string& key, const IntegerProgram& program,
+                         const LpProblem& lp,
+                         std::map<std::string, std::vector<BasisEntry>>* bases,
+                         int* warm_solves) {
+  LadderSimplex ladder;
+  ReferenceSolver reference;
+  const auto cold = ladder.Solve(program);
+  ExpectParity(lp, cold, reference.Solve(lp), /*same_pivots=*/true);
+  // Decision LPs have entries of a few bits: they never leave the word tier.
+  EXPECT_EQ(cold.wide_pivots, 0) << key;
+  EXPECT_EQ(cold.bigint_promotions, 0) << key;
+  auto it = bases->find(key);
+  if (it != bases->end()) {
+    const auto fast = ladder.SolveFrom(program, it->second);
+    const auto slow = reference.SolveFrom(lp, it->second);
+    EXPECT_EQ(fast.warm_started, slow.warm_started) << key;
+    ExpectParity(lp, fast, slow, /*same_pivots=*/true);
+    ++*warm_solves;
+  }
+  if (!cold.basis.empty()) (*bases)[key] = cold.basis;
+}
+
+class LadderIntegerProgramTest : public ::testing::TestWithParam<int> {};
+
+// The Γn LP and the Nn/Mn generator LPs of real decisions, built by the
+// entropy layer in both input forms: the ladder on the IntegerProgram must
+// match the reference on the LpProblem, pivot counts included — on tableaux
+// as large as Γ6's 64 rows, where most pivots are sparse unit pivots.
+TEST_P(LadderIntegerProgramTest, DecisionLpsMatchReference) {
+  const int n = GetParam();
+  const std::vector<entropy::ElementalColumn> columns =
+      entropy::ElementalColumns(n, entropy::ElementalInequalities(n));
+  std::map<std::string, std::vector<BasisEntry>> bases;
+  int solves = 0;
+  int warm_solves = 0;
+  for (const std::vector<entropy::LinearExpr>& branches : DecisionBranches(n)) {
+    const std::string k = "/k=" + std::to_string(branches.size());
+    const std::optional<IntegerProgram> gamma =
+        entropy::GammaIntegerProgram(n, columns, branches);
+    ASSERT_TRUE(gamma.has_value()) << "Eq. (8) branches are integral";
+    ExpectIntegerParity("gamma" + k, *gamma,
+                        entropy::GammaLpProblem(n, columns, branches), &bases,
+                        &warm_solves);
+    for (entropy::ConeKind kind :
+         {entropy::ConeKind::kNormal, entropy::ConeKind::kModular}) {
+      const std::optional<IntegerProgram> generators =
+          entropy::GeneratorIntegerProgram(n, kind, branches);
+      ASSERT_TRUE(generators.has_value());
+      ExpectIntegerParity(
+          std::string(entropy::ConeKindToString(kind)) + k, *generators,
+          entropy::GeneratorLpProblem(n, kind, branches), &bases,
+          &warm_solves);
+    }
+    solves += 3;
+  }
+  EXPECT_GE(solves, 12) << "too few generated pairs at n = " << n;
+  EXPECT_GE(warm_solves, 1) << "no shape repeated at n = " << n;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, LadderIntegerProgramTest,
+                         ::testing::Range(2, 7));
+
+// The first pivot is a unit pivot (piv = d = 1) whose update of the cost
+// row overflows int64 at the rhs column, its last support column: the
+// promotion happens inside the sparse loop after four committed cells of
+// that row, and the pivot resumes in the wide tier at the rhs. The cells
+// before it include row 0's slack column, from which row 0's dual is read,
+// so a resume that recomputed a committed cell would change the duals.
+TEST(LadderIntegerProgramTest, UnitPivotPromotesMidRow) {
+  const int64_t kHuge = (int64_t{1} << 60) + 3;
+  IntegerProgram program;
+  LpProblem lp;
+  // x0 enters first (Bland: the first negative cost), and row 0
+  // (x0 + x1 + x2 <= H, ratio H) beats row 1 (ratio 3H/2); row 2 has no
+  // x0. So (0, x0) with entry 1 is the first pivot. The cost row's factor
+  // is -H, and -H times row 0's rhs H overflows int64.
+  const std::vector<std::vector<int64_t>> rows = {{1, 1, 1, 0},
+                                                  {2, 2, kHuge, 1},
+                                                  {0, 0, 1, 1}};
+  const std::vector<int64_t> rhs = {kHuge, 3 * kHuge, 7};
+  const std::vector<int64_t> cost = {-kHuge, -1, 0, -2};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    program.AddRow(Sense::kLessEqual, rhs[i]);
+  }
+  for (size_t j = 0; j < cost.size(); ++j) {
+    program.AddColumn(cost[j]);
+    lp.AddVariable();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      program.AddEntry(static_cast<int>(i), rows[i][j]);
+    }
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::vector<Rational> coeffs;
+    for (int64_t v : rows[i]) coeffs.push_back(R(v));
+    lp.AddConstraint(std::move(coeffs), Sense::kLessEqual, R(rhs[i]));
+  }
+  std::vector<Rational> objective;
+  for (int64_t c : cost) objective.push_back(R(c));
+  lp.SetObjective(Objective::kMinimize, std::move(objective));
+
+  LadderSimplex ladder;
+  const auto fast = ladder.Solve(program);
+  ExpectParity(lp, fast, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
+  ASSERT_GE(fast.pivots, 1);
+  EXPECT_EQ(fast.word_pivots, 0) << "the first pivot must leave the word tier";
+  // The same program as an LpProblem runs the staged fill and must agree.
+  const auto staged = LadderSimplex().Solve(lp);
+  ExpectParity(lp, staged, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
+  EXPECT_EQ(staged.word_pivots, fast.word_pivots);
+  EXPECT_EQ(staged.wide_pivots, fast.wide_pivots);
+  EXPECT_EQ(staged.bigint_promotions, fast.bigint_promotions);
 }
 
 // ------------------------------------------------------------ workspace
