@@ -9,7 +9,6 @@
 
 #include "service/transport.h"
 #include "store/proof_store.h"
-#include "wire/wire.h"
 
 namespace bagcq::service {
 
@@ -95,12 +94,6 @@ void ThreadedEnginePool::Stop() {
   }
   util::MutexLock lock(&completion_mutex_);
   completions_.clear();
-}
-
-size_t ThreadedEnginePool::ShardFor(const api::QueryPair& pair,
-                                    bool bag_bag) const {
-  return wire::Fingerprint(wire::CanonicalPairKey(pair.q1, pair.q2, bag_bag)) %
-         workers_.size();
 }
 
 util::Status ThreadedEnginePool::Submit(size_t worker, uint64_t id,
@@ -195,7 +188,7 @@ void ThreadedEnginePool::WorkerLoop(size_t self) {
 void ThreadedEnginePool::PostCompletion(uint64_t id, std::string payload) {
   util::MutexLock lock(&completion_mutex_);
   const bool was_empty = completions_.empty();
-  completions_.push_back(Completion{id, std::move(payload)});
+  completions_.push_back(Completion{id, std::move(payload), {}});
   if (was_empty && completion_fds_[1] >= 0) {
     // Empty→nonempty transitions carry one pipe byte each, so the poll
     // front wakes at least once per batch of completions; EAGAIN on a full
@@ -203,15 +196,26 @@ void ThreadedEnginePool::PostCompletion(uint64_t id, std::string payload) {
     const char byte = 'w';
     [[maybe_unused]] const ssize_t n = ::write(completion_fds_[1], &byte, 1);
   }
-  completion_cv_.NotifyAll();
 }
 
 std::vector<ThreadedEnginePool::Completion>
 ThreadedEnginePool::TakeCompletions() {
   util::MutexLock lock(&completion_mutex_);
+  // Drained under the lock PostCompletion writes under, so no byte outlives
+  // the completions it announced and the next post wakes the front again.
+  char drain[256];
+  while (completion_fds_[0] >= 0 &&
+         ::read(completion_fds_[0], drain, sizeof(drain)) > 0) {
+  }
   std::vector<Completion> taken;
   taken.swap(completions_);
   return taken;
+}
+
+void ThreadedEnginePool::AddBackendCounters(StatsResponse* stats) const {
+  QueueStats queues = queue_stats();
+  stats->steals = queues.steals;
+  stats->queue_depth_hwm = std::move(queues.depth_hwm);
 }
 
 ThreadedEnginePool::QueueStats ThreadedEnginePool::queue_stats() const {
@@ -221,184 +225,6 @@ ThreadedEnginePool::QueueStats ThreadedEnginePool::queue_stats() const {
   stats.rejected = rejected_;
   stats.depth_hwm = depth_hwm_;
   return stats;
-}
-
-// ------------------------------------------------------ synchronous front
-
-std::vector<std::string> ThreadedEnginePool::WaitFor(
-    const std::vector<uint64_t>& ids) {
-  std::vector<std::string> replies(ids.size());
-  std::vector<bool> have(ids.size(), false);
-  size_t remaining = ids.size();
-  util::MutexLock lock(&completion_mutex_);
-  while (remaining > 0) {
-    for (Completion& c : completions_) {
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if (!have[i] && ids[i] == c.id) {
-          replies[i] = std::move(c.payload);
-          have[i] = true;
-          --remaining;
-          break;
-        }
-      }
-    }
-    completions_.clear();  // one front at a time: every completion is ours
-    if (remaining == 0) break;
-    completion_cv_.Wait(&completion_mutex_);
-  }
-  return replies;
-}
-
-util::Result<Response> ThreadedEnginePool::RoundTrip(size_t worker,
-                                                     std::string payload) {
-  const uint64_t id = NextId();
-  BAGCQ_RETURN_NOT_OK(Submit(worker, id, std::move(payload)));
-  std::vector<std::string> replies = WaitFor({id});
-  return DecodeResponse(replies[0]);
-}
-
-Response ThreadedEnginePool::DispatchBatch(const DecideBatchRequest& request) {
-  // Shard pairs to their affinity workers, keeping input positions so the
-  // merged response is ordered exactly like a sequential DecideBatch.
-  std::vector<std::vector<size_t>> positions(workers_.size());
-  std::vector<DecideBatchRequest> shards(workers_.size());
-  for (size_t i = 0; i < request.pairs.size(); ++i) {
-    const size_t w = ShardFor(request.pairs[i], /*bag_bag=*/false);
-    positions[w].push_back(i);
-    shards[w].pairs.push_back(request.pairs[i]);
-  }
-  BatchResponse merged;
-  merged.results.resize(request.pairs.size());
-  std::vector<uint64_t> ids;
-  std::vector<size_t> submitted;  // worker index per id, parallel to ids
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    if (positions[w].empty()) continue;
-    const uint64_t id = NextId();
-    const util::Status sent =
-        Submit(w, id, EncodeRequest(shards[w]));
-    if (!sent.ok()) {
-      // A rejected shard fails only its own slots; the rest of the batch
-      // still answers — the full-queue analogue of a lost fork worker.
-      for (size_t pos : positions[w]) {
-        merged.results[pos] = DecisionResponse{sent, std::nullopt};
-      }
-      positions[w].clear();
-      continue;
-    }
-    ids.push_back(id);
-    submitted.push_back(w);
-  }
-  std::vector<std::string> replies = WaitFor(ids);
-  for (size_t k = 0; k < replies.size(); ++k) {
-    const size_t w = submitted[k];
-    auto reply = DecodeResponse(replies[k]);
-    Response response =
-        reply.ok() ? std::move(reply).ValueOrDie() : Response{ErrorResponse{}};
-    BatchResponse* shard = std::get_if<BatchResponse>(&response);
-    util::Status shard_error =
-        reply.ok() ? util::Status::OK() : reply.status();
-    if (shard_error.ok() &&
-        (shard == nullptr || shard->results.size() != positions[w].size())) {
-      shard_error =
-          util::Status::Internal("worker returned a malformed batch reply");
-    }
-    for (size_t i = 0; i < positions[w].size(); ++i) {
-      merged.results[positions[w][i]] =
-          shard_error.ok() ? std::move(shard->results[i])
-                           : DecisionResponse{shard_error, std::nullopt};
-    }
-  }
-  return merged;
-}
-
-Response ThreadedEnginePool::DispatchToAll(const Request& request) {
-  const bool is_stats = std::holds_alternative<StatsRequest>(request);
-  const std::string payload = EncodeRequest(request);
-  std::vector<uint64_t> ids;
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    const uint64_t id = NextId();
-    // Pinned: control traffic is exempt from the queue cap and from
-    // stealing — Stats must read, and ClearCache must clear, every engine.
-    const util::Status sent = Submit(w, id, payload, /*pinned=*/true);
-    if (!sent.ok()) return ErrorResponse{sent};
-    ids.push_back(id);
-  }
-  std::vector<std::string> replies = WaitFor(ids);
-  StatsResponse stats_total;
-  stats_total.workers = 0;
-  util::Status first_error = util::Status::OK();
-  for (const std::string& bytes : replies) {
-    auto reply = DecodeResponse(bytes);
-    if (!reply.ok()) {
-      if (first_error.ok()) first_error = reply.status();
-      continue;
-    }
-    if (const auto* error = std::get_if<ErrorResponse>(&*reply)) {
-      if (first_error.ok()) first_error = error->status;
-    } else if (is_stats) {
-      if (const auto* one = std::get_if<StatsResponse>(&*reply)) {
-        stats_total.stats += one->stats;
-        stats_total.workers += one->workers;
-      }
-    }
-  }
-  if (!first_error.ok()) return ErrorResponse{first_error};
-  if (is_stats) {
-    const QueueStats queues = queue_stats();
-    stats_total.steals = queues.steals;
-    stats_total.queue_depth_hwm = queues.depth_hwm;
-    return stats_total;
-  }
-  return AckResponse{util::Status::OK()};
-}
-
-Response ThreadedEnginePool::Dispatch(const Request& request) {
-  if (workers_.empty()) {
-    return ErrorResponse{util::Status::Internal("threaded pool not started")};
-  }
-  return std::visit(
-      [this, &request](const auto& r) -> Response {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, DecideRequest> ||
-                      std::is_same_v<T, DecideBagBagRequest>) {
-          const size_t w =
-              ShardFor(r.pair, std::is_same_v<T, DecideBagBagRequest>);
-          auto reply = RoundTrip(w, EncodeRequest(request));
-          return reply.ok() ? *std::move(reply)
-                            : Response{ErrorResponse{reply.status()}};
-        } else if constexpr (std::is_same_v<T, DecideBatchRequest>) {
-          return DispatchBatch(r);
-        } else if constexpr (std::is_same_v<T, DecideBatchStreamRequest>) {
-          // One stream chunk shards exactly like a batch; only the reply
-          // shape differs (the stream markers are echoed for the client).
-          Response merged = DispatchBatch(DecideBatchRequest{r.pairs});
-          BatchChunkResponse chunk;
-          chunk.first_index = r.first_index;
-          chunk.final_chunk = r.final_chunk;
-          chunk.results = std::move(std::get<BatchResponse>(merged).results);
-          return chunk;
-        } else if constexpr (std::is_same_v<T, StatsRequest> ||
-                             std::is_same_v<T, ClearCacheRequest>) {
-          return DispatchToAll(request);
-        } else {
-          // Proofs and analyses have no pair key; hash the canonical
-          // request bytes — the same spread as fork mode.
-          std::string payload = EncodeRequest(request);
-          const size_t w = wire::Fingerprint(payload) % workers_.size();
-          auto reply = RoundTrip(w, std::move(payload));
-          return reply.ok() ? *std::move(reply)
-                            : Response{ErrorResponse{reply.status()}};
-        }
-      },
-      request);
-}
-
-std::string ThreadedEnginePool::DispatchBytes(std::string_view request_bytes) {
-  auto request = DecodeRequest(request_bytes);
-  if (!request.ok()) {
-    return EncodeResponse(ErrorResponse{request.status()});
-  }
-  return EncodeResponse(Dispatch(*request));
 }
 
 }  // namespace bagcq::service

@@ -1,6 +1,7 @@
-// ThreadedEnginePool: the sharded multi-THREAD serving tier — the one-process
-// sibling of WorkerPool. N worker threads each own a Service (hence an
-// Engine), all sharing exactly three read-only-or-thread-safe things:
+// ThreadedEnginePool: the thread backend of the serving seam
+// (service/backend.h), the one-process sibling of the fork backend
+// WorkerPool. N worker threads each own a Service (hence an Engine), all
+// sharing exactly three read-only-or-thread-safe things:
 //
 //   * one SharedProverPool, so the elemental system of Γn (~n·2ⁿ
 //     inequalities and their sparse LP columns) is built once per process,
@@ -9,14 +10,19 @@
 //     at Start before any worker serves;
 //   * the queue fabric below.
 //
-// Routing is affinity + work stealing, not pinning: a request's fingerprint
-// shard (the same wire::CanonicalPairKey hash WorkerPool uses) picks the
-// queue it is SUBMITTED to, which keeps that worker's decision memo and
-// warm-start slots hot under mixed traffic — but an idle worker steals the
-// oldest stealable item from the deepest queue once it passes
-// steal_threshold, so skewed traffic (every request hashing to one shard)
-// still uses the whole pool. A full queue fails the submit soft with
-// StatusCode::kUnavailable instead of blocking the front.
+// Submit(worker, id, bytes) pushes onto the worker's queue; workers post
+// each reply to one completion list and wake the front through a self-pipe,
+// which is the pool's completion fd. Routing, sharding and merging live in
+// the front's CallTable, so this file holds only the queues.
+//
+// Routing is affinity + work stealing, not pinning: the CallTable picks the
+// queue a request is SUBMITTED to by its fingerprint shard (the same
+// wire::CanonicalPairKey hash fork mode uses), which keeps that worker's
+// decision memo and warm-start slots hot under mixed traffic — but an idle
+// worker steals the oldest stealable item from the deepest queue once it
+// passes steal_threshold, so skewed traffic (every request hashing to one
+// shard) still uses the whole pool. A full queue fails the submit soft
+// with StatusCode::kUnavailable instead of blocking the front.
 //
 // Fork vs thread tradeoff (docs/serving.md has the operator's version):
 // fork mode buys crash isolation (a worker segfault costs one respawn);
@@ -25,17 +31,16 @@
 // wire surface and produce byte-identical replies.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "api/options.h"
 #include "entropy/prover_cache.h"
+#include "service/backend.h"
 #include "service/message.h"
 #include "service/service.h"
 #include "util/mutex.h"
@@ -75,20 +80,9 @@ struct ThreadedPoolOptions {
 /// Thread-safety: Submit/TakeCompletions/queue_stats are safe from one
 /// front thread concurrently with the workers (that is their job).
 /// Start/Stop/Dispatch/DispatchBytes must come from a single front thread,
-/// and exactly one front may drive a pool at a time (the asynchronous
-/// Submit surface and the synchronous Dispatch surface share the
-/// completion stream).
-class ThreadedEnginePool {
+/// and exactly one front may drive a pool at a time.
+class ThreadedEnginePool : public Backend {
  public:
-  /// One finished request: the correlation id Submit carried and the
-  /// encoded Response bytes (already capped at kMaxFrameBytes — an
-  /// oversize reply degrades to an encoded ResourceExhausted error exactly
-  /// like a fork-mode worker).
-  struct Completion {
-    uint64_t id = 0;
-    std::string payload;
-  };
-
   /// Pool-level counters for StatsResponse (engine counters travel inside
   /// each worker's EngineStats as usual).
   struct QueueStats {
@@ -98,15 +92,13 @@ class ThreadedEnginePool {
   };
 
   ThreadedEnginePool();  // out of line: store::ProofStore is incomplete here
-  ~ThreadedEnginePool();
-  ThreadedEnginePool(const ThreadedEnginePool&) = delete;
-  ThreadedEnginePool& operator=(const ThreadedEnginePool&) = delete;
+  ~ThreadedEnginePool() override;
 
   /// Builds the N services (constructing engines eagerly, sharing one
   /// prover pool and at most one proof-store handle) and starts the worker
-  /// threads. InvalidArgument on bad options or a started pool; Internal on
-  /// pipe failure. An unopenable store fails soft to storeless serving,
-  /// mirroring fork mode.
+  /// threads. InvalidArgument on bad options (fewer than one thread) or a
+  /// started pool; Internal on pipe failure. An unopenable store fails soft
+  /// to storeless serving, mirroring fork mode.
   util::Status Start(const ThreadedPoolOptions& options = {})
       BAGCQ_EXCLUDES(mutex_);
   /// Drains every queue (stealing at threshold 1), joins the workers, and
@@ -116,50 +108,29 @@ class ThreadedEnginePool {
   void Stop() BAGCQ_EXCLUDES(mutex_, completion_mutex_);
 
   /// Valid between Start and Stop (the vector is immutable while serving).
-  int num_workers() const { return static_cast<int>(workers_.size()); }
-
-  /// The affinity worker for this pair — the same canonical-key hash as
-  /// WorkerPool::ShardFor, so fork and thread fronts route identically.
-  size_t ShardFor(const api::QueryPair& pair, bool bag_bag) const;
-
-  // ------------------------------------------------- event-loop interface
+  int num_workers() const override {
+    return static_cast<int>(workers_.size());
+  }
 
   /// Enqueues one encoded request on `worker`'s queue. kUnavailable when
   /// the queue is at capacity (unless pinned) or the pool is stopping.
-  /// Pinned items are exempt from the capacity cap AND are never stolen:
-  /// they are the fanout control messages (Stats, ClearCache) that must
-  /// execute on exactly the worker they were addressed to.
+  /// Pinned items are exempt from the capacity cap AND are never stolen.
   util::Status Submit(size_t worker, uint64_t id, std::string payload,
-                      bool pinned = false) BAGCQ_EXCLUDES(mutex_);
+                      bool pinned = false) override BAGCQ_EXCLUDES(mutex_);
 
-  /// Self-pipe read end, for poll(): readable whenever completions are
-  /// waiting. Drain it fully, then TakeCompletions(); a spurious wake
-  /// yields an empty take, never a hang.
-  int completion_fd() const { return completion_fds_[0]; }
+  /// Self-pipe read end: one byte per empty→nonempty transition of the
+  /// completion list.
+  int completion_fd() const override { return completion_fds_[0]; }
 
-  /// Correlation ids for Submit, unique across the pool's whole lifetime
-  /// and across fronts — a completion from work queued before one front
-  /// stopped can never be mistaken for a later front's exchange.
-  uint64_t NextId() { return next_id_.fetch_add(1, std::memory_order_relaxed); }
+  /// Drains the self-pipe and removes every completion posted so far.
+  std::vector<Completion> TakeCompletions() override
+      BAGCQ_EXCLUDES(completion_mutex_);
 
-  /// Removes and returns every completion posted so far (any order — the
-  /// front re-sequences by correlation id like it does for fork workers).
-  std::vector<Completion> TakeCompletions() BAGCQ_EXCLUDES(completion_mutex_);
+  /// Overlays steals and the per-worker queue-depth high water.
+  void AddBackendCounters(StatsResponse* stats) const override
+      BAGCQ_EXCLUDES(mutex_);
 
   QueueStats queue_stats() const BAGCQ_EXCLUDES(mutex_);
-
-  // -------------------------------------------------- synchronous surface
-
-  /// Routes one request across the pool and returns the reassembled
-  /// response, blocking until every involved worker has answered —
-  /// byte-compatible with WorkerPool::Dispatch (singles to the affinity
-  /// shard, batches sharded and merged in input order, Stats/ClearCache
-  /// fanned out pinned). Full-queue rejections surface as kUnavailable in
-  /// the affected slots, never a block.
-  Response Dispatch(const Request& request);
-  /// The raw-bytes surface: decode, Dispatch, encode (undecodable input
-  /// becomes an encoded ErrorResponse).
-  std::string DispatchBytes(std::string_view request_bytes);
 
  private:
   struct Item {
@@ -183,13 +154,6 @@ class ThreadedEnginePool {
   int PickVictim(size_t self) const BAGCQ_REQUIRES(mutex_);
   void PostCompletion(uint64_t id, std::string payload)
       BAGCQ_EXCLUDES(completion_mutex_);
-  /// Blocks until every id in `ids` has completed; returns id → payload.
-  std::vector<std::string> WaitFor(const std::vector<uint64_t>& ids)
-      BAGCQ_EXCLUDES(completion_mutex_);
-
-  Response DispatchBatch(const DecideBatchRequest& request);
-  Response DispatchToAll(const Request& request);
-  util::Result<Response> RoundTrip(size_t worker, std::string payload);
 
   ThreadedPoolOptions options_;
   entropy::SharedProverPool shared_provers_;
@@ -210,11 +174,8 @@ class ThreadedEnginePool {
   std::vector<int64_t> depth_hwm_ BAGCQ_GUARDED_BY(mutex_);
 
   util::Mutex completion_mutex_;
-  util::CondVar completion_cv_;
   std::vector<Completion> completions_ BAGCQ_GUARDED_BY(completion_mutex_);
   int completion_fds_[2] = {-1, -1};
-
-  std::atomic<uint64_t> next_id_{1};
 };
 
 }  // namespace bagcq::service

@@ -1,27 +1,26 @@
 #include "service/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <cstring>
 #include <dirent.h>
-#include <fcntl.h>
 #include <map>
+#include <memory>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <utility>
 #include <vector>
 
-#include "service/engine_pool.h"
-#include "service/transport.h"
+#include "service/service.h"
 #include "store/proof_store.h"
-#include "wire/wire.h"
 
 namespace bagcq::service {
 
@@ -37,14 +36,13 @@ constexpr size_t kIdBytes = 8;
 constexpr uint32_t kMaxLinkFrameBytes =
     kMaxFrameBytes + static_cast<uint32_t>(kIdBytes);
 
-std::string WithId(uint64_t id, std::string_view payload) {
-  std::string out;
-  out.reserve(kIdBytes + payload.size());
+std::string WithId(uint64_t id, std::string payload) {
+  char prefix[kIdBytes];
   for (size_t i = 0; i < kIdBytes; ++i) {
-    out.push_back(static_cast<char>(id >> (8 * i)));
+    prefix[i] = static_cast<char>(id >> (8 * i));
   }
-  out.append(payload);
-  return out;
+  payload.insert(0, prefix, kIdBytes);
+  return payload;
 }
 
 uint64_t ParseId(const char* data) {
@@ -56,7 +54,8 @@ uint64_t ParseId(const char* data) {
 }
 
 /// A freshly forked worker inherits every parent fd — listeners, client
-/// connections, the other workers' links, the wake pipe. Holding any of
+/// connections, the other workers' links and their epoll instance, the
+/// wake pipe. Holding any of
 /// them open would keep peers from seeing EOFs the parent sends, so the
 /// child drops everything except stdio and its own link before serving.
 void CloseInheritedFds(int keep) {
@@ -122,7 +121,9 @@ void CloseInheritedFds(int keep) {
       reply = EncodeResponse(ErrorResponse{util::Status::ResourceExhausted(
           "server: response exceeds the frame cap")});
     }
-    if (!WriteFrame(fd, WithId(id, reply), kMaxLinkFrameBytes).ok()) break;
+    const util::Status sent =
+        WriteFrame(fd, WithId(id, std::move(reply)), kMaxLinkFrameBytes);
+    if (!sent.ok()) break;
   }
   ::close(fd);
   ::_exit(0);
@@ -139,7 +140,7 @@ util::Status SysError(const char* op) {
 
 WorkerPool::~WorkerPool() { Stop(); }
 
-util::Status WorkerPool::SpawnWorker(WorkerLink* link) {
+util::Status WorkerPool::SpawnWorker(size_t w) {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
     return SysError("socketpair");
@@ -155,9 +156,40 @@ util::Status WorkerPool::SpawnWorker(WorkerLink* link) {
     RunWorker(fds[1], options_);
   }
   ::close(fds[1]);
-  link->fd = fds[0];
-  link->pid = pid;
-  return util::Status::OK();
+  WorkerLink& link = workers_[w];
+  link.fd = fds[0];
+  link.pid = pid;
+  epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.u64 = w;
+  util::Status status = SetNonBlocking(link.fd);
+  if (status.ok() &&
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, link.fd, &event) != 0) {
+    status = SysError("epoll_ctl");
+  }
+  if (!status.ok()) CloseLink(w, /*sigkill=*/true);
+  return status;
+}
+
+void WorkerPool::CloseLink(size_t w, bool sigkill) {
+  WorkerLink& link = workers_[w];
+  if (link.fd >= 0) {
+    // Deregister before close: a child forked a moment ago may still hold a
+    // copy of this fd, and that copy would keep the registration alive.
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, link.fd, nullptr);
+    ::close(link.fd);  // EOF → an idle child _exits
+  }
+  if (link.pid > 0) {
+    if (sigkill) ::kill(link.pid, SIGKILL);
+    ::waitpid(link.pid, nullptr, 0);
+  }
+  // Half-written requests and half-read replies died with the link.
+  link.fd = -1;
+  link.pid = -1;
+  link.out.Clear();
+  link.in.clear();
+  link.in_flight.clear();
+  link.watch_out = false;
 }
 
 util::Status WorkerPool::Start(const ServerOptions& options) {
@@ -183,273 +215,163 @@ util::Status WorkerPool::Start(const ServerOptions& options) {
                    repaired.status().ToString().c_str());
     }
   }
-  for (int w = 0; w < options.num_workers; ++w) {
-    WorkerLink link;
-    const util::Status status = SpawnWorker(&link);
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return SysError("epoll_create1");
+  const size_t n = static_cast<size_t>(options.num_workers);
+  workers_.resize(n);
+  in_flight_hwm_.assign(n, 0);
+  for (size_t w = 0; w < n; ++w) {
+    const util::Status status = SpawnWorker(w);
     if (!status.ok()) {
       Stop();
       return status;
     }
-    workers_.push_back(link);
   }
   return util::Status::OK();
 }
 
 void WorkerPool::Stop() {
-  for (WorkerLink& worker : workers_) {
-    if (worker.fd >= 0) ::close(worker.fd);  // EOF → child _exits
-    if (worker.pid > 0) ::waitpid(worker.pid, nullptr, 0);
+  // A worker with exchanges in flight would compute every frame left in its
+  // socket before it saw EOF; nobody is waiting for those answers.
+  for (size_t w = 0; w < workers_.size(); ++w) {
+    CloseLink(w, /*sigkill=*/!workers_[w].in_flight.empty());
   }
   workers_.clear();
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  epoll_fd_ = -1;
 }
 
 util::Status WorkerPool::Respawn(size_t w) {
-  WorkerLink& link = workers_[w];
-  if (link.fd >= 0) {
-    ::close(link.fd);
-    link.fd = -1;
-  }
-  if (link.pid > 0) {
-    // Usually the child is already a zombie (that is why we are here); a
-    // wedged-but-alive worker is recycled the hard way. ECHILD means a
-    // SIGCHLD-driven front reaped it first — fine either way.
-    if (::waitpid(link.pid, nullptr, WNOHANG) == 0) {
-      ::kill(link.pid, SIGKILL);
-      ::waitpid(link.pid, nullptr, 0);
-    }
-    link.pid = -1;
-  }
-  BAGCQ_RETURN_NOT_OK(SpawnWorker(&link));
+  // Usually the child is already gone (that is why we are here); a wedged
+  // or frame-breaking one is recycled the hard way.
+  CloseLink(w, /*sigkill=*/true);
+  BAGCQ_RETURN_NOT_OK(SpawnWorker(w));
   ++respawns_;
   return util::Status::OK();
 }
 
-int WorkerPool::WorkerIndexOfPid(pid_t pid) const {
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].pid == pid) return static_cast<int>(w);
+util::Status WorkerPool::Submit(size_t worker, uint64_t id,
+                                std::string payload, bool /*pinned*/) {
+  if (worker >= workers_.size()) {
+    return util::Status::Unavailable("worker pool is not serving");
   }
-  return -1;
+  if (payload.size() > kMaxFrameBytes) {
+    return util::Status::ResourceExhausted(
+        "server: request exceeds the frame cap");
+  }
+  // A worker whose respawn failed earlier (a transient fork failure) is
+  // retried here, so one bad fork cannot black its shard out for good.
+  if (workers_[worker].fd < 0 && !Respawn(worker).ok()) {
+    return util::Status::Unavailable("worker " + std::to_string(worker) +
+                                     " is down and could not be respawned");
+  }
+  WorkerLink& link = workers_[worker];
+  link.out.AppendFrame(WithId(id, std::move(payload)));
+  link.in_flight.push_back(id);
+  in_flight_hwm_[worker] = std::max(
+      in_flight_hwm_[worker], static_cast<int64_t>(link.in_flight.size()));
+  if (!Flush(worker)) {
+    // The peer is gone. Shutting our end down makes the link report a
+    // hangup, so the next TakeCompletions loses the worker with this
+    // exchange (accepted, hence owed a completion) in flight.
+    ::shutdown(link.fd, SHUT_RDWR);
+  }
+  return util::Status::OK();
 }
 
-size_t WorkerPool::ShardFor(const api::QueryPair& pair, bool bag_bag) const {
-  return wire::Fingerprint(wire::CanonicalPairKey(pair.q1, pair.q2, bag_bag)) %
-         workers_.size();
+bool WorkerPool::Flush(size_t w) {
+  WorkerLink& link = workers_[w];
+  if (!FlushTo(link.fd, &link.out).ok()) return false;
+  // Watch for writability only while bytes are waiting on it.
+  const bool want_out = !link.out.empty();
+  if (want_out != link.watch_out) {
+    epoll_event event{};
+    event.events = EPOLLIN | (want_out ? EPOLLOUT : 0u);
+    event.data.u64 = w;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, link.fd, &event);
+    link.watch_out = want_out;
+  }
+  return true;
 }
 
-util::Status WorkerPool::LostWorker(size_t worker, const util::Status& cause) {
-  const util::Status respawned = Respawn(worker);
-  std::string message = "worker " + std::to_string(worker) +
-                        " lost mid-request (" + cause.ToString() + "); ";
+bool WorkerPool::ReadReplies(size_t w, std::vector<Completion>* done) {
+  WorkerLink& link = workers_[w];
+  bool open = true;
+  char buf[64 * 1024];
+  while (true) {
+    const ssize_t n = ::read(link.fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n <= 0) {  // EOF or a read error: the worker is gone
+      open = false;
+      break;
+    }
+    link.in.append(buf, static_cast<size_t>(n));
+    if (static_cast<size_t>(n) < sizeof(buf)) break;
+  }
+  // Parse before judging the link: replies a crashing worker delivered
+  // before it died still count.
+  size_t pos = 0;
+  while (link.in.size() - pos >= 4) {
+    const uint32_t length = ParseFrameHeader(link.in.data() + pos);
+    // A worker that breaks framing is as good as dead.
+    if (length > kMaxLinkFrameBytes || length < kIdBytes) return false;
+    if (link.in.size() - pos < size_t{4} + length) break;
+    const uint64_t id = ParseId(link.in.data() + pos + 4);
+    done->push_back(Completion{
+        id, link.in.substr(pos + 4 + kIdBytes, length - kIdBytes), {}});
+    // Replies come back in send order, so this finds the front.
+    auto it = std::find(link.in_flight.begin(), link.in_flight.end(), id);
+    if (it != link.in_flight.end()) link.in_flight.erase(it);
+    pos += size_t{4} + length;
+  }
+  link.in.erase(0, pos);
+  return open;
+}
+
+void WorkerPool::LoseWorker(size_t w, std::vector<Completion>* done) {
+  const std::deque<uint64_t> lost = std::move(workers_[w].in_flight);
+  const util::Status respawned = Respawn(w);
+  std::string message = "worker " + std::to_string(w) + " lost mid-request; ";
   message += respawned.ok() ? "respawned with a fresh Engine — retry"
                             : "respawn failed: " + respawned.ToString();
-  return util::Status::Unavailable(std::move(message));
+  for (uint64_t id : lost) {
+    done->push_back(Completion{id, {}, util::Status::Unavailable(message)});
+  }
 }
 
-util::Result<Response> WorkerPool::RoundTrip(size_t worker,
-                                             const Request& request) {
-  const uint64_t id = next_exchange_id_++;
-  BAGCQ_RETURN_NOT_OK(WriteFrame(workers_[worker].fd,
-                                 WithId(id, EncodeRequest(request)),
-                                 kMaxLinkFrameBytes));
-  return ReadReply(worker, id);
-}
-
-util::Result<Response> WorkerPool::ReadReply(size_t worker, uint64_t id) {
-  std::string reply;
-  bool clean_eof = false;
-  BAGCQ_RETURN_NOT_OK(ReadFrame(workers_[worker].fd, &reply, &clean_eof,
-                                kMaxLinkFrameBytes));
-  if (clean_eof) return util::Status::Internal("worker closed the link");
-  if (reply.size() < kIdBytes || ParseId(reply.data()) != id) {
-    return util::Status::Internal("worker reply correlation mismatch");
-  }
-  return DecodeResponse(std::string_view(reply).substr(kIdBytes));
-}
-
-Response WorkerPool::DispatchBatch(const DecideBatchRequest& request) {
-  // Shard pairs to their sticky workers, keeping input positions so the
-  // merged response is ordered exactly like a sequential DecideBatch.
-  std::vector<std::vector<size_t>> positions(workers_.size());
-  std::vector<DecideBatchRequest> shards(workers_.size());
-  for (size_t i = 0; i < request.pairs.size(); ++i) {
-    const size_t w = ShardFor(request.pairs[i], /*bag_bag=*/false);
-    positions[w].push_back(i);
-    shards[w].pairs.push_back(request.pairs[i]);
-  }
-  // Write every sub-batch before reading any reply: the workers compute
-  // their shards concurrently, which is the whole point of the pool.
-  std::vector<util::Status> sent(workers_.size(), util::Status::OK());
-  std::vector<uint64_t> ids(workers_.size(), 0);
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    if (positions[w].empty()) continue;
-    ids[w] = next_exchange_id_++;
-    sent[w] = WriteFrame(workers_[w].fd,
-                         WithId(ids[w], EncodeRequest(shards[w])),
-                         kMaxLinkFrameBytes);
-  }
-  BatchResponse merged;
-  merged.results.resize(request.pairs.size());
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    if (positions[w].empty()) continue;
-    util::Result<Response> reply =
-        sent[w].ok() ? ReadReply(w, ids[w]) : util::Result<Response>(sent[w]);
-    // A failed shard fails only its own slots (the worker is respawned and
-    // the slots marked Unavailable); the rest of the batch still answers —
-    // mirroring the per-pair error contract of DecideBatch.
-    util::Status shard_error =
-        reply.ok() ? util::Status::OK() : LostWorker(w, reply.status());
-    Response response = reply.ok() ? std::move(reply).ValueOrDie()
-                                   : Response{ErrorResponse{}};
-    BatchResponse* shard_reply = std::get_if<BatchResponse>(&response);
-    if (shard_error.ok() && (shard_reply == nullptr ||
-                             shard_reply->results.size() !=
-                                 positions[w].size())) {
-      shard_error =
-          util::Status::Internal("worker returned a malformed batch reply");
+std::vector<Backend::Completion> WorkerPool::TakeCompletions() {
+  std::vector<Completion> done;
+  if (workers_.empty()) return done;
+  std::vector<epoll_event> events(workers_.size());
+  int n = 0;
+  do {
+    n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
+                     0);
+  } while (n < 0 && errno == EINTR);
+  // One registration per link, so each worker appears at most once here
+  // and a respawn below cannot leave a stale event behind it.
+  for (int i = 0; i < n; ++i) {
+    const size_t w = static_cast<size_t>(events[i].data.u64);
+    const uint32_t ready = events[i].events;
+    bool alive = true;
+    if (ready & EPOLLOUT) alive = Flush(w);
+    if (ready & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
+      alive = ReadReplies(w, &done) && alive;
     }
-    for (size_t i = 0; i < positions[w].size(); ++i) {
-      merged.results[positions[w][i]] =
-          shard_error.ok()
-              ? std::move(shard_reply->results[i])
-              : DecisionResponse{shard_error, std::nullopt};
-    }
+    if (!alive) LoseWorker(w, &done);
   }
-  return merged;
+  return done;
 }
 
-Response WorkerPool::DispatchToAll(const Request& request) {
-  const bool is_stats = std::holds_alternative<StatsRequest>(request);
-  StatsResponse stats_total;
-  stats_total.workers = 0;
-  util::Status first_error = util::Status::OK();
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    util::Result<Response> reply = RoundTrip(w, request);
-    if (!reply.ok()) {
-      const util::Status lost = LostWorker(w, reply.status());
-      if (first_error.ok()) first_error = lost;
-      continue;
-    }
-    if (is_stats) {
-      const StatsResponse* one = std::get_if<StatsResponse>(&*reply);
-      if (one == nullptr) continue;
-      stats_total.stats += one->stats;
-      stats_total.workers += one->workers;
-    }
-  }
-  if (!first_error.ok()) return ErrorResponse{first_error};
-  if (is_stats) {
-    stats_total.respawns = respawns_;
-    return stats_total;
-  }
-  return AckResponse{util::Status::OK()};
-}
-
-Response WorkerPool::Dispatch(const Request& request) {
-  if (workers_.empty()) {
-    return ErrorResponse{util::Status::Internal("worker pool not started")};
-  }
-  return std::visit(
-      [this, &request](const auto& r) -> Response {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, DecideRequest>) {
-          const size_t w = ShardFor(r.pair, false);
-          auto reply = RoundTrip(w, request);
-          return reply.ok() ? *std::move(reply)
-                            : Response{ErrorResponse{
-                                  LostWorker(w, reply.status())}};
-        } else if constexpr (std::is_same_v<T, DecideBagBagRequest>) {
-          const size_t w = ShardFor(r.pair, true);
-          auto reply = RoundTrip(w, request);
-          return reply.ok() ? *std::move(reply)
-                            : Response{ErrorResponse{
-                                  LostWorker(w, reply.status())}};
-        } else if constexpr (std::is_same_v<T, DecideBatchRequest>) {
-          return DispatchBatch(r);
-        } else if constexpr (std::is_same_v<T, DecideBatchStreamRequest>) {
-          // One stream chunk shards exactly like a batch; only the reply
-          // shape differs (the stream markers are echoed for the client).
-          Response merged = DispatchBatch(DecideBatchRequest{r.pairs});
-          BatchChunkResponse chunk;
-          chunk.first_index = r.first_index;
-          chunk.final_chunk = r.final_chunk;
-          chunk.results = std::move(std::get<BatchResponse>(merged).results);
-          return chunk;
-        } else if constexpr (std::is_same_v<T, StatsRequest> ||
-                             std::is_same_v<T, ClearCacheRequest>) {
-          return DispatchToAll(request);
-        } else {
-          // Proofs and analyses have no pair key; any stable spread works —
-          // hash the canonical request bytes.
-          const size_t w =
-              wire::Fingerprint(EncodeRequest(request)) % workers_.size();
-          auto reply = RoundTrip(w, request);
-          return reply.ok() ? *std::move(reply)
-                            : Response{ErrorResponse{
-                                  LostWorker(w, reply.status())}};
-        }
-      },
-      request);
-}
-
-std::string WorkerPool::DispatchBytes(std::string_view request_bytes) {
-  auto request = DecodeRequest(request_bytes);
-  if (!request.ok()) {
-    return EncodeResponse(ErrorResponse{request.status()});
-  }
-  return EncodeResponse(Dispatch(*request));
+void WorkerPool::AddBackendCounters(StatsResponse* stats) const {
+  stats->respawns = respawns_;
+  stats->queue_depth_hwm = in_flight_hwm_;
 }
 
 // =============================================================== Server
 
 namespace {
-
-/// A write buffer that drains from the front without quadratic erases: the
-/// consumed prefix is tracked by offset and compacted only when it
-/// dominates the buffer.
-struct OutBuf {
-  std::string data;
-  size_t off = 0;
-
-  bool empty() const { return off >= data.size(); }
-  size_t pending() const { return data.size() - off; }
-  void Clear() {
-    data.clear();
-    off = 0;
-  }
-  void Append(std::string_view bytes) {
-    if (empty()) Clear();
-    if (off > (size_t{1} << 20) && off * 2 > data.size()) {
-      data.erase(0, off);
-      off = 0;
-    }
-    data.append(bytes);
-  }
-  void AppendFrame(std::string_view payload) {
-    char header[4];
-    PutFrameHeader(static_cast<uint32_t>(payload.size()), header);
-    Append(std::string_view(header, sizeof(header)));
-    Append(payload);
-  }
-};
-
-/// Drains as much of an OutBuf as the socket accepts right now. OK means
-/// "keep the fd"; an error means the peer is gone. `bytes_counter` (when
-/// non-null) accumulates what actually left — the stats bytes_out feed.
-util::Status FlushTo(int fd, OutBuf* out, int64_t* bytes_counter = nullptr) {
-  while (!out->empty()) {
-    const ssize_t n = ::send(fd, out->data.data() + out->off, out->pending(),
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return util::Status::OK();
-      return SysError("send");
-    }
-    out->off += static_cast<size_t>(n);
-    if (bytes_counter != nullptr) *bytes_counter += n;
-  }
-  out->Clear();
-  return util::Status::OK();
-}
 
 /// A connection whose unread replies exceed this stops being read from
 /// (requests already accepted still complete): a client that never drains
@@ -469,39 +391,32 @@ constexpr uint64_t kMaxPipelinedRequests = 256;
 /// — drop the connection rather than buffer toward OOM.
 constexpr size_t kConnHardCap = 4 * kConnBacklogCap;
 
-/// SIGCHLD handler target: the Serve loop's wake pipe. Async-signal-safe —
-/// the handler only write()s one byte; reaping happens on the loop thread.
-std::atomic<int> g_sigchld_wake_fd{-1};
-
-void OnSigchld(int) {
-  const int saved_errno = errno;
-  const int fd = g_sigchld_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 'c';
-    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
-  }
-  errno = saved_errno;
-}
-
 /// The poll-based event loop behind Server::Serve — all state lives for one
-/// Serve call. Exactly one of `pool` (fork mode) and `tpool` (thread mode)
-/// is non-null; the two backends differ only in how an exchange is
-/// forwarded (link frame vs queue submit) and how replies come back
-/// (worker fds vs the pool's completion pipe).
+/// Serve call. The CallTable does the routing; the loop owns sockets,
+/// per-connection reply order, and the front-level Stats counters.
 class EventLoop {
  public:
-  EventLoop(WorkerPool* pool, ThreadedEnginePool* tpool,
-            const std::vector<int>& listeners, std::atomic<bool>* shutdown,
-            std::atomic<bool>* draining, int wake_read_fd)
-      : pool_(pool),
-        tpool_(tpool),
+  EventLoop(Backend* backend, const std::vector<int>& listeners,
+            std::atomic<bool>* shutdown, std::atomic<bool>* draining,
+            int wake_read_fd)
+      : backend_(backend),
         listeners_(listeners),
         shutdown_(shutdown),
         draining_(draining),
         wake_read_fd_(wake_read_fd),
-        chans_(pool != nullptr ? pool->num_workers() : 0),
-        worker_outstanding_(NumWorkers(), 0),
-        worker_hwm_(NumWorkers(), 0) {}
+        calls_(
+            backend,
+            [this](uint64_t conn_id, uint64_t seq, std::string reply) {
+              Deliver(conn_id, seq, std::move(reply));
+            },
+            [this](StatsResponse* stats) {
+              stats->connections = static_cast<int64_t>(conns_.size());
+              stats->bytes_in = bytes_in_;
+              stats->bytes_out = bytes_out_;
+            }) {}
+  // calls_ holds callbacks bound to this object.
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
   util::Status Run();
 
@@ -514,91 +429,30 @@ class EventLoop {
     uint64_t next_flush = 0;  // seq whose reply goes out next
     std::map<uint64_t, std::string> ready;  // replies waiting on order
   };
-  struct WorkerChan {
-    std::string in;
-    OutBuf out;
-  };
-  enum class CallKind { kSingle, kBatch, kFanout, kStreamChunk };
-  /// One in-flight client request; completes when every worker exchange it
-  /// fanned out to has answered (or failed).
-  struct Call {
-    uint64_t conn_id = 0;
-    uint64_t seq = 0;
-    CallKind kind = CallKind::kSingle;
-    int outstanding = 0;
-    std::string direct;     // kSingle: the worker's reply bytes, verbatim
-    BatchResponse merged;   // kBatch/kStreamChunk: slots filled per shard
-    StatsResponse folded;   // kFanout stats aggregation
-    bool is_stats = false;  // kFanout: Stats vs ClearCache
-    util::Status error;     // kFanout: first worker failure
-    uint64_t chunk_first = 0;   // kStreamChunk: echoed stream position
-    bool chunk_final = false;   // kStreamChunk: echoed final marker
-  };
-  struct Exchange {
-    uint64_t call_id = 0;
-    size_t worker = 0;
-    std::vector<size_t> positions;  // kBatch: input slots of this shard
-  };
-
-  size_t NumWorkers() const {
-    return static_cast<size_t>(pool_ != nullptr ? pool_->num_workers()
-                                                : tpool_->num_workers());
-  }
-  size_t ShardForPair(const api::QueryPair& pair, bool bag_bag) const {
-    return pool_ != nullptr ? pool_->ShardFor(pair, bag_bag)
-                            : tpool_->ShardFor(pair, bag_bag);
-  }
 
   void AcceptAll(int listener);
   void ReadConn(uint64_t conn_id);
   void ParseConnFrames(uint64_t conn_id);
-  void HandleRequestFrame(uint64_t conn_id, std::string_view payload);
   void CloseConn(uint64_t conn_id);
   void Deliver(uint64_t conn_id, uint64_t seq, std::string reply_bytes);
-
-  uint64_t NewCall(Call call);
-  void NewExchange(uint64_t call_id, size_t worker,
-                   std::vector<size_t> positions, std::string_view payload,
-                   bool pinned = false);
-  void FailExchange(uint64_t exchange_id, const util::Status& status);
-  void HandleWorkerReply(uint64_t id, std::string_view bytes);
-  void FinishCall(uint64_t call_id);
-  void ForgetExchange(size_t worker);
-
-  void ReadWorker(size_t w);
-  /// Returns false if a malformed frame made it declare the worker dead.
-  bool ParseWorkerFrames(size_t w);
-  void WorkerDied(size_t w);
-  void ReapWorkers();
-  void DrainCompletions();
   /// True once a requested drain has nothing left to wait for.
   bool DrainComplete() const;
 
-  WorkerPool* pool_;
-  ThreadedEnginePool* tpool_;
+  Backend* backend_;
   const std::vector<int>& listeners_;
   std::atomic<bool>* shutdown_;
   std::atomic<bool>* draining_;
   int wake_read_fd_;
 
-  std::vector<WorkerChan> chans_;
   std::map<uint64_t, Conn> conns_;
-  std::map<uint64_t, Call> calls_;
-  std::map<uint64_t, Exchange> exchanges_;
   uint64_t next_conn_id_ = 1;
-  uint64_t next_call_id_ = 1;
-  uint64_t next_exchange_id_ = 1;
   /// Set when accept() failed for lack of fds: the listeners sit out one
   /// 50 ms poll round instead of spinning on a backlog we cannot drain.
   bool accept_throttled_ = false;
-
-  // Front-level stats (StatsResponse wire-v4 fields). Fork mode tracks the
-  // per-worker exchange high water here; thread mode reads the pool's own
-  // queue stats instead.
+  // Front-level Stats counters (wire v4).
   int64_t bytes_in_ = 0;
   int64_t bytes_out_ = 0;
-  std::vector<int64_t> worker_outstanding_;
-  std::vector<int64_t> worker_hwm_;
+  CallTable calls_;
 };
 
 void EventLoop::AcceptAll(int listener) {
@@ -679,144 +533,14 @@ void EventLoop::ParseConnFrames(uint64_t conn_id) {
     // A view suffices: nothing mutates conn.in until the erase below.
     const std::string_view payload(conn.in.data() + pos + 4, length);
     pos += size_t{4} + length;
-    HandleRequestFrame(conn_id, payload);
+    // Streaming backpressure is the connection's ordinary gates: a client
+    // pipelining chunks faster than the workers answer stops being read at
+    // kMaxPipelinedRequests, and one not draining its replies stops at
+    // kConnBacklogCap — identical on fork and thread backends.
+    calls_.Start(conn_id, conn.next_seq++, payload);
   }
   auto it = conns_.find(conn_id);
   if (it != conns_.end() && pos > 0) it->second.in.erase(0, pos);
-}
-
-uint64_t EventLoop::NewCall(Call call) {
-  const uint64_t id = next_call_id_++;
-  calls_.emplace(id, std::move(call));
-  return id;
-}
-
-void EventLoop::NewExchange(uint64_t call_id, size_t worker,
-                            std::vector<size_t> positions,
-                            std::string_view payload, bool pinned) {
-  // Thread mode draws ids from the pool's process-wide counter: work queued
-  // under a previous front could still complete into this loop's stream, and
-  // a restarted local counter would collide with it.
-  const uint64_t id =
-      tpool_ != nullptr ? tpool_->NextId() : next_exchange_id_++;
-  exchanges_.emplace(id, Exchange{call_id, worker, std::move(positions)});
-  if (++worker_outstanding_[worker] > worker_hwm_[worker]) {
-    worker_hwm_[worker] = worker_outstanding_[worker];
-  }
-  if (tpool_ != nullptr) {
-    const util::Status submitted =
-        tpool_->Submit(worker, id, std::string(payload), pinned);
-    // A full queue fails this exchange soft (kUnavailable in its slot) —
-    // the thread-mode analogue of a lost fork worker, except nothing needs
-    // respawning and the very next submit may succeed.
-    if (!submitted.ok()) FailExchange(id, submitted);
-    return;
-  }
-  if (pool_->worker_fd(worker) < 0) {
-    // A worker whose respawn failed earlier (transient fork failure):
-    // retry now, so one bad fork cannot black the shard out permanently —
-    // the synchronous Dispatch path self-heals the same way.
-    if (pool_->Respawn(worker).ok()) {
-      (void)SetNonBlocking(pool_->worker_fd(worker));
-    } else {
-      FailExchange(id, util::Status::Unavailable(
-                           "worker " + std::to_string(worker) +
-                           " is down and could not be respawned"));
-      return;
-    }
-  }
-  chans_[worker].out.AppendFrame(WithId(id, payload));
-}
-
-void EventLoop::HandleRequestFrame(uint64_t conn_id,
-                                   std::string_view payload) {
-  Conn& conn = conns_.at(conn_id);
-  const uint64_t seq = conn.next_seq++;
-  auto request = DecodeRequest(payload);
-  if (!request.ok()) {
-    Deliver(conn_id, seq, EncodeResponse(ErrorResponse{request.status()}));
-    return;
-  }
-  std::visit(
-      [&](const auto& r) {
-        using T = std::decay_t<decltype(r)>;
-        Call call;
-        call.conn_id = conn_id;
-        call.seq = seq;
-        if constexpr (std::is_same_v<T, DecideRequest> ||
-                      std::is_same_v<T, DecideBagBagRequest>) {
-          call.kind = CallKind::kSingle;
-          call.outstanding = 1;
-          const size_t w =
-              ShardForPair(r.pair, std::is_same_v<T, DecideBagBagRequest>);
-          NewExchange(NewCall(std::move(call)), w, {}, payload);
-        } else if constexpr (std::is_same_v<T, DecideBatchRequest> ||
-                             std::is_same_v<T, DecideBatchStreamRequest>) {
-          // A stream chunk is a batch with an echoed position: it shards
-          // across the same workers (which only ever see plain sub-batches)
-          // and differs solely in the reply envelope. Streaming backpressure
-          // is the connection's ordinary gates — a client pipelining chunks
-          // faster than the workers answer stops being read at
-          // kMaxPipelinedRequests, and one not draining its replies stops
-          // at kConnBacklogCap — identical on fork and thread backends.
-          constexpr bool is_stream =
-              std::is_same_v<T, DecideBatchStreamRequest>;
-          const size_t workers = NumWorkers();
-          std::vector<std::vector<size_t>> positions(workers);
-          std::vector<DecideBatchRequest> shards(workers);
-          for (size_t i = 0; i < r.pairs.size(); ++i) {
-            const size_t w = ShardForPair(r.pairs[i], /*bag_bag=*/false);
-            positions[w].push_back(i);
-            shards[w].pairs.push_back(r.pairs[i]);
-          }
-          call.kind = is_stream ? CallKind::kStreamChunk : CallKind::kBatch;
-          if constexpr (is_stream) {
-            call.chunk_first = r.first_index;
-            call.chunk_final = r.final_chunk;
-          }
-          call.merged.results.resize(r.pairs.size());
-          for (size_t w = 0; w < workers; ++w) {
-            if (!positions[w].empty()) ++call.outstanding;
-          }
-          if (call.outstanding == 0) {  // empty batch: nothing to fan out
-            if constexpr (is_stream) {
-              Deliver(conn_id, seq,
-                      EncodeResponse(BatchChunkResponse{
-                          r.first_index, r.final_chunk, {}}));
-            } else {
-              Deliver(conn_id, seq, EncodeResponse(call.merged));
-            }
-            return;
-          }
-          const uint64_t call_id = NewCall(std::move(call));
-          for (size_t w = 0; w < workers; ++w) {
-            if (positions[w].empty()) continue;
-            NewExchange(call_id, w, std::move(positions[w]),
-                        EncodeRequest(shards[w]));
-          }
-        } else if constexpr (std::is_same_v<T, StatsRequest> ||
-                             std::is_same_v<T, ClearCacheRequest>) {
-          call.kind = CallKind::kFanout;
-          call.is_stats = std::is_same_v<T, StatsRequest>;
-          call.outstanding = static_cast<int>(NumWorkers());
-          call.folded.workers = 0;
-          const uint64_t call_id = NewCall(std::move(call));
-          // Pinned: in thread mode, control fanout is exempt from the
-          // queue cap and from stealing — it must run on every engine.
-          for (size_t w = 0; w < NumWorkers(); ++w) {
-            NewExchange(call_id, w, {}, payload, /*pinned=*/true);
-          }
-        } else {
-          // Proofs and analyses have no pair key; hash the canonical request
-          // bytes (the decoder is strict, so an accepted payload re-encodes
-          // byte-identically — same spread as the sync path).
-          call.kind = CallKind::kSingle;
-          call.outstanding = 1;
-          const size_t w = wire::Fingerprint(payload) % NumWorkers();
-          NewExchange(NewCall(std::move(call)), w, {}, payload);
-        }
-      },
-      *request);
 }
 
 void EventLoop::Deliver(uint64_t conn_id, uint64_t seq,
@@ -840,223 +564,11 @@ void EventLoop::Deliver(uint64_t conn_id, uint64_t seq,
   if (conn.out.pending() > kConnHardCap) CloseConn(conn_id);
 }
 
-void EventLoop::ForgetExchange(size_t worker) {
-  --worker_outstanding_[worker];
-}
-
-void EventLoop::FailExchange(uint64_t exchange_id, const util::Status& status) {
-  auto it = exchanges_.find(exchange_id);
-  if (it == exchanges_.end()) return;
-  const Exchange exchange = std::move(it->second);
-  exchanges_.erase(it);
-  ForgetExchange(exchange.worker);
-  Call& call = calls_.at(exchange.call_id);
-  switch (call.kind) {
-    case CallKind::kSingle:
-      call.direct = EncodeResponse(ErrorResponse{status});
-      break;
-    case CallKind::kBatch:
-    case CallKind::kStreamChunk:
-      // A lost shard fails only its own slots — for a stream this means
-      // kUnavailable lands exactly in the chunk that was in flight; chunks
-      // already answered and chunks not yet sent are untouched.
-      for (size_t pos : exchange.positions) {
-        call.merged.results[pos] = DecisionResponse{status, std::nullopt};
-      }
-      break;
-    case CallKind::kFanout:
-      if (call.error.ok()) call.error = status;
-      break;
-  }
-  if (--call.outstanding == 0) FinishCall(exchange.call_id);
-}
-
-void EventLoop::HandleWorkerReply(uint64_t id, std::string_view bytes) {
-  auto it = exchanges_.find(id);
-  if (it == exchanges_.end()) return;  // stale id (never happens on a fresh link)
-  const Exchange exchange = std::move(it->second);
-  exchanges_.erase(it);
-  ForgetExchange(exchange.worker);
-  Call& call = calls_.at(exchange.call_id);
-  switch (call.kind) {
-    case CallKind::kSingle:
-      // The worker's envelope is the client's reply — forward the bytes.
-      call.direct.assign(bytes);
-      break;
-    case CallKind::kBatch:
-    case CallKind::kStreamChunk: {
-      auto reply = DecodeResponse(bytes);
-      Response response =
-          reply.ok() ? std::move(reply).ValueOrDie() : Response{ErrorResponse{}};
-      BatchResponse* shard =
-          reply.ok() ? std::get_if<BatchResponse>(&response) : nullptr;
-      if (shard == nullptr ||
-          shard->results.size() != exchange.positions.size()) {
-        const util::Status malformed =
-            util::Status::Internal("worker returned a malformed batch reply");
-        for (size_t pos : exchange.positions) {
-          call.merged.results[pos] = DecisionResponse{malformed, std::nullopt};
-        }
-        break;
-      }
-      for (size_t i = 0; i < exchange.positions.size(); ++i) {
-        call.merged.results[exchange.positions[i]] =
-            std::move(shard->results[i]);
-      }
-      break;
-    }
-    case CallKind::kFanout: {
-      auto reply = DecodeResponse(bytes);
-      if (!reply.ok()) {
-        if (call.error.ok()) call.error = reply.status();
-        break;
-      }
-      if (const auto* error = std::get_if<ErrorResponse>(&*reply)) {
-        if (call.error.ok()) call.error = error->status;
-      } else if (const auto* stats = std::get_if<StatsResponse>(&*reply);
-                 stats != nullptr && call.is_stats) {
-        call.folded.stats += stats->stats;
-        call.folded.workers += stats->workers;
-      }
-      break;
-    }
-  }
-  if (--call.outstanding == 0) FinishCall(exchange.call_id);
-}
-
-void EventLoop::FinishCall(uint64_t call_id) {
-  auto it = calls_.find(call_id);
-  Call call = std::move(it->second);
-  calls_.erase(it);
-  std::string bytes;
-  switch (call.kind) {
-    case CallKind::kSingle:
-      bytes = std::move(call.direct);
-      break;
-    case CallKind::kBatch:
-      bytes = EncodeResponse(call.merged);
-      break;
-    case CallKind::kStreamChunk:
-      bytes = EncodeResponse(BatchChunkResponse{
-          call.chunk_first, call.chunk_final,
-          std::move(call.merged.results)});
-      break;
-    case CallKind::kFanout:
-      if (!call.error.ok()) {
-        bytes = EncodeResponse(ErrorResponse{call.error});
-      } else if (call.is_stats) {
-        // Overlay the front-level view on the folded engine counters: the
-        // workers cannot see connections, queues, or the wire.
-        call.folded.respawns = pool_ != nullptr ? pool_->respawns() : 0;
-        call.folded.connections = static_cast<int64_t>(conns_.size());
-        call.folded.in_flight = static_cast<int64_t>(calls_.size());
-        call.folded.bytes_in = bytes_in_;
-        call.folded.bytes_out = bytes_out_;
-        if (tpool_ != nullptr) {
-          const ThreadedEnginePool::QueueStats queues = tpool_->queue_stats();
-          call.folded.steals = queues.steals;
-          call.folded.queue_depth_hwm = queues.depth_hwm;
-        } else {
-          call.folded.steals = 0;  // processes cannot steal
-          call.folded.queue_depth_hwm = worker_hwm_;
-        }
-        bytes = EncodeResponse(call.folded);
-      } else {
-        bytes = EncodeResponse(AckResponse{util::Status::OK()});
-      }
-      break;
-  }
-  Deliver(call.conn_id, call.seq, std::move(bytes));
-}
-
-void EventLoop::ReadWorker(size_t w) {
-  const int fd = pool_->worker_fd(w);
-  if (fd < 0) return;
-  WorkerChan& chan = chans_[w];
-  char buf[64 * 1024];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      // Salvage the replies a crashing worker already delivered, then
-      // respawn (unless parsing already did).
-      if (ParseWorkerFrames(w)) WorkerDied(w);
-      return;
-    }
-    if (n == 0) {
-      if (ParseWorkerFrames(w)) WorkerDied(w);
-      return;
-    }
-    chan.in.append(buf, static_cast<size_t>(n));
-    if (static_cast<size_t>(n) < sizeof(buf)) break;
-  }
-  ParseWorkerFrames(w);
-}
-
-bool EventLoop::ParseWorkerFrames(size_t w) {
-  WorkerChan& chan = chans_[w];
-  size_t pos = 0;
-  while (chan.in.size() - pos >= 4) {
-    const uint32_t length = ParseFrameHeader(chan.in.data() + pos);
-    if (length > kMaxLinkFrameBytes || length < kIdBytes) {
-      WorkerDied(w);  // a worker that breaks framing is as good as dead —
-      return false;   // and WorkerDied reset chan.in, so no erase below
-    }
-    if (chan.in.size() - pos < size_t{4} + length) break;
-    // A view suffices: reply handling never touches this worker's buffers.
-    const std::string_view frame(chan.in.data() + pos + 4, length);
-    pos += size_t{4} + length;
-    HandleWorkerReply(ParseId(frame.data()), frame.substr(kIdBytes));
-  }
-  if (pos > 0) chan.in.erase(0, pos);
-  return true;
-}
-
-void EventLoop::WorkerDied(size_t w) {
-  // Every exchange in flight on the dead link fails soft: the client gets
-  // Unavailable in that slot, the connection lives on.
-  std::vector<uint64_t> lost;
-  for (const auto& [id, exchange] : exchanges_) {
-    if (exchange.worker == w) lost.push_back(id);
-  }
-  const util::Status status = util::Status::Unavailable(
-      "worker " + std::to_string(w) +
-      " died mid-request; respawned with a fresh Engine — retry");
-  for (uint64_t id : lost) FailExchange(id, status);
-  chans_[w] = WorkerChan{};  // half-written frames died with the link
-  if (pool_->Respawn(w).ok()) {
-    (void)SetNonBlocking(pool_->worker_fd(w));
-  }
-}
-
-void EventLoop::ReapWorkers() {
-  // Per-pid, never waitpid(-1): an embedding process may have children of
-  // its own whose exit statuses are not ours to consume. A pid that link-EOF
-  // detection already respawned no longer appears in the pool and is left
-  // alone.
-  for (size_t w = 0; w < chans_.size(); ++w) {
-    const pid_t pid = pool_->worker_pid(w);
-    if (pid > 0 && ::waitpid(pid, nullptr, WNOHANG) == pid) WorkerDied(w);
-  }
-}
-
-void EventLoop::DrainCompletions() {
-  // Thread mode's reply path: drain the wake pipe, then consume every
-  // posted completion. A spurious wake takes nothing and hurts nothing.
-  char drain[256];
-  while (::read(tpool_->completion_fd(), drain, sizeof(drain)) > 0) {
-  }
-  for (ThreadedEnginePool::Completion& done : tpool_->TakeCompletions()) {
-    HandleWorkerReply(done.id, done.payload);
-  }
-}
-
 bool EventLoop::DrainComplete() const {
   // Drained means: every accepted request answered AND every reply byte
   // handed to the kernel. Partial request frames still sitting in conn.in
   // were never accepted, so they owe nothing.
-  if (!calls_.empty()) return false;
+  if (calls_.in_flight() != 0) return false;
   for (const auto& [id, conn] : conns_) {
     if (!conn.out.empty()) return false;
   }
@@ -1064,26 +576,11 @@ bool EventLoop::DrainComplete() const {
 }
 
 util::Status EventLoop::Run() {
-  for (size_t w = 0; w < chans_.size(); ++w) {
-    BAGCQ_RETURN_NOT_OK(SetNonBlocking(pool_->worker_fd(w)));
-  }
   for (int listener : listeners_) {
     BAGCQ_RETURN_NOT_OK(SetNonBlocking(listener));
   }
 
-  // SIGCHLD → wake pipe → ReapWorkers on the loop thread. Fork mode only
-  // (thread mode has no children); restored on exit so embedding processes
-  // (tests) keep their own child handling.
-  struct sigaction old_action {};
-  if (pool_ != nullptr) {
-    struct sigaction action {};
-    action.sa_handler = OnSigchld;
-    sigemptyset(&action.sa_mask);
-    action.sa_flags = SA_RESTART | SA_NOCLDSTOP;
-    ::sigaction(SIGCHLD, &action, &old_action);
-  }
-
-  // Layout of the poll set: [wake][listeners][workers|completions][conns].
+  // Layout of the poll set: [wake][listeners][backend][conns].
   std::vector<pollfd> fds;
   std::vector<uint64_t> conn_ids;
   while (!shutdown_->load(std::memory_order_acquire)) {
@@ -1102,14 +599,7 @@ util::Status EventLoop::Run() {
     for (size_t l = 0; l < polled_listeners; ++l) {
       fds.push_back({listeners_[l], POLLIN, 0});
     }
-    for (size_t w = 0; w < chans_.size(); ++w) {
-      short events = POLLIN;
-      if (!chans_[w].out.empty()) events |= POLLOUT;
-      fds.push_back({pool_->worker_fd(w), events, 0});
-    }
-    if (tpool_ != nullptr) {
-      fds.push_back({tpool_->completion_fd(), POLLIN, 0});
-    }
+    fds.push_back({backend_->completion_fd(), POLLIN, 0});
     for (const auto& [id, conn] : conns_) {
       short events = 0;
       // Backpressure, both directions: stop reading from a client that is
@@ -1128,16 +618,14 @@ util::Status EventLoop::Run() {
     const int rc = ::poll(fds.data(), fds.size(), throttled ? 50 : -1);
     if (rc < 0) {
       if (errno == EINTR) continue;
-      if (pool_ != nullptr) ::sigaction(SIGCHLD, &old_action, nullptr);
       return SysError("poll");
     }
 
     size_t slot = 0;
-    if (fds[slot].revents & POLLIN) {  // wake pipe: Shutdown/Drain/SIGCHLD
+    if (fds[slot].revents & POLLIN) {  // wake pipe: Shutdown/Drain
       char drain[256];
       while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
       }
-      if (pool_ != nullptr) ReapWorkers();
     }
     ++slot;
     if (throttled && !draining) {
@@ -1147,21 +635,12 @@ util::Status EventLoop::Run() {
     for (size_t l = 0; l < polled_listeners; ++l, ++slot) {
       if (fds[slot].revents & POLLIN) AcceptAll(listeners_[l]);
     }
-    for (size_t w = 0; w < chans_.size(); ++w, ++slot) {
-      const short revents = fds[slot].revents;
-      if (revents == 0 || pool_->worker_fd(w) != fds[slot].fd) continue;
-      if (revents & POLLOUT) {
-        if (!FlushTo(pool_->worker_fd(w), &chans_[w].out).ok()) {
-          WorkerDied(w);
-          continue;
-        }
+    if (fds[slot].revents & POLLIN) {
+      for (Backend::Completion& done : backend_->TakeCompletions()) {
+        calls_.Complete(std::move(done));
       }
-      if (revents & (POLLIN | POLLHUP | POLLERR)) ReadWorker(w);
     }
-    if (tpool_ != nullptr) {
-      if (fds[slot].revents & POLLIN) DrainCompletions();
-      ++slot;
-    }
+    ++slot;
     for (size_t c = 0; c < conn_ids.size(); ++c, ++slot) {
       const uint64_t conn_id = conn_ids[c];
       const short revents = fds[slot].revents;
@@ -1178,42 +657,14 @@ util::Status EventLoop::Run() {
     }
   }
 
-  if (pool_ != nullptr) ::sigaction(SIGCHLD, &old_action, nullptr);
   // After a drain, every reply was flushed above — closing here gives each
   // client a clean EOF after its last reply, the signal to reconnect
-  // elsewhere during a rolling restart.
+  // elsewhere during a rolling restart. After a Shutdown, exchanges still
+  // in flight complete into the backend and the next front drops them.
   for (auto& [id, conn] : conns_) ::close(conn.fd);
   conns_.clear();
-  if (pool_ != nullptr) {
-    // A link with loop-era state — an unanswered exchange, a half-flushed
-    // request frame, a partially read reply — would poison the pool's
-    // synchronous Dispatch afterwards (its correlation counter restarts, so
-    // a stale reply could match a fresh id). Respawn those workers; clean
-    // links are handed back as-is.
-    std::vector<bool> dirty(chans_.size(), false);
-    for (const auto& [id, exchange] : exchanges_) {
-      dirty[exchange.worker] = true;
-    }
-    for (size_t w = 0; w < chans_.size(); ++w) {
-      if (dirty[w] || !chans_[w].out.empty() || !chans_[w].in.empty()) {
-        (void)pool_->Respawn(w);  // new link is blocking already
-      }
-    }
-    // Hand the clean links back in blocking mode so the pool's synchronous
-    // Dispatch keeps working after a Serve (tests do this).
-    for (size_t w = 0; w < chans_.size(); ++w) {
-      const int fd = pool_->worker_fd(w);
-      if (fd < 0) continue;
-      const int flags = ::fcntl(fd, F_GETFL, 0);
-      if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-    }
-  }
   return util::Status::OK();
 }
-
-}  // namespace
-
-namespace {
 
 void MakeWakePipe(int wake_fds[2]) {
   if (::pipe(wake_fds) == 0) {
@@ -1224,9 +675,7 @@ void MakeWakePipe(int wake_fds[2]) {
 
 }  // namespace
 
-Server::Server(WorkerPool* pool) : pool_(pool) { MakeWakePipe(wake_fds_); }
-
-Server::Server(ThreadedEnginePool* pool) : tpool_(pool) {
+Server::Server(Backend* backend) : backend_(backend) {
   MakeWakePipe(wake_fds_);
 }
 
@@ -1245,22 +694,15 @@ util::Status Server::AddListener(int listener_fd) {
 }
 
 util::Status Server::Serve() {
-  const int workers = pool_ != nullptr      ? pool_->num_workers()
-                      : tpool_ != nullptr ? tpool_->num_workers()
-                                            : 0;
-  if (workers == 0) {
+  if (backend_ == nullptr || backend_->num_workers() == 0) {
     return util::Status::InvalidArgument("server: pool not started");
   }
   if (listeners_.empty()) {
     return util::Status::InvalidArgument("server: no listeners added");
   }
   if (wake_fds_[0] < 0) return SysError("pipe");
-  g_sigchld_wake_fd.store(wake_fds_[1], std::memory_order_relaxed);
-  EventLoop loop(pool_, tpool_, listeners_, &shutdown_, &draining_,
-                 wake_fds_[0]);
-  const util::Status status = loop.Run();
-  g_sigchld_wake_fd.store(-1, std::memory_order_relaxed);
-  return status;
+  EventLoop loop(backend_, listeners_, &shutdown_, &draining_, wake_fds_[0]);
+  return loop.Run();
 }
 
 void Server::Shutdown() {

@@ -151,6 +151,22 @@ util::Status ReadFrame(int fd, std::string* payload, bool* clean_eof,
   return ReadAll(fd, payload->data(), length, nullptr);
 }
 
+util::Status FlushTo(int fd, OutBuf* out, int64_t* bytes_counter) {
+  while (!out->empty()) {
+    const ssize_t n = ::send(fd, out->data.data() + out->off, out->pending(),
+                             MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return util::Status::OK();
+      return IoError("send");
+    }
+    out->off += static_cast<size_t>(n);
+    if (bytes_counter != nullptr) *bytes_counter += n;
+  }
+  out->Clear();
+  return util::Status::OK();
+}
+
 util::Result<int> ListenUnix(const std::string& path) {
   BAGCQ_ASSIGN_OR_RETURN(sockaddr_un addr, UnixAddress(path));
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);

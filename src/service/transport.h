@@ -59,6 +59,43 @@ util::Status WriteFrame(int fd, std::string_view payload,
 util::Status ReadFrame(int fd, std::string* payload, bool* clean_eof,
                        uint32_t max_frame_bytes = kMaxFrameBytes);
 
+// ------------------------------------------------ non-blocking writes
+
+/// The write buffer of one non-blocking fd (a client connection or a fork
+/// worker link). It drains from the front without quadratic erases: the
+/// consumed prefix is tracked by offset and compacted only when it
+/// dominates the buffer.
+struct OutBuf {
+  std::string data;
+  size_t off = 0;
+
+  bool empty() const { return off >= data.size(); }
+  size_t pending() const { return data.size() - off; }
+  void Clear() {
+    data.clear();
+    off = 0;
+  }
+  void Append(std::string_view bytes) {
+    if (empty()) Clear();
+    if (off > (size_t{1} << 20) && off * 2 > data.size()) {
+      data.erase(0, off);
+      off = 0;
+    }
+    data.append(bytes);
+  }
+  void AppendFrame(std::string_view payload) {
+    char header[4];
+    PutFrameHeader(static_cast<uint32_t>(payload.size()), header);
+    Append(std::string_view(header, sizeof(header)));
+    Append(payload);
+  }
+};
+
+/// Sends as much of *out as the non-blocking fd accepts right now. OK means
+/// "keep the fd"; an error means the peer is gone. `bytes_counter` (when
+/// non-null) accumulates what actually left.
+util::Status FlushTo(int fd, OutBuf* out, int64_t* bytes_counter = nullptr);
+
 // ------------------------------------------------------- listen / dial
 
 /// Binds and listens on a Unix domain socket at `path` (replacing any stale

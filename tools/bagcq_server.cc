@@ -1,31 +1,33 @@
-// bagcq_server — the sharded serving front, in either of two engine modes.
+// bagcq_server — the sharded serving front over either of two backends.
 //
-// Fork mode (--workers N, the default) forks N worker processes (one
-// bagcq::Engine each, with decision memoization on); a crashed worker is
-// re-forked with a fresh Engine. Thread mode (--engine-threads N) runs one
-// process with N engine-owning worker threads sharing the read-only
-// elemental constraint skeletons and one proof-store handle; requests have
-// fingerprint AFFINITY to a worker's queue but an idle worker steals from
-// the deepest queue, so skewed traffic still uses the whole pool, and a
-// full queue fails soft with kUnavailable. Both modes speak the same wire
-// surface and produce byte-identical replies (docs/serving.md has the
-// tradeoffs).
+// Fork mode (--workers N, the default) runs a WorkerPool: N worker
+// processes (one bagcq::Engine each, with decision memoization on), each
+// re-forked with a fresh Engine when its link reports it dead. Thread mode
+// (--engine-threads N; the flag's presence picks the mode, and N must be at
+// least 1) runs a ThreadedEnginePool: one process with N engine-owning
+// worker threads sharing the read-only elemental constraint skeletons and
+// one proof-store handle; requests have fingerprint AFFINITY to a worker's
+// queue but an idle worker steals from the deepest queue, and a full queue
+// fails soft with kUnavailable. Both are a service::Backend behind the same
+// Server front, speak the same wire surface and produce byte-identical
+// replies (docs/serving.md has the tradeoffs).
 //
 // The front is a poll-based event loop: many connections are served
 // concurrently, each pipelining requests with per-connection reply
 // ordering. Single decisions route to the worker owning the pair's
 // canonical hash (keeping that worker's memo and warm-start slots hot),
 // batches shard across all workers and come back in input order, Stats
-// aggregates every worker's counters plus the front's serving counters
-// (connections, in-flight, steals, queue high-water, bytes in/out).
+// aggregates every worker's counters plus the backend's and the front's
+// serving counters (respawns, steals, queue high-water, connections,
+// in-flight, bytes in/out).
 //
 // With --store PATH every worker shares one persistent proof-store log
 // (store/proof_store.h): decisions persisted by any previous run — or any
 // previous worker incarnation — are served warm across restarts, verified
 // on load.
 //
-// Signals: SIGTERM drains gracefully (stop accepting, finish every
-// accepted request, flush every reply, exit 0) — the rolling-restart
+// Signals: SIGTERM drains gracefully in both modes (stop accepting, finish
+// every accepted request, flush every reply, exit 0) — the rolling-restart
 // contract. Anything harsher loses only unpersisted cache state.
 //
 //   bagcq_server (--socket PATH | --listen HOST:PORT)...
@@ -60,13 +62,14 @@ int Usage(const char* argv0) {
       "                     (default 2; crash isolation, respawn on death)\n"
       "  --engine-threads N thread mode: one process, N engine threads\n"
       "                     sharing constraint skeletons, with per-worker\n"
-      "                     queues and work stealing; SIGTERM drains\n"
-      "                     gracefully (mutually exclusive with --workers)\n"
+      "                     queues and work stealing (mutually exclusive\n"
+      "                     with --workers)\n"
       "  --threads K        in-process batch threads per worker (default 1)\n"
       "  --no-memoize       disable the per-worker decision memo\n"
       "  --cold             disable LP warm starts (deterministic pivots)\n"
       "  --store PATH       persistent proof-store log shared by all\n"
-      "                     workers (created if absent; survives restarts)\n",
+      "                     workers (created if absent; survives restarts)\n"
+      "SIGTERM drains gracefully in either mode.\n",
       argv0);
   return 2;
 }
@@ -85,7 +88,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> socket_paths;
   std::vector<std::string> tcp_addresses;
   service::ServerOptions options;
-  int engine_threads = 0;  // 0 = fork mode
+  // The flag's presence selects thread mode; its value is validated by
+  // ThreadedEnginePool::Start like --workers is by WorkerPool::Start.
+  bool thread_mode = false;
+  int engine_threads = 0;
   bool explicit_workers = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -97,6 +103,7 @@ int main(int argc, char** argv) {
       options.num_workers = std::atoi(argv[++i]);
       explicit_workers = true;
     } else if (arg == "--engine-threads" && i + 1 < argc) {
+      thread_mode = true;
       engine_threads = std::atoi(argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
       options.engine.set_num_threads(std::atoi(argv[++i]));
@@ -111,37 +118,36 @@ int main(int argc, char** argv) {
     }
   }
   if (socket_paths.empty() && tcp_addresses.empty()) return Usage(argv[0]);
-  if (engine_threads > 0 && explicit_workers) {
+  if (thread_mode && explicit_workers) {
     std::fprintf(stderr,
                  "bagcq_server: --workers and --engine-threads pick "
                  "conflicting modes; use one\n");
     return Usage(argv[0]);
   }
 
-  // Start whichever pool the mode calls for; the Server front is the same.
+  // Start whichever backend the mode calls for; the Server front is the
+  // same.
   service::WorkerPool fork_pool;
   service::ThreadedEnginePool thread_pool;
+  service::Backend* backend = &fork_pool;
   util::Status status;
-  int workers = 0;
-  if (engine_threads > 0) {
+  if (thread_mode) {
     service::ThreadedPoolOptions thread_options;
     thread_options.num_threads = engine_threads;
     thread_options.engine = options.engine;
     thread_options.store_path = options.store_path;
     status = thread_pool.Start(thread_options);
-    workers = thread_pool.num_workers();
+    backend = &thread_pool;
   } else {
     status = fork_pool.Start(options);
-    workers = fork_pool.num_workers();
   }
   if (!status.ok()) {
     std::fprintf(stderr, "bagcq_server: %s\n", status.ToString().c_str());
     return 1;
   }
+  const int workers = backend->num_workers();
 
-  std::unique_ptr<service::Server> server =
-      engine_threads > 0 ? std::make_unique<service::Server>(&thread_pool)
-                         : std::make_unique<service::Server>(&fork_pool);
+  auto server = std::make_unique<service::Server>(backend);
   // Armed before the first listening line: a client may SIGTERM as soon as
   // it reads one, and a drain requested before Serve() starts still exits 0.
   // After the pool starts, so fork-mode workers keep the default action.
@@ -152,7 +158,7 @@ int main(int argc, char** argv) {
     if (listener.ok()) {
       auto address = service::ListenerAddress(*listener);
       std::printf("bagcq_server: %d %s listening on %s %s\n", workers,
-                  engine_threads > 0 ? "engine threads" : "workers", kind,
+                  thread_mode ? "engine threads" : "workers", kind,
                   address.ok() ? address->c_str() : "?");
       return server->AddListener(*listener).ok();
     }
@@ -173,7 +179,7 @@ int main(int argc, char** argv) {
   // Disarmed on every path before `server` is destroyed.
   std::signal(SIGTERM, SIG_DFL);
   g_server = nullptr;
-  if (engine_threads > 0) thread_pool.Stop();  // joins drained workers
+  if (thread_mode) thread_pool.Stop();  // joins drained workers
   if (!listening) return 1;
   std::fprintf(stderr, "bagcq_server: %s\n", status.ToString().c_str());
   return status.ok() ? 0 : 1;
