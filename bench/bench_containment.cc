@@ -125,25 +125,6 @@ void BM_RepeatDecisionFreshEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_RepeatDecisionFreshEngine);
 
-// DecideBatch over a mixed workload at one fixed n.
-void BM_DecideBatch(benchmark::State& state) {
-  Engine engine;
-  std::vector<QueryPair> pairs;
-  pairs.push_back(engine
-                      .ParsePair("R(x1,x2), R(x2,x3), R(x3,x1)",
-                                 "R(y1,y2), R(y1,y3)")
-                      .ValueOrDie());
-  pairs.push_back(engine
-                      .ParsePair("R(x,y), R(y,z)", "R(a,b), R(b,c)")
-                      .ValueOrDie());
-  pairs.push_back(engine.ParsePair("R(x,y), R(y,x)", "R(a,b)").ValueOrDie());
-  for (auto _ : state) {
-    auto results = engine.DecideBatch(pairs);
-    benchmark::DoNotOptimize(results.size());
-  }
-}
-BENCHMARK(BM_DecideBatch);
-
 // A repeated end-to-end decision: the whole decision pipeline
 // (homomorphisms, junction tree, witness, warm-started LPs) rides along.
 void BM_RepeatDecisionExactBackend(benchmark::State& state) {
@@ -159,11 +140,10 @@ void BM_RepeatDecisionExactBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_RepeatDecisionExactBackend);
 
-// Serial vs sharded DecideBatch on a mixed 32-pair workload; arg = threads.
-// Deterministic output either way — the threads only split the work.
-void BM_DecideBatchThreads(benchmark::State& state) {
-  Engine engine{
-      EngineOptions().set_num_threads(static_cast<int>(state.range(0)))};
+// DecideBatch over a mixed 32-pair workload: one session decides every
+// pair in order, reusing its prover pool and warm-start slots.
+void BM_DecideBatch(benchmark::State& state) {
+  Engine engine;
   const char* rows[][2] = {
       {"R(x1,x2), R(x2,x3), R(x3,x1)", "R(y1,y2), R(y1,y3)"},
       {"R(x,y), R(y,z)", "R(a,b), R(b,c)"},
@@ -182,7 +162,7 @@ void BM_DecideBatchThreads(benchmark::State& state) {
   }
   state.counters["pairs"] = static_cast<double>(pairs.size());
 }
-BENCHMARK(BM_DecideBatchThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_DecideBatch);
 
 // Memoized repeated traffic: the second and later passes over the same pair
 // skip the decision procedure entirely.

@@ -1,7 +1,8 @@
 // LP-pipeline perf tracker: times the exact solver cold (per-solve phase I
 // from scratch) and warm (keyed warm-start basis chaining, the Engine
 // default) on the bench_shannon_lp workloads (n=4/n=5 prove, the
-// Zhang–Yeung refutation) and serial vs sharded DecideBatch, then writes a
+// Zhang–Yeung refutation), one session's DecideBatch, and the same batch
+// served through the proof store and both serving backends, then writes a
 // machine-readable BENCH_lp.json so the perf trajectory is comparable
 // across PRs (and gated in CI by tools/check_bench.py against
 // BENCH_lp.baseline.json). No Google Benchmark dependency: this driver
@@ -135,14 +136,13 @@ int main(int argc, char** argv) {
          stats.lp_solves});
   }
 
-  for (int threads : {1, 4}) {
-    Engine engine{EngineOptions().set_num_threads(threads)};
+  {
+    Engine engine;
     auto pairs = BatchWorkload(engine, smoke ? 2 : 8);
-    results.push_back(Time(
-        "decide_batch_t" + std::to_string(threads), batch_iters, [&] {
-          auto out = engine.DecideBatch(pairs);
-          if (out.size() != pairs.size()) std::abort();
-        }));
+    results.push_back(Time("decide_batch_t1", batch_iters, [&] {
+      auto out = engine.DecideBatch(pairs);
+      if (out.size() != pairs.size()) std::abort();
+    }));
   }
 
   // The persistent proof store: the same batch served entirely from a
@@ -346,7 +346,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Derived speedups: warm vs cold, and t1 vs t4 for the batch.
+  // Derived speedups: warm vs cold, and the batch rows against each other.
   auto find = [&](const std::string& name) -> const Measurement* {
     for (const Measurement& m : results) {
       if (m.name == name) return &m;
@@ -366,8 +366,6 @@ int main(int argc, char** argv) {
     add_speedup(base + "/exact:warm_vs_cold", find(base + "/exact/cold"),
                 find(base + "/exact/warm"));
   }
-  add_speedup("decide_batch:t4_vs_t1", find("decide_batch_t1"),
-              find("decide_batch_t4"));
   add_speedup("decide_batch:store_warm_vs_cold", find("decide_batch_t1"),
               find("decide_batch/store_warm"));
   add_speedup("service_batch:w2_vs_inproc", find("service_batch/inproc"),

@@ -1,7 +1,7 @@
-// P4: simplex ablations — Bland vs Dantzig, workspace reuse, and the
-// escalation ladder vs the reference vector-of-Rational tableau — on random
-// dense LPs. Exactness is mandatory for certificates; this bench quantifies
-// its price and what the integer ladder claws back.
+// P4: simplex ablations — workspace reuse, and the escalation ladder vs
+// the reference vector-of-Rational tableau — on random dense LPs. Exactness
+// is mandatory for certificates; this bench quantifies its price and what
+// the integer ladder claws back.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -33,12 +33,10 @@ lp::LpProblem RandomLp(int vars, int rows, uint64_t seed) {
   return problem;
 }
 
-void SolveBench(benchmark::State& state, lp::PivotRule rule) {
+void BM_ExactBland(benchmark::State& state) {
   auto problem = RandomLp(static_cast<int>(state.range(0)),
                           static_cast<int>(state.range(0)), 1234);
-  lp::SolverOptions options;
-  options.pivot_rule = rule;
-  lp::SimplexSolver<Rational> solver(options);
+  lp::SimplexSolver<Rational> solver;
   int64_t pivots = 0;
   for (auto _ : state) {
     auto sol = solver.Solve(problem);
@@ -47,15 +45,7 @@ void SolveBench(benchmark::State& state, lp::PivotRule rule) {
   }
   state.counters["pivots"] = static_cast<double>(pivots);
 }
-
-void BM_ExactBland(benchmark::State& state) {
-  SolveBench(state, lp::PivotRule::kBland);
-}
-void BM_ExactDantzig(benchmark::State& state) {
-  SolveBench(state, lp::PivotRule::kDantzig);
-}
 BENCHMARK(BM_ExactBland)->RangeMultiplier(2)->Range(4, 32);
-BENCHMARK(BM_ExactDantzig)->RangeMultiplier(2)->Range(4, 32);
 
 // Workspace reuse (the Engine batch path): one long-lived solver keeps its
 // tableau capacity across solves, versus constructing a solver per solve.

@@ -25,8 +25,8 @@ enum class StorePutOutcome {
   kDuplicate,  // the key is already stored; nothing written, nothing counted
 };
 
-/// Implementations must be safe for concurrent calls from DecideBatch worker
-/// threads (the Engine shares one pointer across its whole batch pool).
+/// Implementations must be safe for concurrent calls: the engines of a
+/// service::ThreadedEnginePool share one store, one engine per thread.
 class DecisionStore {
  public:
   virtual ~DecisionStore() = default;

@@ -1,14 +1,10 @@
 #include "api/engine.h"
 
-#include <atomic>
-
-#include "api/decision_store.h"
 #include <chrono>
-#include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
+#include "api/decision_store.h"
 #include "core/set_containment.h"
 #include "wire/wire.h"
 
@@ -23,23 +19,27 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-/// Escalation-ladder counters of `stats`, for before/after call deltas.
-struct LadderSnapshot {
-  int64_t word_pivots = 0;
-  int64_t wide_pivots = 0;
-  int64_t bigint_promotions = 0;
+/// The session counters a call reports in its CallStats, read before the
+/// call so that WriteDeltaTo can write what the call added to them.
+struct SessionSnapshot {
+  int64_t prover_constructions = 0;
+  lp::SolverStats solver_stats;
 
-  static LadderSnapshot Of(const lp::Solver* solver) {
-    if (solver == nullptr) return {};
-    const lp::SolverStats& ss = solver->stats();
-    return {ss.word_pivots, ss.wide_pivots, ss.bigint_promotions};
+  static SessionSnapshot Of(const entropy::ProverCache& provers,
+                            const lp::Solver& solver) {
+    return {provers.constructions(), solver.stats()};
   }
-  void WriteDeltaTo(const lp::Solver* solver, CallStats* out) const {
-    if (solver == nullptr) return;
-    const lp::SolverStats& ss = solver->stats();
-    out->lp_word_pivots = ss.word_pivots - word_pivots;
-    out->lp_wide_pivots = ss.wide_pivots - wide_pivots;
-    out->lp_bigint_promotions = ss.bigint_promotions - bigint_promotions;
+  void WriteDeltaTo(const entropy::ProverCache& provers,
+                    const lp::Solver& solver, CallStats* out) const {
+    const lp::SolverStats& now = solver.stats();
+    out->prover_cache_hit = provers.constructions() == prover_constructions;
+    out->lp_warm_accepts = now.warm_accepts - solver_stats.warm_accepts;
+    out->lp_warm_pivots_saved =
+        now.warm_pivots_saved - solver_stats.warm_pivots_saved;
+    out->lp_word_pivots = now.word_pivots - solver_stats.word_pivots;
+    out->lp_wide_pivots = now.wide_pivots - solver_stats.wide_pivots;
+    out->lp_bigint_promotions =
+        now.bigint_promotions - solver_stats.bigint_promotions;
   }
 };
 
@@ -56,8 +56,7 @@ DecisionResult FromDecision(core::Decision decision) {
   return result;
 }
 
-/// One decision against explicit session state — shared by the sequential
-/// path (session cache + solver) and parallel-batch workers (their own).
+/// One cold decision against the session's prover cache and solver.
 /// `*elapsed_ms` is written on success and failure alike.
 util::Result<DecisionResult> DecideOne(const cq::ConjunctiveQuery& q1,
                                        const cq::ConjunctiveQuery& q2,
@@ -67,12 +66,7 @@ util::Result<DecisionResult> DecideOne(const cq::ConjunctiveQuery& q1,
                                        lp::Solver* solver,
                                        double* elapsed_ms) {
   const auto start = Clock::now();
-  const int64_t constructions_before = provers->constructions();
-  const int64_t warm_accepts_before =
-      solver != nullptr ? solver->stats().warm_accepts : 0;
-  const int64_t warm_saved_before =
-      solver != nullptr ? solver->stats().warm_pivots_saved : 0;
-  const LadderSnapshot ladder_before = LadderSnapshot::Of(solver);
+  const SessionSnapshot before = SessionSnapshot::Of(*provers, *solver);
   core::DeciderContext context{provers, solver};
   auto decision =
       bag_bag
@@ -82,15 +76,7 @@ util::Result<DecisionResult> DecideOne(const cq::ConjunctiveQuery& q1,
   if (!decision.ok()) return decision.status();
   DecisionResult result = FromDecision(std::move(decision).ValueOrDie());
   result.stats.elapsed_ms = *elapsed_ms;
-  result.stats.prover_cache_hit =
-      provers->constructions() == constructions_before;
-  if (solver != nullptr) {
-    result.stats.lp_warm_accepts =
-        solver->stats().warm_accepts - warm_accepts_before;
-    result.stats.lp_warm_pivots_saved =
-        solver->stats().warm_pivots_saved - warm_saved_before;
-  }
-  ladder_before.WriteDeltaTo(solver, &result.stats);
+  before.WriteDeltaTo(*provers, *solver, &result.stats);
   return result;
 }
 
@@ -179,11 +165,6 @@ util::Result<DecisionResult> Engine::DecideBagBag(std::string_view q1_text,
 
 std::vector<util::Result<DecisionResult>> Engine::DecideBatch(
     std::span<const QueryPair> pairs) {
-  int threads = options_.num_threads();
-  if (threads > static_cast<int>(pairs.size())) {
-    threads = static_cast<int>(pairs.size());
-  }
-  if (threads > 1) return DecideBatchParallel(pairs, threads);
   std::vector<util::Result<DecisionResult>> out;
   out.reserve(pairs.size());
   for (const QueryPair& pair : pairs) {
@@ -192,113 +173,10 @@ std::vector<util::Result<DecisionResult>> Engine::DecideBatch(
   return out;
 }
 
-std::vector<util::Result<DecisionResult>> Engine::DecideBatchParallel(
-    std::span<const QueryPair> pairs, int threads) {
-  const auto start = Clock::now();
-  const size_t count = pairs.size();
-  const core::DeciderOptions decider_options = options_.ToDeciderOptions();
-
-  // Per-worker session state: Engines are not thread-safe, so each worker
-  // gets its own solver workspace and prover-cache handle. The session cache
-  // backs each worker cache read-only (no copies; the session is not mutated
-  // until after the join), so only genuinely new variable counts build.
-  struct Worker {
-    entropy::ProverCache provers;
-    lp::Solver solver;
-    int64_t decisions = 0;
-    int64_t errors = 0;
-    int64_t lp_pivots = 0;
-    int64_t memo_hits = 0;
-    int64_t store_hits = 0;
-    int64_t store_misses = 0;
-    int64_t store_appends = 0;
-    int64_t store_rejects = 0;
-  };
-  std::vector<Worker> workers(threads);
-  for (Worker& w : workers) {
-    w.provers.SetFallback(&provers_);
-    // A session backed by a process-wide pool passes the pool through, so
-    // batch workers of shared-skeleton engines build nothing privately.
-    w.provers.SetShared(provers_.shared());
-    w.solver = lp::Solver(SolverOptionsFor(options_));
-  }
-
-  // Slots are indexed by input position, so output order is deterministic no
-  // matter how the dynamic work-stealing interleaves.
-  std::vector<std::optional<util::Result<DecisionResult>>> slots(count);
-  std::atomic<size_t> next{0};
-  auto run = [&](Worker& w) {
-    while (true) {
-      const size_t i = next.fetch_add(1);
-      if (i >= count) break;
-      const QueryPair& pair = pairs[i];
-      ++w.decisions;
-      DecideTrace trace;
-      auto result =
-          DecideMemoized(pair.q1, pair.q2, /*bag_bag=*/false, decider_options,
-                         &w.provers, &w.solver, &trace);
-      w.store_hits += trace.store_hit ? 1 : 0;
-      w.store_misses += trace.store_miss ? 1 : 0;
-      w.store_appends += trace.store_append ? 1 : 0;
-      w.store_rejects += trace.store_reject ? 1 : 0;
-      if (trace.memo_hit) {
-        ++w.memo_hits;
-      } else if (!result.ok()) {
-        ++w.errors;
-      } else if (!trace.store_hit) {
-        w.lp_pivots += result->stats.lp_pivots;
-      }
-      slots[i] = std::move(result);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (Worker& w : workers) pool.emplace_back([&run, &w] { run(w); });
-  for (std::thread& t : pool) t.join();
-
-  // Fold worker counters into the session and absorb worker-built elemental
-  // systems so the next batch (or call) starts warm.
-  for (Worker& w : workers) {
-    stats_.decisions += w.decisions;
-    stats_.errors += w.errors;
-    stats_.lp_pivots += w.lp_pivots;
-    stats_.decision_memo_hits += w.memo_hits;
-    stats_.store_hits += w.store_hits;
-    stats_.store_misses += w.store_misses;
-    stats_.store_appends += w.store_appends;
-    stats_.store_rejects += w.store_rejects;
-    worker_stats_.prover_constructions += w.provers.constructions();
-    worker_stats_.prover_cache_hits += w.provers.hits();
-    const lp::SolverStats& ss = w.solver.stats();
-    worker_stats_.lp_solves += ss.solves;
-    worker_stats_.lp_warm_accepts += ss.warm_accepts;
-    worker_stats_.lp_warm_pivots_saved += ss.warm_pivots_saved;
-    worker_stats_.lp_word_pivots += ss.word_pivots;
-    worker_stats_.lp_wide_pivots += ss.wide_pivots;
-    worker_stats_.lp_bigint_promotions += ss.bigint_promotions;
-    provers_.AbsorbFrom(std::move(w.provers));
-  }
-  stats_.total_ms += MsSince(start);  // batch wall-clock, not worker-ms sum
-
-  std::vector<util::Result<DecisionResult>> out;
-  out.reserve(count);
-  for (std::optional<util::Result<DecisionResult>>& slot : slots) {
-    out.push_back(*std::move(slot));
-  }
-  return out;
-}
-
-bool Engine::MemoLookup(const std::string& key, DecisionResult* out) {
-  std::shared_ptr<const DecisionResult> entry;
-  {
-    util::MutexLock lock(&memo_mutex_);
-    auto it = memo_.find(key);
-    if (it == memo_.end()) return false;
-    entry = it->second;
-  }
-  // The (potentially large: witnesses) copy happens outside the lock so
-  // parallel-batch workers do not serialize on hot repeated traffic.
-  *out = *entry;
+bool Engine::MemoLookup(const std::string& key, DecisionResult* out) const {
+  auto it = memo_.find(key);
+  if (it == memo_.end()) return false;
+  *out = it->second;
   out->stats.memo_hit = true;
   return true;
 }
@@ -306,9 +184,7 @@ bool Engine::MemoLookup(const std::string& key, DecisionResult* out) {
 void Engine::MemoInsert(const std::string& key, const DecisionResult& result) {
   const size_t cap = options_.memo_max_entries();
   if (cap == 0) return;
-  auto entry = std::make_shared<const DecisionResult>(result);
-  util::MutexLock lock(&memo_mutex_);
-  if (!memo_.emplace(key, std::move(entry)).second) return;  // already there
+  if (!memo_.emplace(key, result).second) return;  // already there
   memo_order_.push_back(key);
   while (memo_.size() > cap) {  // FIFO eviction at the cap
     memo_.erase(memo_order_.front());
@@ -316,11 +192,10 @@ void Engine::MemoInsert(const std::string& key, const DecisionResult& result) {
   }
 }
 
-util::Result<DecisionResult> Engine::DecideMemoized(
+util::Result<DecisionResult> Engine::DecideImpl(
     const cq::ConjunctiveQuery& q1, const cq::ConjunctiveQuery& q2,
-    bool bag_bag, const core::DeciderOptions& decider_options,
-    entropy::ProverCache* provers, lp::Solver* solver, DecideTrace* trace) {
-  *trace = DecideTrace{};
+    bool bag_bag) {
+  ++stats_.decisions;
   DecisionStore* store = options_.decision_store();
   std::string key;
   if (options_.memoize_decisions() || store != nullptr) {
@@ -329,7 +204,7 @@ util::Result<DecisionResult> Engine::DecideMemoized(
   if (options_.memoize_decisions()) {
     DecisionResult memoized;
     if (MemoLookup(key, &memoized)) {
-      trace->memo_hit = true;
+      ++stats_.decision_memo_hits;
       return memoized;
     }
   }
@@ -339,51 +214,34 @@ util::Result<DecisionResult> Engine::DecideMemoized(
     // so it is as trustworthy as a fresh solve — warm the memo with it.
     DecisionResult stored;
     if (store->Lookup(key, &stored)) {
-      trace->store_hit = true;
+      ++stats_.store_hits;
       stored.stats.store_hit = true;
       if (options_.memoize_decisions()) MemoInsert(key, stored);
       return stored;
     }
-    trace->store_miss = true;
+    ++stats_.store_misses;
   }
-  auto result = DecideOne(q1, q2, bag_bag, decider_options, provers, solver,
-                          &trace->elapsed_ms);
-  if (result.ok()) {
-    if (options_.memoize_decisions()) MemoInsert(key, *result);
-    if (store != nullptr) {
-      switch (store->Put(key, *result)) {
-        case StorePutOutcome::kAppended:
-          trace->store_append = true;
-          break;
-        case StorePutOutcome::kRejected:
-          trace->store_reject = true;
-          break;
-        case StorePutOutcome::kDuplicate:
-          break;  // raced with another appender; their record is canonical
-      }
-    }
-  }
-  return result;
-}
-
-util::Result<DecisionResult> Engine::DecideImpl(
-    const cq::ConjunctiveQuery& q1, const cq::ConjunctiveQuery& q2,
-    bool bag_bag) {
-  ++stats_.decisions;
-  DecideTrace trace;
-  auto result = DecideMemoized(q1, q2, bag_bag, options_.ToDeciderOptions(),
-                               &provers_, &solver_, &trace);
-  stats_.total_ms += trace.elapsed_ms;
-  stats_.store_hits += trace.store_hit ? 1 : 0;
-  stats_.store_misses += trace.store_miss ? 1 : 0;
-  stats_.store_appends += trace.store_append ? 1 : 0;
-  stats_.store_rejects += trace.store_reject ? 1 : 0;
-  if (trace.memo_hit) {
-    ++stats_.decision_memo_hits;
-  } else if (!result.ok()) {
+  double elapsed_ms = 0.0;
+  auto result = DecideOne(q1, q2, bag_bag, options_.ToDeciderOptions(),
+                          &provers_, &solver_, &elapsed_ms);
+  stats_.total_ms += elapsed_ms;
+  if (!result.ok()) {
     ++stats_.errors;
-  } else if (!trace.store_hit) {
-    stats_.lp_pivots += result->stats.lp_pivots;
+    return result;
+  }
+  stats_.lp_pivots += result->stats.lp_pivots;
+  if (options_.memoize_decisions()) MemoInsert(key, *result);
+  if (store != nullptr) {
+    switch (store->Put(key, *result)) {
+      case StorePutOutcome::kAppended:
+        ++stats_.store_appends;
+        break;
+      case StorePutOutcome::kRejected:
+        ++stats_.store_rejects;
+        break;
+      case StorePutOutcome::kDuplicate:
+        break;  // another engine stored the key first; its record stands
+    }
   }
   return result;
 }
@@ -397,10 +255,7 @@ util::Result<ProofResult> Engine::ProveInequality(
     return util::Status::InvalidArgument(
         "inequality must mention at least one variable");
   }
-  const int64_t constructions_before = provers_.constructions();
-  const int64_t warm_accepts_before = solver_.stats().warm_accepts;
-  const int64_t warm_saved_before = solver_.stats().warm_pivots_saved;
-  const LadderSnapshot ladder_before = LadderSnapshot::Of(&solver_);
+  const SessionSnapshot before = SessionSnapshot::Of(provers_, solver_);
   const entropy::ShannonProver& prover = provers_.Get(e.num_vars());
   entropy::IIResult ii = prover.Prove(e, &solver_);
 
@@ -411,13 +266,7 @@ util::Result<ProofResult> Engine::ProveInequality(
   result.violation = ii.violation;
   result.stats.lp_pivots = ii.lp_pivots;
   result.stats.elapsed_ms = MsSince(start);
-  result.stats.prover_cache_hit =
-      provers_.constructions() == constructions_before;
-  result.stats.lp_warm_accepts =
-      solver_.stats().warm_accepts - warm_accepts_before;
-  result.stats.lp_warm_pivots_saved =
-      solver_.stats().warm_pivots_saved - warm_saved_before;
-  ladder_before.WriteDeltaTo(&solver_, &result.stats);
+  before.WriteDeltaTo(provers_, solver_, &result.stats);
   stats_.lp_pivots += ii.lp_pivots;
   stats_.total_ms += result.stats.elapsed_ms;
   return result;
@@ -462,10 +311,7 @@ util::Result<ProofResult> Engine::CheckMaxInequality(
           "all branches must share one variable space");
     }
   }
-  const int64_t constructions_before = provers_.constructions();
-  const int64_t warm_accepts_before = solver_.stats().warm_accepts;
-  const int64_t warm_saved_before = solver_.stats().warm_pivots_saved;
-  const LadderSnapshot ladder_before = LadderSnapshot::Of(&solver_);
+  const SessionSnapshot before = SessionSnapshot::Of(provers_, solver_);
   // The generator-form cones (Nn, Mn) never touch the elemental system, so
   // only the Γn route pays for (and caches) a prover.
   const entropy::ShannonProver* prover =
@@ -481,13 +327,7 @@ util::Result<ProofResult> Engine::CheckMaxInequality(
   result.violation = max_result.max_at_counterexample;
   result.stats.lp_pivots = max_result.lp_pivots;
   result.stats.elapsed_ms = MsSince(start);
-  result.stats.prover_cache_hit =
-      provers_.constructions() == constructions_before;
-  result.stats.lp_warm_accepts =
-      solver_.stats().warm_accepts - warm_accepts_before;
-  result.stats.lp_warm_pivots_saved =
-      solver_.stats().warm_pivots_saved - warm_saved_before;
-  ladder_before.WriteDeltaTo(&solver_, &result.stats);
+  before.WriteDeltaTo(provers_, solver_, &result.stats);
   stats_.lp_pivots += max_result.lp_pivots;
   stats_.total_ms += result.stats.elapsed_ms;
   return result;
@@ -521,18 +361,15 @@ util::Result<QueryPair> Engine::ParsePair(std::string_view q1_text,
 
 EngineStats Engine::stats() const {
   EngineStats out = stats_;
-  out.prover_constructions =
-      provers_.constructions() + worker_stats_.prover_constructions;
-  out.prover_cache_hits = provers_.hits() + worker_stats_.prover_cache_hits;
+  out.prover_constructions = provers_.constructions();
+  out.prover_cache_hits = provers_.hits();
   const lp::SolverStats& ss = solver_.stats();
-  out.lp_solves = ss.solves + worker_stats_.lp_solves;
-  out.lp_warm_accepts = ss.warm_accepts + worker_stats_.lp_warm_accepts;
-  out.lp_warm_pivots_saved =
-      ss.warm_pivots_saved + worker_stats_.lp_warm_pivots_saved;
-  out.lp_word_pivots = ss.word_pivots + worker_stats_.lp_word_pivots;
-  out.lp_wide_pivots = ss.wide_pivots + worker_stats_.lp_wide_pivots;
-  out.lp_bigint_promotions =
-      ss.bigint_promotions + worker_stats_.lp_bigint_promotions;
+  out.lp_solves = ss.solves;
+  out.lp_warm_accepts = ss.warm_accepts;
+  out.lp_warm_pivots_saved = ss.warm_pivots_saved;
+  out.lp_word_pivots = ss.word_pivots;
+  out.lp_wide_pivots = ss.wide_pivots;
+  out.lp_bigint_promotions = ss.bigint_promotions;
   return out;
 }
 
@@ -540,16 +377,12 @@ void Engine::ClearCache() {
   provers_.Clear();
   solver_.Reset();
   solver_.ResetStats();
-  {
-    util::MutexLock lock(&memo_mutex_);
-    memo_.clear();
-    memo_order_.clear();
-  }
+  memo_.clear();
+  memo_order_.clear();
   // Note: the persistent decision store (if any) is deliberately NOT
   // cleared — it outlives sessions by design; drop records via the store's
   // own tooling (compaction, or deleting the log file).
   stats_ = EngineStats{};
-  worker_stats_ = EngineStats{};
 }
 
 }  // namespace bagcq::api

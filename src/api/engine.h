@@ -35,20 +35,19 @@
 //     the cross-restart tier behind store/proof_store.h, keyed by the same
 //     canonical pair key as the memo.
 //
-// DecideBatch shards across EngineOptions::num_threads() workers, each with
-// its own solver workspace and prover-cache handle (warmed from the session
-// cache, absorbed back afterwards); output order is deterministic.
+// An Engine starts no threads: DecideBatch decides its pairs one after
+// another against the session's one solver and prover cache.
 //
-// Engines are not thread-safe; use one Engine per thread. By default they
-// share nothing; with a shared prover pool they share exactly the
-// read-only elemental systems and nothing else — solver workspaces,
-// warm-start slots, the decision memo, and every counter stay private to
-// the engine (and the memo to its own mutex).
+// Engines are not thread-safe; use one Engine per thread (as
+// service::ThreadedEnginePool does, which is where in-process parallel
+// batches live). By default they share nothing; with a shared prover pool
+// they share exactly the read-only elemental systems and nothing else —
+// solver workspaces, warm-start slots, the decision memo, and every counter
+// stay private to the engine.
 #pragma once
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -62,9 +61,7 @@
 #include "entropy/max_ii.h"
 #include "entropy/prover_cache.h"
 #include "lp/solver.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace bagcq::api {
 
@@ -75,15 +72,13 @@ struct QueryPair {
 };
 
 /// Session-level counters (monotone since construction / ClearCache).
-/// Parallel batches fold their per-worker prover/solver counters in here
-/// after the join, so the totals cover every worker.
 struct EngineStats {
   int64_t decisions = 0;        // Decide/DecideBagBag/DecideBatch elements
   int64_t proofs = 0;           // ProveInequality / CheckMaxInequality calls
   int64_t errors = 0;           // calls that returned a non-OK status
   int64_t prover_constructions = 0;  // elemental systems built
   int64_t prover_cache_hits = 0;     // decisions served from the pool
-  int64_t lp_solves = 0;        // LPs run across session + batch workers
+  int64_t lp_solves = 0;        // LPs run by the session's solver
   int64_t lp_pivots = 0;        // pivots across those LPs
   int64_t lp_screen_accepts = 0;   // always 0: wire slot of a removed backend
   int64_t lp_exact_fallbacks = 0;  // always 0: wire slot of a removed backend
@@ -154,13 +149,10 @@ class Engine {
   util::Result<DecisionResult> DecideBagBag(std::string_view q1_text,
                                             std::string_view q2_text);
 
-  /// Decides every pair, reusing the session's prover pool and LP workspace —
-  /// at a fixed variable count the elemental system is constructed once per
-  /// worker for the whole batch. With EngineOptions::num_threads() > 1 the
-  /// batch is sharded across a worker pool (one solver workspace and
-  /// prover-cache handle each, warmed from the session cache); results come
-  /// back in input order either way, and per-pair failures come back as
-  /// per-pair error results — the batch never aborts early.
+  /// Decides every pair in input order, reusing the session's prover pool
+  /// and LP workspace — at a fixed variable count the elemental system is
+  /// constructed once for the whole batch. Per-pair failures come back as
+  /// per-pair error results; the batch never aborts early.
   std::vector<util::Result<DecisionResult>> DecideBatch(
       std::span<const QueryPair> pairs);
 
@@ -212,58 +204,25 @@ class Engine {
   void ClearCache();
 
  private:
+  /// One decision against the session: memo lookup → persistent-store
+  /// lookup → cold decide → memo insert + store append, counting each step
+  /// in stats_.
   util::Result<DecisionResult> DecideImpl(const cq::ConjunctiveQuery& q1,
                                           const cq::ConjunctiveQuery& q2,
                                           bool bag_bag);
-  /// What one memoized decision did, for the caller to fold into whichever
-  /// counter set it owns (the session's or a batch worker's).
-  struct DecideTrace {
-    bool memo_hit = false;
-    bool store_hit = false;     // served from the persistent store
-    bool store_miss = false;    // store consulted, had nothing usable
-    bool store_append = false;  // fresh result persisted
-    bool store_reject = false;  // fresh result refused by admission
-    double elapsed_ms = 0.0;
-  };
-  /// The cache-tiered decision core shared verbatim by DecideImpl and the
-  /// parallel-batch workers (so sequential and sharded batches cannot
-  /// drift): memo lookup → persistent-store lookup → decide against the
-  /// given state → memo insert + store append. Thread-safe for concurrent
-  /// workers (the memo is behind its mutex; the store contract requires
-  /// concurrent safety).
-  util::Result<DecisionResult> DecideMemoized(
-      const cq::ConjunctiveQuery& q1, const cq::ConjunctiveQuery& q2,
-      bool bag_bag, const core::DeciderOptions& decider_options,
-      entropy::ProverCache* provers, lp::Solver* solver, DecideTrace* trace);
-  std::vector<util::Result<DecisionResult>> DecideBatchParallel(
-      std::span<const QueryPair> pairs, int threads);
-  /// Memo lookup/insert (no-ops unless memoize_decisions is on). Shared by
-  /// the sequential and worker paths; the mutex makes them batch-safe. The
-  /// stored entries are shared immutable snapshots, so a hit holds the lock
-  /// only for a pointer grab; past EngineOptions::memo_max_entries() the
-  /// oldest entry is evicted FIFO (results can carry witness databases —
-  /// the memo must stay bounded).
-  bool MemoLookup(const std::string& key, DecisionResult* out)
-      BAGCQ_EXCLUDES(memo_mutex_);
-  void MemoInsert(const std::string& key, const DecisionResult& result)
-      BAGCQ_EXCLUDES(memo_mutex_);
+  /// Memo lookup/insert, called only with memoize_decisions on. Past
+  /// EngineOptions::memo_max_entries() the oldest entry is evicted FIFO
+  /// (results can carry witness databases — the memo must stay bounded).
+  bool MemoLookup(const std::string& key, DecisionResult* out) const;
+  void MemoInsert(const std::string& key, const DecisionResult& result);
 
   EngineOptions options_;
   entropy::ProverCache provers_;
   lp::Solver solver_;
   EngineStats stats_;
-  /// Prover/solver counters folded in from parallel-batch workers (their
-  /// caches are transient; the numbers must survive the join).
-  EngineStats worker_stats_;
-  /// The decision memo and its FIFO eviction order — the only Engine state
-  /// parallel-batch workers touch concurrently, hence the only mutex. The
-  /// two containers mutate together (insert appends the key, eviction pops
-  /// it), so one capability guards both.
-  util::Mutex memo_mutex_;
-  std::map<std::string, std::shared_ptr<const DecisionResult>> memo_
-      BAGCQ_GUARDED_BY(memo_mutex_);
+  std::map<std::string, DecisionResult> memo_;
   /// Insertion order of memo_ keys, for FIFO eviction at the cap.
-  std::deque<std::string> memo_order_ BAGCQ_GUARDED_BY(memo_mutex_);
+  std::deque<std::string> memo_order_;
 };
 
 }  // namespace bagcq::api

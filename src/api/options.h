@@ -3,6 +3,10 @@
 // boundary. Defaults match the paper's reference configuration: exact
 // arithmetic, Shannon certificates on Contained verdicts, witnesses verified
 // by exact homomorphism counting.
+//
+// No knob sizes a thread pool: an Engine starts no threads and decides a
+// batch one pair after another. Parallel decisions are one Engine per
+// thread, as service::ThreadedEnginePool runs them.
 #pragma once
 
 #include <cstddef>
@@ -55,16 +59,6 @@ class EngineOptions {
   }
   bool warm_starts() const { return warm_starts_; }
 
-  /// Worker threads for DecideBatch. 1 = sequential (the default); k > 1
-  /// shards the batch across k workers, each with its own solver workspace
-  /// and prover-cache handle. Output order and per-pair results are
-  /// deterministic regardless of the thread count.
-  EngineOptions& set_num_threads(int threads) {
-    num_threads_ = threads < 1 ? 1 : threads;
-    return *this;
-  }
-  int num_threads() const { return num_threads_; }
-
   /// Memoize whole decisions (query-pair → DecisionResult) across the
   /// session, for repeated traffic. Off by default: memoized replies recount
   /// no LP work, which changes the meaning of the per-call stats.
@@ -103,9 +97,9 @@ class EngineOptions {
 
   /// Persistent decision store (api/decision_store.h), consulted between
   /// the in-memory memo and a cold solve and offered every freshly solved
-  /// result. Not owned; must outlive the Engine and be safe for concurrent
-  /// batch workers (store::ProofStore qualifies). Null (the default) means
-  /// no persistence.
+  /// result. Not owned; must outlive the Engine, and be safe for concurrent
+  /// calls when engines on several threads share it (store::ProofStore
+  /// qualifies). Null (the default) means no persistence.
   EngineOptions& set_decision_store(DecisionStore* store) {
     decision_store_ = store;
     return *this;
@@ -126,7 +120,6 @@ class EngineOptions {
   int64_t witness_max_tuples_ = 100'000;
   bool verify_witness_counts_ = true;
   bool warm_starts_ = true;
-  int num_threads_ = 1;
   bool memoize_decisions_ = false;
   size_t memo_max_entries_ = 65'536;
   entropy::SharedProverPool* shared_prover_pool_ = nullptr;

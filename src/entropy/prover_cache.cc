@@ -39,13 +39,6 @@ const ShannonProver& ProverCache::Get(int n) {
     ++hits_;
     return *it->second;
   }
-  if (fallback_ != nullptr) {
-    auto fb = fallback_->provers_.find(n);
-    if (fb != fallback_->provers_.end()) {
-      ++hits_;
-      return *fb->second;
-    }
-  }
   if (shared_ != nullptr) {
     // Shared-pool mode never populates the local map: every engine behind
     // the pool reads the one process-wide instance.
@@ -62,15 +55,6 @@ const ShannonProver& ProverCache::Get(int n) {
   const ShannonProver& ref = *prover;
   provers_.emplace(n, std::move(prover));
   return ref;
-}
-
-void ProverCache::AbsorbFrom(ProverCache&& other) {
-  for (auto& [n, prover] : other.provers_) {
-    if (provers_.count(n) == 0) {
-      provers_.emplace(n, std::move(prover));
-    }
-  }
-  other.provers_.clear();
 }
 
 void ProverCache::Clear() {

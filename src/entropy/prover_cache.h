@@ -4,17 +4,15 @@
 // the inequalities themselves (to name certificate terms) and as sparse
 // int8 LP columns (ShannonProver::columns, at most four ±1 entries each);
 // it is by far the most expensive prover state to build and depends only
-// on n. A
-// cache shared across decisions (the Engine session, the batch API) builds
-// each elemental system exactly once and reuses it for every subsequent
-// decision at the same variable count.
+// on n. A cache shared across an Engine session's decisions, proofs and
+// batches builds each elemental system exactly once and reuses it for every
+// subsequent call at the same variable count.
 //
 // Two sharing layers exist:
 //
 //   * ProverCache — NOT thread-safe: one cache per Engine, one Engine per
-//     thread. May be backed read-only by another ProverCache (SetFallback,
-//     used by parallel-batch workers) or by a SharedProverPool (SetShared,
-//     used by the threaded serving tier).
+//     thread. May be backed by a SharedProverPool (SetShared, used by the
+//     threaded serving tier).
 //   * SharedProverPool — thread-safe construct-once-per-n pool. A
 //     ShannonProver is immutable after construction and Prove() is const
 //     (the mutable simplex workspace is passed in by the caller), so one
@@ -88,13 +86,6 @@ class ProverCache {
   int64_t hits() const { return hits_; }
   size_t size() const { return provers_.size(); }
 
-  /// Read-only warm start: Get() consults `fallback` (without copying — the
-  /// elemental systems are large) before constructing. Used to back
-  /// per-worker caches with the session cache during a parallel batch; the
-  /// fallback must outlive this cache's last Get() and must not be mutated
-  /// concurrently. Serving from the fallback counts as a hit here.
-  void SetFallback(const ProverCache* fallback) { fallback_ = fallback; }
-
   /// Process-wide sharing: Get() resolves misses through `shared` (which is
   /// thread-safe) instead of building locally, so every cache pointed at one
   /// pool reads one copy of each elemental system. A Get() the pool already
@@ -102,12 +93,6 @@ class ProverCache {
   /// construction here (the counters still sum correctly across engines).
   /// The pool is not owned and must outlive this cache's last Get().
   void SetShared(SharedProverPool* shared) { shared_ = shared; }
-  SharedProverPool* shared() const { return shared_; }
-
-  /// Moves every prover `other` holds that this cache lacks into this cache
-  /// (after a parallel batch, worker-built systems join the session so the
-  /// next batch starts warm). Counters untouched.
-  void AbsorbFrom(ProverCache&& other);
 
   /// Drops the local entries and counters. A shared pool (SetShared) is
   /// deliberately left intact: its provers are pure functions of n and
@@ -116,7 +101,6 @@ class ProverCache {
 
  private:
   std::map<int, std::unique_ptr<ShannonProver>> provers_;
-  const ProverCache* fallback_ = nullptr;
   SharedProverPool* shared_ = nullptr;
   int64_t constructions_ = 0;
   int64_t hits_ = 0;

@@ -137,7 +137,7 @@ constexpr size_t kWordBits = 62;
 constexpr size_t kWideBits = 126;
 
 // The fraction-free tableau + driver. Mirrors Tableau<Scalar> in simplex.cc
-// decision for decision — same column layout, same Bland/Dantzig selection,
+// decision for decision — same column layout, same Bland selection,
 // same warm-install and artificial-pivot-out flow — so that the two exact
 // simplexes emit identical results (see the header for why the pivot
 // sequences coincide). Storage is the flat block in LadderWorkspace: rows
@@ -755,18 +755,12 @@ class LadderTableau {
   int SelectEnterT(bool phase_one) const {
     using T = typename Ops::T;
     const T* crow = Ops::ArenaOf(ws_) + static_cast<size_t>(m_) * stride_;
-    int enter = -1;
-    for (int j = 0; j < ncols_; ++j) {
-      if (!phase_one && j >= art_begin_) continue;
-      if (Ops::Sign(crow[j]) >= 0) continue;
-      if (enter == -1) {
-        enter = j;
-        if (options_.pivot_rule == PivotRule::kBland) break;
-      } else if (crow[j] < crow[enter]) {
-        enter = j;  // Dantzig: most negative reduced cost
-      }
+    // Artificials sit last and may enter only in phase I.
+    const int end = phase_one ? ncols_ : art_begin_;
+    for (int j = 0; j < end; ++j) {
+      if (Ops::Sign(crow[j]) < 0) return j;  // Bland: first negative cost
     }
-    return enter;
+    return -1;
   }
 
   template <typename Ops>

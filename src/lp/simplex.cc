@@ -252,16 +252,13 @@ class Tableau {
   SolveStatus Iterate(bool phase_one, int64_t* pivots) {
     const int m = static_cast<int>(ws_.rows.size());
     while (true) {
-      // Entering column.
+      // Entering column: Bland's rule, the first negative reduced cost.
       int enter = -1;
       for (int j = 0; j < num_columns_; ++j) {
         if (!phase_one && IsArtificial(j)) continue;
-        if (!F::IsNegative(ws_.cost_row[j])) continue;
-        if (enter == -1) {
+        if (F::IsNegative(ws_.cost_row[j])) {
           enter = j;
-          if (options_.pivot_rule == PivotRule::kBland) break;
-        } else if (F::Less(ws_.cost_row[j], ws_.cost_row[enter])) {
-          enter = j;  // Dantzig: most negative reduced cost
+          break;
         }
       }
       if (enter == -1) return SolveStatus::kOptimal;

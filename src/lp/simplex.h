@@ -13,8 +13,8 @@
 //     when the program is infeasible — this becomes the counterexample
 //     polymatroid in the entropy layer.
 //
-// Anti-cycling: Bland's rule (the default) guarantees termination; Dantzig's
-// rule is available for the pivoting ablation.
+// Pivoting: Bland's rule (lowest-index entering column, lowest-basis-column
+// ties on the ratio test), which cannot cycle, so every solve terminates.
 #pragma once
 
 #include <cstdint>
@@ -26,11 +26,11 @@
 
 namespace bagcq::lp {
 
-/// kPivotLimit is a soft failure: the pivot cap was hit (cycling, or a cap
-/// deliberately set low) and the reported solution carries no certificate. With Bland's rule and exact arithmetic the cap is
-/// unreachable at the default setting.
+/// kPivotLimit is a soft failure: the pivot cap was hit (a cap set too low
+/// for the program; Bland's rule does not cycle) and the reported solution
+/// carries no certificate. With exact arithmetic the cap is unreachable at
+/// the default setting.
 enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kPivotLimit };
-enum class PivotRule { kBland, kDantzig };
 
 const char* SolveStatusToString(SolveStatus status);
 
@@ -85,8 +85,8 @@ struct Solution {
 };
 
 struct SolverOptions {
-  PivotRule pivot_rule = PivotRule::kBland;
-  /// Cap on pivots (guards a cycling pivot rule). The solve fails soft with
+  /// Cap on pivots, a bound on work rather than a guard against cycling
+  /// (Bland's rule does not cycle). The solve fails soft with
   /// SolveStatus::kPivotLimit when the cap is hit.
   /// Warm-start installation eliminations count toward the cap.
   int64_t max_pivots = 1'000'000;

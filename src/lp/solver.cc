@@ -9,11 +9,11 @@ Solution<util::Rational> Solver::Finish(Solution<util::Rational> out) {
   stats_.word_pivots += out.word_pivots;
   stats_.wide_pivots += out.wide_pivots;
   stats_.bigint_promotions += out.bigint_promotions;
-  // The Solver contract promises a certified answer; hitting the cap (only
-  // reachable with a cycling pivot rule or a misconfigured cap) is a
+  // The Solver contract promises a certified answer; Bland's rule cannot
+  // cycle, so hitting the cap means it was set too low for the program, a
   // programmer error, as it was before kPivotLimit existed.
   BAGCQ_CHECK(out.status != SolveStatus::kPivotLimit)
-      << "exact simplex hit max_pivots — cycling pivot rule or cap too low?";
+      << "exact simplex hit max_pivots — cap too low for this program?";
   return out;
 }
 

@@ -52,8 +52,8 @@ class Solver {
 
   /// Solves the program exactly. The returned certificate (duals or Farkas)
   /// always passes VerifyDuals/VerifyFarkas. Hitting max_pivots (only
-  /// reachable with a cycling pivot rule or a deliberately tiny cap)
-  /// CHECK-fails rather than returning an uncertified kPivotLimit.
+  /// reachable with a cap too low for the program; Bland's rule does not
+  /// cycle) CHECK-fails rather than returning an uncertified kPivotLimit.
   Solution<util::Rational> Solve(const LpProblem& problem);
 
   /// Warm-started solve: resumes from `hint` (see SimplexSolver::SolveFrom)

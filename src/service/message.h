@@ -123,8 +123,8 @@ struct AnalysisResponse {
 
 struct StatsResponse {
   /// Aggregate across every worker Engine behind the serving surface (one
-  /// for an in-process Service; summed per-worker counters for a sharded
-  /// server, mirroring how DecideBatch folds its in-process workers).
+  /// for an in-process Service; per-worker counters summed through
+  /// EngineStats::operator+= for a sharded server).
   api::EngineStats stats;
   int64_t workers = 1;
   /// Worker processes re-forked after a crash since the pool started (0 for

@@ -215,8 +215,8 @@ bool ProofStore::Lookup(const std::string& key, api::DecisionResult* out) {
   }
 
   // Decode and policy-check outside the lock: certificate verification is
-  // the expensive half of a hit, and batch worker threads must not
-  // serialize on it.
+  // the expensive half of a hit, and engine threads sharing the store must
+  // not serialize on it.
   bool ok = false;
   wire::Decoder d(payload);
   auto decoded = wire::DecodeDecisionResult(&d);

@@ -36,7 +36,7 @@
 // miss.
 //
 // Thread safety: Lookup/Put/stats are mutex-guarded — one ProofStore may
-// back all worker threads of a DecideBatch. Distinct processes coordinate
+// back every engine of a ThreadedEnginePool. Distinct processes coordinate
 // through the file itself: appends are atomic whole records, and sticky
 // pair→worker routing means no two workers ever race on one key.
 // Compact() is an offline operation: run it on a log no live server has

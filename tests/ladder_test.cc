@@ -1,11 +1,11 @@
 // Differential suite for the escalation-ladder exact simplex
 // (lp/ladder_simplex.h): LadderSimplex must be bit-identical to the reference
 // SimplexSolver<Rational> — statuses, objectives, values, duals, Farkas
-// certificates, bases, and (under Bland) pivot counts — across feasible,
-// infeasible, degenerate, rational-coefficient, free-variable, and
-// near-overflow (INT64_MAX/2-scale) programs, and every certificate must pass
-// the exact VerifyDuals/VerifyFarkas predicates in its own right. Integer
-// input (IntegerProgram) must match the reference on the equivalent
+// certificates, bases, and pivot counts — across feasible, infeasible,
+// degenerate, rational-coefficient, free-variable, near-overflow
+// (INT64_MAX/2-scale) and wider-than-word programs, and every certificate
+// must pass the exact VerifyDuals/VerifyFarkas predicates in its own right.
+// Integer input (IntegerProgram) must match the reference on the equivalent
 // LpProblem, on the decision procedure's own LPs included.
 #include "lp/ladder_simplex.h"
 
@@ -28,6 +28,7 @@
 #include "entropy/max_ii.h"
 #include "lp/lp_problem.h"
 #include "lp/simplex.h"
+#include "util/bigint.h"
 #include "util/rational.h"
 
 namespace bagcq::lp {
@@ -122,18 +123,6 @@ TEST_P(LadderDifferentialTest, RationalProgramsMatchReference) {
   const LpProblem lp = RandomLp(GetParam(), /*rational_coeffs=*/true);
   LadderSimplex ladder;
   ReferenceSolver reference;
-  ExpectParity(lp, ladder.Solve(lp), reference.Solve(lp),
-               /*same_pivots=*/true);
-}
-
-TEST_P(LadderDifferentialTest, DantzigIntegerProgramsMatchReference) {
-  // Dantzig magnitude comparisons are scale-sensitive, so sequence parity is
-  // only promised on integer input (all row scales 1).
-  SolverOptions options;
-  options.pivot_rule = PivotRule::kDantzig;
-  const LpProblem lp = RandomLp(GetParam(), /*rational_coeffs=*/false);
-  LadderSimplex ladder(options);
-  ReferenceSolver reference(options);
   ExpectParity(lp, ladder.Solve(lp), reference.Solve(lp),
                /*same_pivots=*/true);
 }
@@ -239,6 +228,77 @@ TEST(LadderEscalationTest, DeepPivotingPromotesToBigInt) {
     EXPECT_GE(fast.bigint_promotions + fast.wide_pivots, 1);
   } else {
     EXPECT_GE(fast.bigint_promotions, 1);
+  }
+}
+
+// A feasible, bounded LP whose integerized data need about `rhs_bits` + 3
+// bits: small positive rational coefficients (row scales at most 6) and
+// right-hand sides near 2^rhs_bits. The >= row needs phase I; the positive
+// objective is maximized, so the solve pivots. The coefficients keep every
+// fraction-free product within ~20 bits of the rhs, so the solve finishes
+// in the tier it starts in.
+LpProblem WideRhsLp(uint64_t seed, uint64_t rhs_bits) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> coeff(1, 3);
+  std::uniform_int_distribution<int> denom(1, 3);
+  std::uniform_int_distribution<int64_t> jitter(0, int64_t{1} << 20);
+  const int n = 3;
+  auto row = [&] {
+    std::vector<Rational> out;
+    for (int j = 0; j < n; ++j) out.push_back(R(coeff(rng), denom(rng)));
+    return out;
+  };
+  auto rhs = [&](uint64_t bits) {
+    return Rational(util::BigInt::TwoToThe(bits) + util::BigInt(jitter(rng)),
+                    util::BigInt(denom(rng)));
+  };
+  LpProblem lp;
+  for (int j = 0; j < n; ++j) lp.AddVariable();
+  // x = 2^(rhs_bits-5)·(1,1,1) is feasible: the >= row sums to at least
+  // 2^(rhs_bits-5), the <= rows to at most 9·2^(rhs_bits-5) < 2^rhs_bits/3.
+  lp.AddConstraint(row(), Sense::kGreaterEqual, rhs(rhs_bits - 6));
+  lp.AddConstraint(row(), Sense::kLessEqual, rhs(rhs_bits));
+  lp.AddConstraint(row(), Sense::kLessEqual, rhs(rhs_bits));
+  lp.SetObjective(Objective::kMaximize, row());
+  return lp;
+}
+
+// The staged fill starts a solve in the smallest tier that holds its
+// integerized data. 63-126 bits start in the 128-bit tier (BigInt where
+// there is none), so no pivot is tallied in the word tier.
+TEST(LadderEscalationTest, WideDataStartInTheWideTier) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const LpProblem lp = WideRhsLp(seed, /*rhs_bits=*/80);
+    LadderSimplex ladder;
+    ReferenceSolver reference;
+    const auto fast = ladder.Solve(lp);
+    ExpectParity(lp, fast, reference.Solve(lp), /*same_pivots=*/true);
+    EXPECT_EQ(fast.status, SolveStatus::kOptimal) << "seed " << seed;
+    EXPECT_GT(fast.pivots, 0) << "seed " << seed;
+    EXPECT_EQ(fast.word_pivots, 0) << "seed " << seed;
+    EXPECT_EQ(fast.bigint_promotions, 0) << "seed " << seed;
+    if (kHasWideTier) {
+      EXPECT_GE(fast.wide_pivots, fast.pivots) << "seed " << seed;
+    } else {
+      EXPECT_EQ(fast.wide_pivots, 0) << "seed " << seed;
+    }
+  }
+}
+
+// More than 126 bits start in BigInt: nothing is tallied in either machine
+// tier, and nothing is promoted, because the solve is already at the top.
+TEST(LadderEscalationTest, HugeDataStartInBigInt) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const LpProblem lp = WideRhsLp(seed, /*rhs_bits=*/140);
+    LadderSimplex ladder;
+    ReferenceSolver reference;
+    const auto fast = ladder.Solve(lp);
+    ExpectParity(lp, fast, reference.Solve(lp), /*same_pivots=*/true);
+    EXPECT_EQ(fast.status, SolveStatus::kOptimal) << "seed " << seed;
+    EXPECT_GT(fast.pivots, 0) << "seed " << seed;
+    EXPECT_EQ(fast.word_pivots, 0) << "seed " << seed;
+    EXPECT_EQ(fast.wide_pivots, 0) << "seed " << seed;
+    EXPECT_EQ(fast.bigint_promotions, 0) << "seed " << seed;
   }
 }
 

@@ -2,8 +2,10 @@
 # bagcq_server must refuse a worker count it cannot serve: a nonzero exit
 # and no listening line for each of --engine-threads 0, abc and -3, for
 # --engine-threads 0 next to --workers 3 (two modes asked for at once), and
-# for --workers 0. A server that starts anyway is stopped after a timeout
-# and counted as a failure.
+# for --workers 0. It must also refuse --threads 4: engines start no
+# threads of their own, so the flag is unknown (usage text, exit 2). A
+# server that starts anyway is stopped after a timeout and counted as a
+# failure.
 #
 # Usage: server_flags.sh BAGCQ_SERVER
 set -u
@@ -30,6 +32,7 @@ expect_refused --engine-threads abc
 expect_refused --engine-threads -3
 expect_refused --engine-threads 0 --workers 3
 expect_refused --workers 0
+expect_refused --threads 4
 
-echo "$((run - failures)) of $run bad worker counts refused"
+echo "$((run - failures)) of $run bad flags refused"
 ((failures == 0))

@@ -205,26 +205,6 @@ TEST(SimplexTest, DualValuesMatchShadowPrices) {
   EXPECT_TRUE(VerifyDuals(lp, sol));
 }
 
-TEST(SimplexTest, DantzigRuleAgreesWithBland) {
-  LpProblem lp;
-  lp.AddVariable("x");
-  lp.AddVariable("y");
-  lp.AddVariable("z");
-  lp.AddConstraint({R(2), R(1), R(1)}, Sense::kLessEqual, R(14));
-  lp.AddConstraint({R(4), R(2), R(3)}, Sense::kLessEqual, R(28));
-  lp.AddConstraint({R(2), R(5), R(5)}, Sense::kLessEqual, R(30));
-  lp.SetObjective(Objective::kMaximize, {R(1), R(2), R(-1)});
-
-  auto bland = RationalSolver(SolverOptions{PivotRule::kBland, 100000}).Solve(lp);
-  auto dantzig =
-      RationalSolver(SolverOptions{PivotRule::kDantzig, 100000}).Solve(lp);
-  ASSERT_EQ(bland.status, SolveStatus::kOptimal);
-  ASSERT_EQ(dantzig.status, SolveStatus::kOptimal);
-  EXPECT_EQ(bland.objective, dantzig.objective);
-  EXPECT_TRUE(VerifyDuals(lp, bland));
-  EXPECT_TRUE(VerifyDuals(lp, dantzig));
-}
-
 // Property sweep: random small LPs; reference solver results must satisfy
 // the certificate checks, and the production solver (lp::Solver, over the
 // escalation ladder) must agree on status and value exactly.

@@ -398,18 +398,14 @@ TEST(ProofStoreEngineTest, ParallelBatchFoldsStoreCountersAndServesWarm) {
 
   {
     auto store = MustOpen(path);
-    api::Engine engine{api::EngineOptions()
-                           .set_decision_store(store.get())
-                           .set_num_threads(2)};
+    api::Engine engine{api::EngineOptions().set_decision_store(store.get())};
     auto results = engine.DecideBatch(pairs);
     for (const auto& r : results) ASSERT_TRUE(r.ok());
     EXPECT_EQ(engine.stats().store_appends, 3);
     EXPECT_EQ(engine.stats().store_misses, 3);
   }
   auto store = MustOpen(path);
-  api::Engine engine{api::EngineOptions()
-                         .set_decision_store(store.get())
-                         .set_num_threads(2)};
+  api::Engine engine{api::EngineOptions().set_decision_store(store.get())};
   auto warm = engine.DecideBatch(pairs);
   for (const auto& r : warm) {
     ASSERT_TRUE(r.ok());

@@ -32,7 +32,7 @@
 //
 //   bagcq_server (--socket PATH | --listen HOST:PORT)...
 //                [--workers N | --engine-threads N]
-//                [--threads K] [--no-memoize] [--cold] [--store PATH]
+//                [--no-memoize] [--cold] [--store PATH]
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -53,7 +53,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s (--socket PATH | --listen HOST:PORT)...\n"
       "          [--workers N | --engine-threads N]\n"
-      "          [--threads K] [--no-memoize] [--cold] [--store PATH]\n"
+      "          [--no-memoize] [--cold] [--store PATH]\n"
       "  --socket PATH      serve a Unix domain socket at PATH\n"
       "  --listen H:P       serve TCP at host:port (port 0 picks a free\n"
       "                     port, printed on startup); repeatable, combines\n"
@@ -64,7 +64,6 @@ int Usage(const char* argv0) {
       "                     sharing constraint skeletons, with per-worker\n"
       "                     queues and work stealing (mutually exclusive\n"
       "                     with --workers)\n"
-      "  --threads K        in-process batch threads per worker (default 1)\n"
       "  --no-memoize       disable the per-worker decision memo\n"
       "  --cold             disable LP warm starts (deterministic pivots)\n"
       "  --store PATH       persistent proof-store log shared by all\n"
@@ -105,8 +104,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--engine-threads" && i + 1 < argc) {
       thread_mode = true;
       engine_threads = std::atoi(argv[++i]);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.engine.set_num_threads(std::atoi(argv[++i]));
     } else if (arg == "--no-memoize") {
       options.engine.set_memoize_decisions(false);
     } else if (arg == "--cold") {
