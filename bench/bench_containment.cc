@@ -74,22 +74,6 @@ void BM_Example35Refutation(benchmark::State& state) {
 }
 BENCHMARK(BM_Example35Refutation);
 
-// Witness-free vs witness-included refutation cost.
-void BM_Example35NoWitnessVerify(benchmark::State& state) {
-  Engine engine{EngineOptions().set_verify_witness_counts(false)};
-  auto pair = engine
-                  .ParsePair(
-                      "A(x1,x2), B(x1,x2), C(x1,x2), A(x1',x2'), B(x1',x2'), "
-                      "C(x1',x2')",
-                      "A(y1,y2), B(y1,y3), C(y4,y2)")
-                  .ValueOrDie();
-  for (auto _ : state) {
-    auto d = engine.Decide(pair.q1, pair.q2).ValueOrDie();
-    benchmark::DoNotOptimize(d.witness);
-  }
-}
-BENCHMARK(BM_Example35NoWitnessVerify);
-
 // What the session buys: the same decision repeated against a long-lived
 // Engine (elemental system built once, LP workspace warm) versus a fresh
 // Engine per decision (the old free-function behavior).

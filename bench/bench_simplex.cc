@@ -1,5 +1,5 @@
-// P4: simplex ablations — workspace reuse, and the escalation ladder vs
-// the reference vector-of-Rational tableau — on random dense LPs. Exactness
+// P4: simplex ablations — the escalation ladder vs the reference
+// vector-of-Rational tableau — on random dense LPs. Exactness
 // is mandatory for certificates; this bench quantifies its price and what
 // the integer ladder claws back.
 #include <benchmark/benchmark.h>
@@ -27,16 +27,17 @@ lp::LpProblem RandomLp(int vars, int rows, uint64_t seed) {
     problem.AddConstraint(std::move(row), lp::Sense::kLessEqual,
                           Rational(std::abs(coeff(rng)) + 1));
   }
+  // Minimizing the negated costs: the classic maximize-over-a-box shape.
   std::vector<Rational> obj;
-  for (int j = 0; j < vars; ++j) obj.push_back(Rational(coeff(rng)));
-  problem.SetObjective(lp::Objective::kMaximize, std::move(obj));
+  for (int j = 0; j < vars; ++j) obj.push_back(Rational(-coeff(rng)));
+  problem.SetObjective(std::move(obj));
   return problem;
 }
 
 void BM_ExactBland(benchmark::State& state) {
   auto problem = RandomLp(static_cast<int>(state.range(0)),
                           static_cast<int>(state.range(0)), 1234);
-  lp::SimplexSolver<Rational> solver;
+  lp::SimplexSolver solver;
   int64_t pivots = 0;
   for (auto _ : state) {
     auto sol = solver.Solve(problem);
@@ -46,35 +47,6 @@ void BM_ExactBland(benchmark::State& state) {
   state.counters["pivots"] = static_cast<double>(pivots);
 }
 BENCHMARK(BM_ExactBland)->RangeMultiplier(2)->Range(4, 32);
-
-// Workspace reuse (the Engine batch path): one long-lived solver keeps its
-// tableau capacity across solves, versus constructing a solver per solve.
-// The delta is pure allocation/free traffic — pivots are identical.
-void ReuseBench(benchmark::State& state, bool reuse) {
-  auto problem = RandomLp(static_cast<int>(state.range(0)),
-                          static_cast<int>(state.range(0)), 1234);
-  lp::SimplexSolver<Rational> session_solver;
-  for (auto _ : state) {
-    if (reuse) {
-      auto sol = session_solver.Solve(problem);
-      benchmark::DoNotOptimize(sol.status);
-    } else {
-      lp::SimplexSolver<Rational> fresh;
-      auto sol = fresh.Solve(problem);
-      benchmark::DoNotOptimize(sol.status);
-    }
-  }
-  state.counters["retained_bytes"] = static_cast<double>(
-      session_solver.workspace().RetainedRowCapacity());
-}
-void BM_ExactWorkspaceReused(benchmark::State& state) {
-  ReuseBench(state, /*reuse=*/true);
-}
-void BM_ExactWorkspaceFresh(benchmark::State& state) {
-  ReuseBench(state, /*reuse=*/false);
-}
-BENCHMARK(BM_ExactWorkspaceReused)->RangeMultiplier(2)->Range(8, 64);
-BENCHMARK(BM_ExactWorkspaceFresh)->RangeMultiplier(2)->Range(8, 64);
 
 // The production solver (lp::Solver: the ladder plus its stats and warm-start
 // bookkeeping) on the same programs.
@@ -109,7 +81,7 @@ void BM_LadderWord(benchmark::State& state) {
   LadderBench<lp::LadderSimplex>(state);
 }
 void BM_LadderRational(benchmark::State& state) {
-  LadderBench<lp::SimplexSolver<Rational>>(state);
+  LadderBench<lp::SimplexSolver>(state);
 }
 BENCHMARK(BM_LadderWord)->RangeMultiplier(2)->Range(4, 32);
 BENCHMARK(BM_LadderRational)->RangeMultiplier(2)->Range(4, 32);

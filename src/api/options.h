@@ -1,8 +1,8 @@
 // EngineOptions: every knob of an Engine session in one builder, replacing
 // the core::DeciderOptions + core::WitnessOptions pair at the public
 // boundary. Defaults match the paper's reference configuration: exact
-// arithmetic, Shannon certificates on Contained verdicts, witnesses verified
-// by exact homomorphism counting.
+// arithmetic and Shannon certificates on Contained verdicts. Witnesses are
+// always verified by exact homomorphism counting; no knob turns that off.
 //
 // No knob sizes a thread pool: an Engine starts no threads and decides a
 // batch one pair after another. Parallel decisions are one Engine per
@@ -39,13 +39,6 @@ class EngineOptions {
     return *this;
   }
   int64_t witness_max_tuples() const { return witness_max_tuples_; }
-
-  /// Double-check witnesses by counting homomorphisms.
-  EngineOptions& set_verify_witness_counts(bool v) {
-    verify_witness_counts_ = v;
-    return *this;
-  }
-  bool verify_witness_counts() const { return verify_witness_counts_; }
 
   /// Warm starts across the session's LPs (on by default): each LP shape
   /// keeps its last terminal basis on the solver, and the next same-shaped
@@ -106,19 +99,19 @@ class EngineOptions {
   }
   DecisionStore* decision_store() const { return decision_store_; }
 
-  /// The legacy options pair consumed by the core decider.
+  /// The legacy options pair consumed by the core decider, with witness
+  /// count verification always on.
   core::DeciderOptions ToDeciderOptions() const {
     core::DeciderOptions options;
     options.want_shannon_certificate = want_shannon_certificate_;
     options.witness.max_tuples = witness_max_tuples_;
-    options.witness.verify_counts = verify_witness_counts_;
+    options.witness.verify_counts = true;
     return options;
   }
 
  private:
   bool want_shannon_certificate_ = true;
   int64_t witness_max_tuples_ = 100'000;
-  bool verify_witness_counts_ = true;
   bool warm_starts_ = true;
   bool memoize_decisions_ = false;
   size_t memo_max_entries_ = 65'536;

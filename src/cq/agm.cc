@@ -59,7 +59,7 @@ util::Result<AgmBound> ComputeAgmBound(const ConjunctiveQuery& q,
     objective[a] =
         Rational(static_cast<int64_t>(std::llround(log_size * 1024)), 1024);
   }
-  problem.SetObjective(lp::Objective::kMinimize, std::move(objective));
+  problem.SetObjective(std::move(objective));
 
   auto solution = lp::Solver().Solve(problem);
   if (solution.status != lp::SolveStatus::kOptimal) {

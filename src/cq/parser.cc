@@ -1,7 +1,9 @@
 #include "cq/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "util/string_util.h"
@@ -59,7 +61,8 @@ class Lexer {
     return true;
   }
 
-  bool ConsumeInteger(int* out) {
+  // Optionally signed decimal integer: [+-]?[0-9]+, which must fit an int.
+  Status ConsumeInteger(int* out) {
     SkipSpace();
     size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
@@ -70,10 +73,15 @@ class Lexer {
     }
     if (pos_ == digits) {
       pos_ = start;
-      return false;
+      return Status::ParseError("expected integer " + Context());
     }
-    *out = std::stoi(std::string(text_.substr(start, pos_ - start)));
-    return true;
+    // from_chars takes a leading '-' but not a '+'.
+    const char* first = text_.data() + (text_[start] == '+' ? digits : start);
+    if (std::from_chars(first, text_.data() + pos_, *out).ec != std::errc()) {
+      pos_ = start;
+      return Status::ParseError("integer out of range " + Context());
+    }
+    return Status::OK();
   }
 
   std::string Context() const {
@@ -85,6 +93,25 @@ class Lexer {
   std::string_view text_;
   size_t pos_ = 0;
 };
+
+// Appends the index of each variable name to *vars, adding the names q has
+// not seen. More distinct variables than a VarSet holds is a ParseError.
+Status ResolveVariables(const std::vector<std::string>& names,
+                        ConjunctiveQuery* q, std::vector<int>* vars) {
+  for (const std::string& name : names) {
+    int v = q->FindVariable(name);
+    if (v < 0) {
+      if (q->num_vars() == VarSet::kMaxVars) {
+        return Status::ParseError("more than " +
+                                  std::to_string(VarSet::kMaxVars) +
+                                  " distinct variables");
+      }
+      v = q->AddVariable(name);
+    }
+    vars->push_back(v);
+  }
+  return Status::OK();
+}
 
 // Parses "Rel(arg, arg, ...)"; returns relation name and argument tokens.
 Status ParseAtomShape(Lexer* lex, std::string* name,
@@ -119,11 +146,6 @@ Result<ConjunctiveQuery> ParseQueryWithVocabulary(std::string_view text,
   Lexer lex(text);
   ConjunctiveQuery q(std::move(vocab));
 
-  auto var_of = [&q](const std::string& name) {
-    int v = q.FindVariable(name);
-    return v >= 0 ? v : q.AddVariable(name);
-  };
-
   // Optional head: "Name(args) :-".
   Lexer probe = lex;
   std::string head_name;
@@ -134,7 +156,7 @@ Result<ConjunctiveQuery> ParseQueryWithVocabulary(std::string_view text,
       probe.Consume(":-")) {
     has_head = true;
     lex = probe;
-    for (const std::string& arg : head_args) head_vars.push_back(var_of(arg));
+    BAGCQ_RETURN_NOT_OK(ResolveVariables(head_args, &q, &head_vars));
   }
 
   // Body: atom, atom, ... with optional trailing '.'.
@@ -145,8 +167,7 @@ Result<ConjunctiveQuery> ParseQueryWithVocabulary(std::string_view text,
     auto rel = q.mutable_vocab()->FindOrAdd(name, static_cast<int>(args.size()));
     if (!rel.ok()) return rel.status();
     std::vector<int> vars;
-    vars.reserve(args.size());
-    for (const std::string& arg : args) vars.push_back(var_of(arg));
+    BAGCQ_RETURN_NOT_OK(ResolveVariables(args, &q, &vars));
     q.AddAtom(*rel, std::move(vars));
     if (lex.Consume(",")) continue;
     lex.Consume(".");
@@ -201,9 +222,7 @@ Result<Structure> ParseStructureWithVocabulary(std::string_view text,
         if (!lex.Consume(")")) {
           while (true) {
             int value;
-            if (!lex.ConsumeInteger(&value)) {
-              return Status::ParseError("expected integer " + lex.Context());
-            }
+            BAGCQ_RETURN_NOT_OK(lex.ConsumeInteger(&value));
             t.push_back(value);
             if (lex.Consume(")")) break;
             if (!lex.Consume(",")) {

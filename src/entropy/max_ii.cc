@@ -64,8 +64,8 @@ MaxIIOracle::MaxIIOracle(int n, ConeKind kind, const ShannonProver* prover,
 }
 
 template <typename Program>
-lp::Solution<Rational> MaxIIOracle::RunSimplex(
-    const Program& program, const std::string& warm_key) const {
+lp::Solution MaxIIOracle::RunSimplex(const Program& program,
+                                     const std::string& warm_key) const {
   // Keys encode (form, cone, n, branch count), so equal keys mean equal LP
   // shape and the session solver can chain terminal bases across branch LPs.
   if (solver_ != nullptr) return solver_->SolveKeyed(program, warm_key);
@@ -120,7 +120,6 @@ lp::LpProblem GammaLpProblem(int n,
   }
   problem.AddConstraint(std::vector<Rational>(k, Rational(1)),
                         lp::Sense::kEqual, Rational(1), "convexity");
-  problem.SetObjective(lp::Objective::kMinimize, {});
   return problem;
 }
 
@@ -169,8 +168,7 @@ lp::LpProblem GeneratorLpProblem(int n, ConeKind kind,
     }
     problem.AddConstraint(std::move(row), lp::Sense::kLessEqual, Rational(-1));
   }
-  problem.SetObjective(lp::Objective::kMinimize,
-                       std::vector<Rational>(num_gens, Rational(1)));
+  problem.SetObjective(std::vector<Rational>(num_gens, Rational(1)));
   return problem;
 }
 
@@ -230,7 +228,7 @@ MaxIIResult MaxIIOracle::CheckConstraintForm(
       "maxii/gamma/n=" + std::to_string(n_) + "/k=" + std::to_string(k);
   const std::optional<lp::IntegerProgram> program =
       GammaIntegerProgram(n_, columns, branches);
-  const lp::Solution<Rational> solution =
+  const lp::Solution solution =
       program.has_value()
           ? RunSimplex(*program, key)
           : RunSimplex(GammaLpProblem(n_, columns, branches), key);
@@ -290,7 +288,7 @@ MaxIIResult MaxIIOracle::CheckGeneratorForm(
       "/n=" + std::to_string(n_) + "/k=" + std::to_string(k);
   const std::optional<lp::IntegerProgram> program =
       GeneratorIntegerProgram(n_, kind_, branches);
-  const lp::Solution<Rational> solution =
+  const lp::Solution solution =
       program.has_value()
           ? RunSimplex(*program, key)
           : RunSimplex(GeneratorLpProblem(n_, kind_, branches), key);

@@ -82,8 +82,8 @@ class MaxIIOracle {
   MaxIIResult CheckConstraintForm(const std::vector<LinearExpr>& branches) const;
   MaxIIResult CheckGeneratorForm(const std::vector<LinearExpr>& branches) const;
   template <typename Program>
-  lp::Solution<Rational> RunSimplex(const Program& program,
-                                    const std::string& warm_key) const;
+  lp::Solution RunSimplex(const Program& program,
+                          const std::string& warm_key) const;
 
   int n_;
   ConeKind kind_;

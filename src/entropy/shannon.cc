@@ -77,7 +77,6 @@ lp::LpProblem ProofLpProblem(int n,
     problem.AddConstraint(std::move(rows[s - 1]), lp::Sense::kEqual,
                           e.Coeff(VarSet(s)));
   }
-  problem.SetObjective(lp::Objective::kMinimize, {});
   return problem;
 }
 
@@ -106,7 +105,7 @@ IIResult ShannonProver::Prove(const LinearExpr& e, lp::Solver* solver) const {
   };
   const std::optional<lp::IntegerProgram> program =
       ProofIntegerProgram(n_, columns_, e);
-  const lp::Solution<Rational> solution =
+  const lp::Solution solution =
       program.has_value() ? solve(*program)
                           : solve(ProofLpProblem(n_, columns_, e));
   IIResult out;

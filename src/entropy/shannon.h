@@ -64,11 +64,11 @@ class ShannonProver {
   const std::vector<ElementalColumn>& columns() const { return columns_; }
 
   /// Is 0 ≤ E(h) for all h ∈ Γn? Certificates and counterexamples are
-  /// CHECK-verified before being returned. With a non-null `solver`, the LP
-  /// runs on that solver with its persistent workspace and a per-n warm
-  /// keyed basis (the Engine batch path — repeated proofs at one n resume
-  /// from the previous terminal basis); otherwise a throwaway exact solver
-  /// is used.
+  /// CHECK-verified before being returned. With a non-null `solver` (an
+  /// Engine's session solver), the LP runs on that solver with its
+  /// persistent arena and a per-n warm keyed basis, so repeated proofs at
+  /// one n resume from the previous terminal basis; otherwise a throwaway
+  /// exact solver is used.
   IIResult Prove(const LinearExpr& e, lp::Solver* solver = nullptr) const;
 
  private:

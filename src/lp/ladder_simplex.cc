@@ -136,8 +136,8 @@ struct OpsBig {
 constexpr size_t kWordBits = 62;
 constexpr size_t kWideBits = 126;
 
-// The fraction-free tableau + driver. Mirrors Tableau<Scalar> in simplex.cc
-// decision for decision — same column layout, same Bland selection,
+// The fraction-free tableau + driver. Mirrors the reference Tableau in
+// simplex.cc decision for decision — same column layout, same Bland selection,
 // same warm-install and artificial-pivot-out flow — so that the two exact
 // simplexes emit identical results (see the header for why the pivot
 // sequences coincide). Storage is the flat block in LadderWorkspace: rows
@@ -152,8 +152,8 @@ class LadderTableau {
                 LadderWorkspace& workspace)
       : ip_(&program), options_(options), ws_(workspace) {}
 
-  Solution<Rational> Run(const std::vector<BasisEntry>* hint) {
-    Solution<Rational> out = RunImpl(hint);
+  Solution Run(const std::vector<BasisEntry>* hint) {
+    Solution out = RunImpl(hint);
     out.word_pivots = word_pivots_;
     out.wide_pivots = wide_pivots_;
     out.bigint_promotions = big_promotions_;
@@ -161,11 +161,11 @@ class LadderTableau {
   }
 
  private:
-  // ---- driver (the Tableau<Scalar>::Run flow) -----------------------------
+  // ---- driver (the reference Tableau::Run flow) ---------------------------
 
-  Solution<Rational> RunImpl(const std::vector<BasisEntry>* hint) {
+  Solution RunImpl(const std::vector<BasisEntry>* hint) {
     Build();
-    Solution<Rational> out;
+    Solution out;
 
     bool installed = false;
     if (hint != nullptr) {
@@ -219,16 +219,12 @@ class LadderTableau {
     }
 
     out.status = SolveStatus::kOptimal;
-    // Internal minimized objective = -C[m][ncols] / (d * L), undoing the
-    // objective integerization scale.
-    Rational objective(-CellBig(m_, ncols_), DenBig() * ws_.cost_scale);
-    out.objective = maximize_ ? -objective : objective;
+    // Objective = -C[m][ncols] / (d * L), undoing the objective
+    // integerization scale.
+    out.objective = Rational(-CellBig(m_, ncols_), DenBig() * ws_.cost_scale);
     out.values = ExtractPrimal();
     out.duals = ExtractRowMultipliers(/*phase_one=*/false);
     out.basis = ExtractBasis();
-    if (maximize_) {
-      for (Rational& y : out.duals) y = -y;
-    }
     return out;
   }
 
@@ -247,9 +243,6 @@ class LadderTableau {
   int NumVariables() const {
     return ip_ != nullptr ? ip_->num_columns() : lp_->num_variables();
   }
-  bool IsFree(int j) const {
-    return ip_ == nullptr && lp_->variable_is_free(j);
-  }
   Sense RowSense(int i) const {
     return ip_ != nullptr ? ip_->sense(i) : lp_->constraints()[i].sense;
   }
@@ -262,29 +255,20 @@ class LadderTableau {
   }
 
   // Column layout, row signs, and basis bookkeeping — everything that does
-  // not depend on the arithmetic tier. Unlike the reference tableau, slack
-  // and artificial columns are laid out up front (artificials contiguous at
-  // the end, so "is artificial" is a range check), in the same order the
-  // reference's AddColumn calls produce.
+  // not depend on the arithmetic tier. Program column j is tableau column
+  // j; unlike the reference tableau, slack and artificial columns are laid
+  // out up front (artificials contiguous at the end, so "is artificial" is
+  // a range check), in the same order the reference's AddColumn calls
+  // produce.
   void BuildLayout() {
-    maximize_ =
-        ip_ == nullptr && lp_->objective_sense() == Objective::kMaximize;
     const int n = NumVariables();
     m_ = ip_ != nullptr ? ip_->num_rows() : lp_->num_constraints();
 
-    ws_.col_of_var.resize(n);
-    ws_.neg_col_of_var.assign(n, -1);
     ws_.col_entry.clear();
-    int col = 0;
     for (int j = 0; j < n; ++j) {
-      ws_.col_of_var[j] = col++;
       ws_.col_entry.push_back({BasisKind::kStructural, j});
-      if (IsFree(j)) {
-        ws_.neg_col_of_var[j] = col++;
-        ws_.col_entry.push_back({BasisKind::kNegStructural, j});
-      }
     }
-    num_structural_ = col;
+    int col = n;
 
     ws_.row_sign.assign(m_, 1);
     ws_.identity_col.assign(m_, -1);
@@ -338,7 +322,6 @@ class LadderTableau {
 
     ws_.w64.assign(cells_, 0);
     int64_t* a = ws_.w64.data();
-    // No free variables: program column j is tableau column j.
     for (int j = 0; j < n; ++j) {
       for (const IntegerProgram::Entry& e : ip_->column(j)) {
         a[static_cast<size_t>(e.row) * stride_ + j] =
@@ -389,13 +372,8 @@ class LadderTableau {
     ws_.structural_cost.assign(ncols_, BigInt());
     for (int j = 0; j < n; ++j) {
       const Rational c = problem.objective_coeff(j);
-      BigInt ci = (ws_.cost_scale / c.den()) * c.num();
-      if (maximize_) ci = -ci;
-      track(ci);
-      ws_.structural_cost[ws_.col_of_var[j]] = ci;
-      if (ws_.neg_col_of_var[j] >= 0) {
-        ws_.structural_cost[ws_.neg_col_of_var[j]] = -std::move(ci);
-      }
+      ws_.structural_cost[j] = (ws_.cost_scale / c.den()) * c.num();
+      track(ws_.structural_cost[j]);
     }
     // Phase-I artificial costs lcm(t)/t_i participate in the tier choice too.
     for (int i = 0; i < m_; ++i) {
@@ -412,11 +390,9 @@ class LadderTableau {
       for (int j = 0; j < n; ++j) {
         const Rational c = CoeffAt(row, j);
         if (c.is_zero()) continue;
-        BigInt v = (t / c.den()) * c.num();
-        if (ws_.row_sign[i] < 0) v = -v;
-        track(v);
-        if (ws_.neg_col_of_var[j] >= 0) ri[ws_.neg_col_of_var[j]] = -v;
-        ri[ws_.col_of_var[j]] = std::move(v);
+        ri[j] = (t / c.den()) * c.num();
+        if (ws_.row_sign[i] < 0) ri[j] = -ri[j];
+        track(ri[j]);
       }
       BigInt b = (t / row.rhs.den()) * row.rhs.num();
       if (ws_.row_sign[i] < 0) b = -b;
@@ -444,61 +420,64 @@ class LadderTableau {
 
   // ---- tier plumbing ------------------------------------------------------
 
+  // Calls fn with the Ops of the current tier (fn(Ops64{}), fn(OpsWide{})
+  // or fn(OpsBig{})): the one place the tier selects the arithmetic.
+  template <typename Fn>
+  auto OnTier(Fn&& fn) const {
+    switch (tier_) {
+      case LadderTier::kWord:
+        return fn(Ops64{});
+      case LadderTier::kWide:
+        return fn(OpsWide{});
+      case LadderTier::kBig:
+        break;
+    }
+    return fn(OpsBig{});
+  }
+
+  // Runs step(ops) in the current tier until it completes. A step returns
+  // false when an operation overflowed the tier; the tableau then promotes
+  // and the step runs again in the next tier, continuing from whatever
+  // state it saved (or from the start, if it only reads the tableau).
+  template <typename Step>
+  void RunPromoting(Step&& step) {
+    while (!OnTier(step)) Promote();
+  }
+
   // Widens the whole block (and the in-flight pivot factor, held as BigInt
   // in resume_) to the next tier. Lossless; never reversed within a solve.
   void Promote() {
+    BAGCQ_DCHECK(tier_ != LadderTier::kBig);
     if (tier_ == LadderTier::kWord && kHasWideTier) {
-      ws_.wwide.resize(cells_);
-      const int64_t* src = ws_.w64.data();
-      LadderWide* dst = ws_.wwide.data();
-      for (size_t k = 0; k < cells_; ++k) dst[k] = src[k];
+      ws_.wwide.assign(ws_.w64.begin(), ws_.w64.end());
       tier_ = LadderTier::kWide;
       return;
     }
-    BAGCQ_DCHECK(tier_ != LadderTier::kBig);
     ws_.wbig.resize(cells_);
-    BigInt* dst = ws_.wbig.data();
-    if (tier_ == LadderTier::kWord) {
-      const int64_t* src = ws_.w64.data();
-      for (size_t k = 0; k < cells_; ++k) dst[k] = BigInt(src[k]);
-    } else {
-      const LadderWide* src = ws_.wwide.data();
-      for (size_t k = 0; k < cells_; ++k) dst[k] = OpsWide::ToBig(src[k]);
-    }
+    for (size_t k = 0; k < cells_; ++k) ws_.wbig[k] = IndexBig(k);
     tier_ = LadderTier::kBig;
     ++big_promotions_;
   }
 
   int SignAt(int i, int j) const {
     const size_t k = static_cast<size_t>(i) * stride_ + j;
-    switch (tier_) {
-      case LadderTier::kWord:
-        return Ops64::Sign(ws_.w64[k]);
-      case LadderTier::kWide:
-        return OpsWide::Sign(ws_.wwide[k]);
-      case LadderTier::kBig:
-        return OpsBig::Sign(ws_.wbig[k]);
-    }
-    return 0;
+    return OnTier([&](auto ops) {
+      using Ops = decltype(ops);
+      return Ops::Sign(Ops::ArenaOf(ws_)[k]);
+    });
   }
 
   BigInt CellBig(int i, int j) const {
-    const size_t k = static_cast<size_t>(i) * stride_ + j;
-    return IndexBig(k);
+    return IndexBig(static_cast<size_t>(i) * stride_ + j);
   }
 
   BigInt DenBig() const { return IndexBig(den_index_); }
 
   BigInt IndexBig(size_t k) const {
-    switch (tier_) {
-      case LadderTier::kWord:
-        return BigInt(ws_.w64[k]);
-      case LadderTier::kWide:
-        return OpsWide::ToBig(ws_.wwide[k]);
-      case LadderTier::kBig:
-        return ws_.wbig[k];
-    }
-    return BigInt();
+    return OnTier([&](auto ops) {
+      using Ops = decltype(ops);
+      return Ops::ToBig(Ops::ArenaOf(ws_)[k]);
+    });
   }
 
   // ---- pivoting -----------------------------------------------------------
@@ -564,7 +543,7 @@ class LadderTableau {
           const int j = *k;
           T t, next;
           if (Ops::Mul(f, pr[j], &t) || Ops::Sub(ri[j], t, &next)) {
-            return SaveResume(i, j, f);
+            return SaveResume(i, j, Ops::ToBig(f));
           }
           ri[j] = std::move(next);
         }
@@ -576,13 +555,15 @@ class LadderTableau {
         T t1;
         if (f_zero) {
           if (Ops::IsZero(ri[j])) continue;
-          if (Ops::Mul(piv, ri[j], &t1)) return SaveResume(i, j, f);
+          if (Ops::Mul(piv, ri[j], &t1)) {
+            return SaveResume(i, j, Ops::ToBig(f));
+          }
         } else {
           if (Ops::IsZero(ri[j]) && Ops::IsZero(pr[j])) continue;
           T t2, t3;
           if (Ops::Mul(piv, ri[j], &t1) || Ops::Mul(f, pr[j], &t2) ||
               Ops::Sub(t1, t2, &t3)) {
-            return SaveResume(i, j, f);
+            return SaveResume(i, j, Ops::ToBig(f));
           }
           t1 = std::move(t3);
         }
@@ -594,44 +575,19 @@ class LadderTableau {
     return true;
   }
 
-  template <typename T>
-  bool SaveResume(int i, int j, const T& f) {
+  bool SaveResume(int i, int j, BigInt f) {
     resume_.row = i;
     resume_.col = j;
     resume_.mid_row = true;
-    resume_.factor = BigInt(f);  // int64 overload; wide uses the other one
+    resume_.factor = std::move(f);
     return false;
   }
-#if defined(__SIZEOF_INT128__)
-  bool SaveResume(int i, int j, const LadderWide& f) {
-    resume_.row = i;
-    resume_.col = j;
-    resume_.mid_row = true;
-    resume_.factor = BigInt::FromInt128(f);
-    return false;
-  }
-#endif
 
   // A full pivot, promoting (and resuming mid-row) as many times as the
   // entries demand. The pivot is tallied under the tier that completed it.
   void PivotInto(int r, int c) {
     resume_ = PivotResume{};
-    for (;;) {
-      bool done = false;
-      switch (tier_) {
-        case LadderTier::kWord:
-          done = PivotT<Ops64>(r, c);
-          break;
-        case LadderTier::kWide:
-          done = PivotT<OpsWide>(r, c);
-          break;
-        case LadderTier::kBig:
-          done = PivotT<OpsBig>(r, c);
-          break;
-      }
-      if (done) break;
-      Promote();
-    }
+    RunPromoting([&](auto ops) { return PivotT<decltype(ops)>(r, c); });
     ws_.basis[r] = c;
     if (tier_ == LadderTier::kWord) {
       ++word_pivots_;
@@ -660,22 +616,7 @@ class LadderTableau {
   // negative pivot). Only -INT64_MIN-style edges can overflow.
   void NegateRow(int i) {
     int j0 = 0;
-    for (;;) {
-      bool done = false;
-      switch (tier_) {
-        case LadderTier::kWord:
-          done = NegateRowT<Ops64>(i, &j0);
-          break;
-        case LadderTier::kWide:
-          done = NegateRowT<OpsWide>(i, &j0);
-          break;
-        case LadderTier::kBig:
-          done = NegateRowT<OpsBig>(i, &j0);
-          break;
-      }
-      if (done) return;
-      Promote();
-    }
+    RunPromoting([&](auto ops) { return NegateRowT<decltype(ops)>(i, &j0); });
   }
 
   // ---- cost row -----------------------------------------------------------
@@ -698,22 +639,7 @@ class LadderTableau {
         ws_.phase_cost[j] = ws_.structural_cost[j];
       }
     }
-    for (;;) {
-      bool done = false;
-      switch (tier_) {
-        case LadderTier::kWord:
-          done = SetPhaseCostsT<Ops64>();
-          break;
-        case LadderTier::kWide:
-          done = SetPhaseCostsT<OpsWide>();
-          break;
-        case LadderTier::kBig:
-          done = SetPhaseCostsT<OpsBig>();
-          break;
-      }
-      if (done) return;
-      Promote();
-    }
+    RunPromoting([&](auto ops) { return SetPhaseCostsT<decltype(ops)>(); });
   }
 
   template <typename Ops>
@@ -792,37 +718,14 @@ class LadderTableau {
 
   SolveStatus Iterate(bool phase_one, int64_t* pivots) {
     while (true) {
-      int enter = -1;
-      switch (tier_) {
-        case LadderTier::kWord:
-          enter = SelectEnterT<Ops64>(phase_one);
-          break;
-        case LadderTier::kWide:
-          enter = SelectEnterT<OpsWide>(phase_one);
-          break;
-        case LadderTier::kBig:
-          enter = SelectEnterT<OpsBig>(phase_one);
-          break;
-      }
+      const int enter = OnTier(
+          [&](auto ops) { return SelectEnterT<decltype(ops)>(phase_one); });
       if (enter == -1) return SolveStatus::kOptimal;
 
+      // The ratio test reads only; an overflow restarts it wholesale.
       int leave = -1;
-      for (;;) {
-        bool done = false;
-        switch (tier_) {
-          case LadderTier::kWord:
-            done = SelectLeaveT<Ops64>(enter, &leave);
-            break;
-          case LadderTier::kWide:
-            done = SelectLeaveT<OpsWide>(enter, &leave);
-            break;
-          case LadderTier::kBig:
-            done = SelectLeaveT<OpsBig>(enter, &leave);
-            break;
-        }
-        if (done) break;
-        Promote();  // the ratio test reads only; restart it wholesale
-      }
+      RunPromoting(
+          [&](auto ops) { return SelectLeaveT<decltype(ops)>(enter, &leave); });
       if (leave == -1) return SolveStatus::kUnbounded;
 
       PivotInto(leave, enter);
@@ -837,13 +740,7 @@ class LadderTableau {
     const int n = NumVariables();
     switch (entry.kind) {
       case BasisKind::kStructural:
-        return entry.index >= 0 && entry.index < n
-                   ? ws_.col_of_var[entry.index]
-                   : -1;
-      case BasisKind::kNegStructural:
-        return entry.index >= 0 && entry.index < n
-                   ? ws_.neg_col_of_var[entry.index]
-                   : -1;
+        return entry.index >= 0 && entry.index < n ? entry.index : -1;
       case BasisKind::kSlack:
         return entry.index >= 0 && entry.index < m_
                    ? ws_.slack_col_of_row[entry.index]
@@ -869,15 +766,8 @@ class LadderTableau {
   }
 
   bool IsUnitColumnAt(int col, int r) {
-    switch (tier_) {
-      case LadderTier::kWord:
-        return IsUnitColumnAtT<Ops64>(col, r);
-      case LadderTier::kWide:
-        return IsUnitColumnAtT<OpsWide>(col, r);
-      case LadderTier::kBig:
-        return IsUnitColumnAtT<OpsBig>(col, r);
-    }
-    return false;
+    return OnTier(
+        [&](auto ops) { return IsUnitColumnAtT<decltype(ops)>(col, r); });
   }
 
   bool TryInstall(const std::vector<BasisEntry>& hint, int64_t* pivots) {
@@ -948,16 +838,10 @@ class LadderTableau {
 
   std::vector<Rational> ExtractPrimal() const {
     const BigInt d = DenBig();
-    std::vector<Rational> internal(ncols_);
+    std::vector<Rational> out(NumVariables());
     for (int i = 0; i < m_; ++i) {
-      internal[ws_.basis[i]] = Rational(CellBig(i, ncols_), d);
-    }
-    const int n = NumVariables();
-    std::vector<Rational> out(n);
-    for (int j = 0; j < n; ++j) {
-      out[j] = internal[ws_.col_of_var[j]];
-      if (ws_.neg_col_of_var[j] >= 0) {
-        out[j] = out[j] - internal[ws_.neg_col_of_var[j]];
+      if (ws_.basis[i] < static_cast<int>(out.size())) {
+        out[ws_.basis[i]] = Rational(CellBig(i, ncols_), d);
       }
     }
     return out;
@@ -989,9 +873,7 @@ class LadderTableau {
   SolverOptions options_;
   LadderWorkspace& ws_;
 
-  bool maximize_ = false;
   int m_ = 0;
-  int num_structural_ = 0;
   int ncols_ = 0;
   int art_begin_ = 0;
   int num_artificials_ = 0;
@@ -1016,24 +898,24 @@ size_t LadderWorkspace::RetainedBytes() const {
          wbig.capacity() * sizeof(util::BigInt);
 }
 
-Solution<util::Rational> LadderSimplex::Solve(const LpProblem& problem) {
+Solution LadderSimplex::Solve(const LpProblem& problem) {
   LadderTableau tableau(problem, options_, workspace_);
   return tableau.Run(nullptr);
 }
 
-Solution<util::Rational> LadderSimplex::SolveFrom(
-    const LpProblem& problem, const std::vector<BasisEntry>& basis) {
+Solution LadderSimplex::SolveFrom(const LpProblem& problem,
+                                  const std::vector<BasisEntry>& basis) {
   LadderTableau tableau(problem, options_, workspace_);
   return tableau.Run(&basis);
 }
 
-Solution<util::Rational> LadderSimplex::Solve(const IntegerProgram& program) {
+Solution LadderSimplex::Solve(const IntegerProgram& program) {
   LadderTableau tableau(program, options_, workspace_);
   return tableau.Run(nullptr);
 }
 
-Solution<util::Rational> LadderSimplex::SolveFrom(
-    const IntegerProgram& program, const std::vector<BasisEntry>& basis) {
+Solution LadderSimplex::SolveFrom(const IntegerProgram& program,
+                                  const std::vector<BasisEntry>& basis) {
   LadderTableau tableau(program, options_, workspace_);
   return tableau.Run(&basis);
 }

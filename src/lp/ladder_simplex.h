@@ -1,10 +1,10 @@
 // Fraction-free exact simplex over a machine-word escalation ladder.
 //
-// LadderSimplex produces bit-identical results to SimplexSolver<Rational>
-// (same statuses, objectives, values, duals, Farkas certificates, bases, and
-// — under Bland's rule — the same pivot sequence), but runs the tableau in
-// integer arithmetic on a single flat strided block instead of a
-// vector-of-Rational matrix:
+// LadderSimplex produces bit-identical results to the reference
+// SimplexSolver (same statuses, objectives, values, duals, Farkas
+// certificates, bases, and — under Bland's rule — the same pivot sequence),
+// but runs the tableau in integer arithmetic on a single flat strided block
+// instead of a vector-of-Rational matrix:
 //
 //   * Integer-preserving pivoting (fraction-free / Bareiss, the integer
 //     pivoting of Edmonds and of Avis's lrs): the tableau is an integer
@@ -22,22 +22,25 @@
 //     promotes the whole tableau losslessly to the next tier and resumes
 //     mid-pivot. Promotion is never speculative and never reversed within a
 //     solve. Tiers: kWord (int64), kWide (__int128 where available),
-//     kBig (util::BigInt — never overflows).
+//     kBig (util::BigInt — never overflows). The tier selects the arithmetic
+//     in one place (LadderTableau::OnTier in ladder_simplex.cc).
 //
 //   * Lossless Rational conversion only at the boundary: Solution values /
 //     objective / duals / farkas / warm-start basis export are built as
 //     Rational(M, d) (plus the integerization scales below), so VerifyDuals
 //     and VerifyFarkas consume exactly what the Rational reference produces.
 //
-// Non-integer input is integerized: constraint row i is scaled by t_i (the
-// lcm of its coefficient/rhs denominators), the objective by L, and the
-// phase-I cost of row i's artificial is lcm(t)/t_i — a uniform positive
-// rescaling of the reference phase-I objective, which is what keeps Bland's
-// pivot sequence (signs and cross-multiplied ratio tests are invariant under
-// positive row/column scalings) identical to the reference simplex. An
-// LpProblem is staged in BigInt and narrowed to the smallest tier that holds
-// it. An IntegerProgram (lp_problem.h) needs none of that: t_i = L = 1, and
-// its sparse columns are scattered straight into the zeroed int64 arena.
+// Both input forms follow the lp_problem.h contract (nonnegative variables,
+// minimize), so program column j is tableau column j. Non-integer input is
+// integerized: constraint row i is scaled by t_i (the lcm of its
+// coefficient/rhs denominators), the objective by L, and the phase-I cost of
+// row i's artificial is lcm(t)/t_i — a uniform positive rescaling of the
+// reference phase-I objective, which is what keeps Bland's pivot sequence
+// (signs and cross-multiplied ratio tests are invariant under positive
+// row/column scalings) identical to the reference simplex. An LpProblem is
+// staged in BigInt and narrowed to the smallest tier that holds it. An
+// IntegerProgram (lp_problem.h) needs none of that: t_i = L = 1, and its
+// sparse columns are scattered straight into the zeroed int64 arena.
 #pragma once
 
 #include <cstdint>
@@ -69,12 +72,11 @@ const char* LadderTierToString(LadderTier tier);
 
 /// Persistent arena for LadderSimplex. One tier's flat block is live at a
 /// time — (m+1) rows of (ncols+1) entries plus the trailing denominator cell
-/// — and all three keep their capacity across solves, so repeated solves of
-/// equal-shaped programs (warm slots, Engine batches) do zero allocation.
+/// — and all three keep their capacity across solves, so a session's
+/// repeated solves of equal-shaped programs (the keyed warm slots of one
+/// lp::Solver) do zero allocation.
 struct LadderWorkspace {
-  // Column/row metadata; same meanings as SimplexWorkspace.
-  std::vector<int> col_of_var;
-  std::vector<int> neg_col_of_var;
+  // Row and column metadata (see LadderTableau::BuildLayout).
   std::vector<int> basis;
   std::vector<int> row_sign;
   std::vector<int> identity_col;
@@ -101,22 +103,22 @@ struct LadderWorkspace {
   size_t RetainedBytes() const;
 };
 
-/// Drop-in exact solver with the SimplexSolver<Rational> contract (see
-/// simplex.h for Solve/SolveFrom semantics — warm starts, pivot caps, and
-/// certificate conventions are identical). Solutions additionally report
-/// word_pivots / wide_pivots / bigint_promotions.
+/// Drop-in exact solver with the SimplexSolver contract (see simplex.h for
+/// Solve/SolveFrom semantics — warm starts, pivot caps, and certificate
+/// conventions are identical). Solutions additionally report word_pivots /
+/// wide_pivots / bigint_promotions.
 class LadderSimplex {
  public:
   explicit LadderSimplex(SolverOptions options = {}) : options_(options) {}
 
-  Solution<util::Rational> Solve(const LpProblem& problem);
-  Solution<util::Rational> SolveFrom(const LpProblem& problem,
-                                     const std::vector<BasisEntry>& basis);
+  Solution Solve(const LpProblem& problem);
+  Solution SolveFrom(const LpProblem& problem,
+                     const std::vector<BasisEntry>& basis);
   /// Integer input fills the word-tier arena directly (no integerization,
   /// no staging); results are those of the equivalent LpProblem.
-  Solution<util::Rational> Solve(const IntegerProgram& program);
-  Solution<util::Rational> SolveFrom(const IntegerProgram& program,
-                                     const std::vector<BasisEntry>& basis);
+  Solution Solve(const IntegerProgram& program);
+  Solution SolveFrom(const IntegerProgram& program,
+                     const std::vector<BasisEntry>& basis);
 
   /// Drops the persistent arena. Subsequent solves start cold.
   void Reset() { workspace_.Release(); }

@@ -19,31 +19,22 @@ const char* SenseToString(Sense sense) {
 }
 
 int LpProblem::AddVariable(std::string name) {
-  free_.push_back(false);
-  if (name.empty()) name = "x" + std::to_string(free_.size() - 1);
+  if (name.empty()) name = "x" + std::to_string(names_.size());
   names_.push_back(std::move(name));
-  return static_cast<int>(free_.size()) - 1;
-}
-
-int LpProblem::AddFreeVariable(std::string name) {
-  int index = AddVariable(std::move(name));
-  free_[index] = true;
-  return index;
+  return num_variables() - 1;
 }
 
 void LpProblem::AddConstraint(std::vector<util::Rational> coeffs, Sense sense,
                               util::Rational rhs, std::string name) {
-  BAGCQ_CHECK_LE(coeffs.size(), free_.size())
+  BAGCQ_CHECK_LE(coeffs.size(), names_.size())
       << "constraint has more coefficients than variables";
-  coeffs.resize(free_.size());
+  coeffs.resize(names_.size());
   constraints_.push_back(
       Constraint{std::move(coeffs), sense, std::move(rhs), std::move(name)});
 }
 
-void LpProblem::SetObjective(Objective direction,
-                             std::vector<util::Rational> coeffs) {
-  BAGCQ_CHECK_LE(coeffs.size(), free_.size());
-  objective_sense_ = direction;
+void LpProblem::SetObjective(std::vector<util::Rational> coeffs) {
+  BAGCQ_CHECK_LE(coeffs.size(), names_.size());
   objective_ = std::move(coeffs);
 }
 
@@ -54,7 +45,7 @@ util::Rational LpProblem::objective_coeff(int j) const {
 
 std::string LpProblem::ToString() const {
   std::ostringstream os;
-  os << (objective_sense_ == Objective::kMinimize ? "minimize" : "maximize");
+  os << "minimize";
   for (int j = 0; j < num_variables(); ++j) {
     util::Rational c = objective_coeff(j);
     if (!c.is_zero()) os << " + (" << c << ")*" << names_[j];
@@ -74,9 +65,7 @@ std::string LpProblem::ToString() const {
     if (!row.name.empty()) os << "   [" << row.name << "]";
     os << "\n";
   }
-  for (int j = 0; j < num_variables(); ++j) {
-    if (!free_[j]) os << "  " << names_[j] << " >= 0\n";
-  }
+  for (const std::string& name : names_) os << "  " << name << " >= 0\n";
   return os.str();
 }
 

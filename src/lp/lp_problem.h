@@ -1,15 +1,16 @@
-// Linear program descriptions, in two input forms.
+// Linear program descriptions, in two input forms with one contract: every
+// variable is nonnegative and the objective is minimized. Every LP the
+// decision procedure solves has that shape (the Γn and Nn/Mn LPs, the
+// Shannon prover, the AGM edge cover), so there are no free variables and
+// no maximize sense to carry.
 //
-// LpProblem: exact rational coefficients in dense rows, named variables,
-// either objective sense. Variables are nonnegative by default; free
-// variables are supported (the solver splits them internally).
+// LpProblem: exact rational coefficients in dense rows, named variables.
 //
-// IntegerProgram: the shape of every LP the decision procedure solves —
-// nonnegative variables, sparse int64 columns, int64 right-hand sides, an
-// objective to minimize, no names. The elemental columns of Γn have at most
-// four nonzeros, each ±1, so the program stays small where dense rational
-// rows would not, and the ladder (ladder_simplex.h) fills its int64 arena
-// from it without integerizing anything.
+// IntegerProgram: sparse int64 columns, int64 right-hand sides, no names.
+// The elemental columns of Γn have at most four nonzeros, each ±1, so the
+// program stays small where dense rational rows would not, and the ladder
+// (ladder_simplex.h) fills its int64 arena from it without integerizing
+// anything.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,6 @@
 namespace bagcq::lp {
 
 enum class Sense { kLessEqual, kGreaterEqual, kEqual };
-enum class Objective { kMinimize, kMaximize };
 
 /// Returns "<=", ">=", or "=".
 const char* SenseToString(Sense sense);
@@ -35,28 +35,26 @@ struct Constraint {
   std::string name;  // optional, for diagnostics
 };
 
-/// A linear program built incrementally.
+/// A linear program built incrementally: minimize Σ_j c_j x_j subject to
+/// the constraints, x ≥ 0.
 class LpProblem {
  public:
   /// Adds a variable with lower bound 0; returns its index.
   int AddVariable(std::string name = "");
-  /// Adds a variable unrestricted in sign; returns its index.
-  int AddFreeVariable(std::string name = "");
 
   /// Adds a constraint. `coeffs` may be shorter than the number of variables
   /// (missing entries are zero) but not longer.
   void AddConstraint(std::vector<util::Rational> coeffs, Sense sense,
                      util::Rational rhs, std::string name = "");
 
-  /// Sets the objective. `coeffs` may be shorter than the variable count.
-  void SetObjective(Objective direction, std::vector<util::Rational> coeffs);
+  /// Sets the objective to minimize (zero until set). `coeffs` may be
+  /// shorter than the variable count.
+  void SetObjective(std::vector<util::Rational> coeffs);
 
-  int num_variables() const { return static_cast<int>(free_.size()); }
+  int num_variables() const { return static_cast<int>(names_.size()); }
   int num_constraints() const { return static_cast<int>(constraints_.size()); }
-  bool variable_is_free(int j) const { return free_[j]; }
   const std::string& variable_name(int j) const { return names_[j]; }
   const std::vector<Constraint>& constraints() const { return constraints_; }
-  Objective objective_sense() const { return objective_sense_; }
   const std::vector<util::Rational>& objective() const { return objective_; }
   /// Objective coefficient of variable j (0 if beyond the stored prefix).
   util::Rational objective_coeff(int j) const;
@@ -65,10 +63,8 @@ class LpProblem {
   std::string ToString() const;
 
  private:
-  std::vector<bool> free_;
   std::vector<std::string> names_;
   std::vector<Constraint> constraints_;
-  Objective objective_sense_ = Objective::kMinimize;
   std::vector<util::Rational> objective_;
 };
 

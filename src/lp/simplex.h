@@ -1,9 +1,11 @@
 // Two-phase tableau simplex over a vector-of-Rational tableau.
 //
-// SimplexSolver<util::Rational> is the reference implementation: the
-// production solver (lp::Solver, over the escalation-ladder LadderSimplex) is
-// tested for pivot parity against it. This header also holds the contract
-// both share — Solution, SolverOptions, and the exact certificate checks.
+// SimplexSolver is the reference implementation: the production solver
+// (lp::Solver, over the escalation-ladder LadderSimplex) is tested for pivot
+// parity against it, warm starts included, and the two share no tableau
+// code. This header also holds the contract both follow — Solution,
+// SolverOptions, and the exact certificate checks — for programs of the
+// lp_problem.h form: nonnegative variables, an objective to minimize.
 //
 // The solver reports, besides the primal solution:
 //   * dual values (one per constraint) satisfying strong duality and the sign
@@ -18,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "lp/lp_problem.h"
@@ -35,14 +36,13 @@ enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kPivotLimit };
 const char* SolveStatusToString(SolveStatus status);
 
 /// What occupies one basis slot at termination, in *problem* terms (not
-/// internal tableau columns): the positive or negative half of a structural
-/// variable, the slack/surplus of a constraint, or a phase-I artificial.
-/// This is the warm-start hint SolveFrom consumes.
+/// internal tableau columns): a structural variable, the slack/surplus of a
+/// constraint, or a phase-I artificial. This is the warm-start hint
+/// SolveFrom consumes.
 enum class BasisKind : uint8_t {
-  kStructural,     // index = variable j (its nonnegative / positive half)
-  kNegStructural,  // index = variable j (negative half of a free variable)
-  kSlack,          // index = constraint i (slack or surplus column)
-  kArtificial,     // index = constraint i (phase-I artificial)
+  kStructural,  // index = variable j
+  kSlack,       // index = constraint i (slack or surplus column)
+  kArtificial,  // index = constraint i (phase-I artificial)
 };
 
 struct BasisEntry {
@@ -50,17 +50,16 @@ struct BasisEntry {
   int index = 0;
 };
 
-template <typename Scalar>
 struct Solution {
   SolveStatus status = SolveStatus::kInfeasible;
-  /// Objective value in the problem's own sense (valid when kOptimal).
-  Scalar objective{};
-  /// One value per original variable (valid when kOptimal).
-  std::vector<Scalar> values;
+  /// The minimum objective value (valid when kOptimal).
+  util::Rational objective;
+  /// One value per variable (valid when kOptimal).
+  std::vector<util::Rational> values;
   /// One dual per constraint (valid when kOptimal); see VerifyDuals.
-  std::vector<Scalar> duals;
+  std::vector<util::Rational> duals;
   /// One multiplier per constraint (valid when kInfeasible); see VerifyFarkas.
-  std::vector<Scalar> farkas;
+  std::vector<util::Rational> farkas;
   /// The terminal basis, one entry per constraint row. Populated on kOptimal
   /// (phase-II basis) and kInfeasible (phase-I basis — the Farkas basis);
   /// empty on kUnbounded/kPivotLimit.
@@ -96,46 +95,14 @@ struct SolverOptions {
   bool warm_starts = true;
 };
 
-/// Persistent tableau storage. Kept inside the solver across Solve() calls so
-/// that repeated solves of similarly-sized programs (the Engine batch path)
-/// reuse vector capacity instead of reallocating rows, costs, and rhs each
-/// time. All members are rebuilt (capacity-preserving `assign`/`resize`) at
-/// the start of every solve; none carry semantic state between calls.
-template <typename Scalar>
-struct SimplexWorkspace {
-  std::vector<int> col_of_var;
-  std::vector<int> neg_col_of_var;
-  std::vector<Scalar> structural_cost;
-  std::vector<Scalar> current_cost;
-  std::vector<std::vector<Scalar>> rows;
-  std::vector<Scalar> rhs;
-  std::vector<Scalar> cost_row;
-  std::vector<int> basis;
-  std::vector<int> row_sign;
-  std::vector<int> identity_col;
-  std::vector<int> slack_col_of_row;
-  std::vector<int> art_col_of_row;
-  std::vector<int> artificials;
-  std::vector<BasisEntry> col_entry;
-
-  /// Releases all held memory (capacity included).
-  void Release();
-  /// Bytes of tableau capacity currently retained (rows only; a proxy for
-  /// the reuse benefit, reported by benches).
-  size_t RetainedRowCapacity() const;
-};
-
-template <typename Scalar>
 class SimplexSolver {
  public:
   explicit SimplexSolver(SolverOptions options = {}) : options_(options) {}
 
-  /// Solves the program. Hitting the pivot cap reports
-  /// SolveStatus::kPivotLimit (it cannot happen with Bland's rule and exact
-  /// arithmetic at the default cap). Non-const: the call reuses (and regrows)
-  /// the solver's persistent tableau workspace, so a long-lived solver
-  /// amortizes allocation across a batch of solves.
-  Solution<Scalar> Solve(const LpProblem& problem);
+  /// Solves the program on a tableau allocated for this call. Hitting the
+  /// pivot cap reports SolveStatus::kPivotLimit (it cannot happen with
+  /// Bland's rule and exact arithmetic at the default cap).
+  Solution Solve(const LpProblem& problem) const;
 
   /// Warm start: re-factorizes `basis` (one entry per constraint row —
   /// typically the terminal basis of a previous Solve of an equal-shaped
@@ -151,35 +118,24 @@ class SimplexSolver {
   /// warm-vs-cold pivot counts stay comparable; a rejected hint's wasted
   /// eliminations are forgotten, so the fallback behaves exactly like
   /// Solve() (same result, same cap semantics).
-  Solution<Scalar> SolveFrom(const LpProblem& problem,
-                             const std::vector<BasisEntry>& basis);
-
-  /// Drops the persistent workspace memory. Subsequent solves start cold.
-  void Reset() { workspace_.Release(); }
-
-  /// Number of Solve() calls served by this solver instance.
-  int64_t solves() const { return solves_; }
-  const SimplexWorkspace<Scalar>& workspace() const { return workspace_; }
+  Solution SolveFrom(const LpProblem& problem,
+                     const std::vector<BasisEntry>& basis) const;
 
  private:
   SolverOptions options_;
-  SimplexWorkspace<Scalar> workspace_;
-  int64_t solves_ = 0;
 };
 
 /// Exact verification that `solution.duals` is a certificate of optimality:
-///   * primal feasible, and c.x == objective == b.y;
-///   * minimize: ≤-rows have y ≤ 0, ≥-rows have y ≥ 0, =-rows free, and for
-///     every variable j: sum_i y_i A_ij ≤ c_j (== for free variables);
-///   * maximize: all the above inequalities reversed.
-bool VerifyDuals(const LpProblem& problem, const Solution<util::Rational>& solution);
+///   * primal feasible (x ≥ 0 and every row holds), and c.x == objective ==
+///     b.y;
+///   * ≤-rows have y ≤ 0, ≥-rows have y ≥ 0, =-rows are free, and for every
+///     variable j: sum_i y_i A_ij ≤ c_j.
+bool VerifyDuals(const LpProblem& problem, const Solution& solution);
 
 /// Exact verification that `farkas` proves infeasibility:
 ///   y.b > 0; ≤-rows have y ≤ 0, ≥-rows y ≥ 0; and for every variable j,
-///   sum_i y_i A_ij ≤ 0 (== 0 for free variables).
-bool VerifyFarkas(const LpProblem& problem, const std::vector<util::Rational>& farkas);
-
-extern template struct SimplexWorkspace<util::Rational>;
-extern template class SimplexSolver<util::Rational>;
+///   sum_i y_i A_ij ≤ 0.
+bool VerifyFarkas(const LpProblem& problem,
+                  const std::vector<util::Rational>& farkas);
 
 }  // namespace bagcq::lp

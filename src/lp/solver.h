@@ -4,10 +4,11 @@
 //
 // It wraps the fraction-free escalation-ladder simplex (ladder_simplex.h)
 // with what a long-lived session needs on top: the persistent tableau arena,
-// keyed warm-start slots, and cumulative SolverStats. Every Solution it
+// keyed warm-start slots, and cumulative SolverStats. Programs follow the
+// lp_problem.h contract: nonnegative variables, minimize. Every Solution it
 // returns is exact, and its certificate (duals or Farkas) passes
-// VerifyDuals/VerifyFarkas. SimplexSolver<Rational> (simplex.h) is the
-// reference implementation the ladder is pivot-parity tested against.
+// VerifyDuals/VerifyFarkas. SimplexSolver (simplex.h) is the reference
+// implementation the ladder is pivot-parity tested against.
 //
 // Not thread-safe (it owns a mutable tableau workspace): one Solver per
 // thread, matching the one-Engine-per-thread rule.
@@ -54,14 +55,14 @@ class Solver {
   /// always passes VerifyDuals/VerifyFarkas. Hitting max_pivots (only
   /// reachable with a cap too low for the program; Bland's rule does not
   /// cycle) CHECK-fails rather than returning an uncertified kPivotLimit.
-  Solution<util::Rational> Solve(const LpProblem& problem);
+  Solution Solve(const LpProblem& problem);
 
   /// Warm-started solve: resumes from `hint` (see SimplexSolver::SolveFrom)
   /// when it applies, falling back to the cold path — never to a wrong
   /// answer — when it does not. Exactness and certification guarantees are
   /// identical to Solve.
-  Solution<util::Rational> SolveFrom(const LpProblem& problem,
-                                     const std::vector<BasisEntry>& hint);
+  Solution SolveFrom(const LpProblem& problem,
+                     const std::vector<BasisEntry>& hint);
 
   /// Keyed warm start: remembers the terminal basis of the last solve per
   /// caller-chosen shape key and hands it to the next solve under the same
@@ -71,17 +72,16 @@ class Solver {
   /// the solve simply runs cold. This is how the decision pipeline chains
   /// the branch LPs of one decision (and of a whole batch) incrementally.
   /// With SolverOptions::warm_starts false this is exactly Solve().
-  Solution<util::Rational> SolveKeyed(const LpProblem& problem,
-                                      std::string_view shape_key);
+  Solution SolveKeyed(const LpProblem& problem, std::string_view shape_key);
 
   /// The same three calls on integer input (lp_problem.h): the ladder fills
   /// its int64 arena from the program directly. Results, certificates and
   /// stats are those of the equivalent LpProblem.
-  Solution<util::Rational> Solve(const IntegerProgram& program);
-  Solution<util::Rational> SolveFrom(const IntegerProgram& program,
-                                     const std::vector<BasisEntry>& hint);
-  Solution<util::Rational> SolveKeyed(const IntegerProgram& program,
-                                      std::string_view shape_key);
+  Solution Solve(const IntegerProgram& program);
+  Solution SolveFrom(const IntegerProgram& program,
+                     const std::vector<BasisEntry>& hint);
+  Solution SolveKeyed(const IntegerProgram& program,
+                      std::string_view shape_key);
 
   /// Drops persistent workspace memory and every keyed warm-basis slot;
   /// subsequent solves start cold.
@@ -109,14 +109,13 @@ class Solver {
 
   // One body per call for both input forms (solver.cc).
   template <typename Program>
-  Solution<util::Rational> SolveImpl(const Program& program);
+  Solution SolveImpl(const Program& program);
   template <typename Program>
-  Solution<util::Rational> SolveFromImpl(const Program& program,
-                                         const std::vector<BasisEntry>& hint);
+  Solution SolveFromImpl(const Program& program,
+                         const std::vector<BasisEntry>& hint);
   template <typename Program>
-  Solution<util::Rational> SolveKeyedImpl(const Program& program,
-                                          std::string_view shape_key);
-  Solution<util::Rational> Finish(Solution<util::Rational> out);
+  Solution SolveKeyedImpl(const Program& program, std::string_view shape_key);
+  Solution Finish(Solution out);
 
   LadderSimplex simplex_;
   SolverStats stats_;

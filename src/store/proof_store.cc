@@ -223,7 +223,7 @@ bool ProofStore::Lookup(const std::string& key, api::DecisionResult* out) {
   if (decoded.ok() && d.exhausted()) {
     api::DecisionResult result = std::move(decoded).ValueOrDie();
     ok = true;
-    if (options_.verify_certificates && result.validity.has_value() &&
+    if (result.validity.has_value() &&
         result.validity->certificate.has_value()) {
       // Verify-on-load: re-expand the certificate against the λ-combination
       // of the stored containment branches. A record that fails is a miss —

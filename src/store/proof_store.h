@@ -77,9 +77,6 @@ struct StoreOptions {
   /// server's forked workers): they serve the intact prefix and must not
   /// cut the file out from under each other.
   bool repair = true;
-  /// Re-verify certificate-carrying results on load (the normative policy).
-  /// Off is for benchmarking the decode path only — never serving.
-  bool verify_certificates = true;
   /// fsync after every append. Off by default: the framing already makes a
   /// torn append detectable and recoverable, so the default durability is
   /// "what the OS has flushed"; turn on (or call Sync) when the log is

@@ -89,6 +89,25 @@ TEST(EngineErrorTest, UnparsableQueryIsParseError) {
   EXPECT_EQ(engine.stats().errors, 1);
 }
 
+TEST(EngineErrorTest, TooManyQueryVariablesIsParseError) {
+  // A path with VarSet::kMaxVars + 1 distinct variables is a ParseError,
+  // not a CHECK abort in ConjunctiveQuery::AddVariable.
+  auto path = [](int vars) {
+    std::string text = "R(v0,v1)";
+    for (int i = 1; i + 1 < vars; ++i) {
+      text += ", R(v" + std::to_string(i) + ",v" + std::to_string(i + 1) + ")";
+    }
+    return text;
+  };
+  Engine engine;
+  EXPECT_EQ(engine.ParseQuery(path(VarSet::kMaxVars)).ValueOrDie().num_vars(),
+            VarSet::kMaxVars);
+  auto result = engine.Decide(path(VarSet::kMaxVars + 1), "R(a,b)");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(engine.stats().errors, 1);
+}
+
 TEST(EngineErrorTest, VariableFreeQueryIsInvalidArgument) {
   // "R()" parses (nullary relation) but is a degenerate constant query; the
   // pipeline must reject it instead of CHECK-aborting in the junction tree.
@@ -470,12 +489,12 @@ TEST(EngineMemoTest, MemoizedParallelBatchCountsHits) {
 TEST(EngineOptionsTest, BuilderFoldsDeciderAndWitnessOptions) {
   EngineOptions options = EngineOptions()
                               .set_want_shannon_certificate(false)
-                              .set_witness_max_tuples(42)
-                              .set_verify_witness_counts(false);
+                              .set_witness_max_tuples(42);
   core::DeciderOptions legacy = options.ToDeciderOptions();
   EXPECT_FALSE(legacy.want_shannon_certificate);
   EXPECT_EQ(legacy.witness.max_tuples, 42);
-  EXPECT_FALSE(legacy.witness.verify_counts);
+  // Witness counts are always verified; no option turns that off.
+  EXPECT_TRUE(legacy.witness.verify_counts);
 }
 
 // ------------------------------------------------------------- warm starts

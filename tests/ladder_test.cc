@@ -1,10 +1,10 @@
 // Differential suite for the escalation-ladder exact simplex
 // (lp/ladder_simplex.h): LadderSimplex must be bit-identical to the reference
-// SimplexSolver<Rational> — statuses, objectives, values, duals, Farkas
-// certificates, bases, and pivot counts — across feasible, infeasible,
-// degenerate, rational-coefficient, free-variable, near-overflow
-// (INT64_MAX/2-scale) and wider-than-word programs, and every certificate
-// must pass the exact VerifyDuals/VerifyFarkas predicates in its own right.
+// SimplexSolver — statuses, objectives, values, duals, Farkas certificates,
+// bases, and pivot counts — across feasible, infeasible, unbounded,
+// degenerate, rational-coefficient, near-overflow (INT64_MAX/2-scale) and
+// wider-than-word programs, and every certificate must pass the exact
+// VerifyDuals/VerifyFarkas predicates in its own right.
 // Integer input (IntegerProgram) must match the reference on the equivalent
 // LpProblem, on the decision procedure's own LPs included.
 #include "lp/ladder_simplex.h"
@@ -36,15 +36,15 @@ namespace {
 
 using util::Rational;
 
-using ReferenceSolver = SimplexSolver<util::Rational>;
+using ReferenceSolver = SimplexSolver;
 
 Rational R(int64_t n, int64_t d = 1) { return Rational(n, d); }
 
 // Full-solution parity, field by field. `same_pivots` is asserted for cold
 // solves (where the scaling argument guarantees an identical Bland pivot
 // sequence); warm installs may count eliminations differently on scaled rows.
-void ExpectParity(const LpProblem& lp, const Solution<Rational>& ladder,
-                  const Solution<Rational>& reference, bool same_pivots) {
+void ExpectParity(const LpProblem& lp, const Solution& ladder,
+                  const Solution& reference, bool same_pivots) {
   ASSERT_EQ(ladder.status, reference.status) << lp.ToString();
   EXPECT_EQ(ladder.values, reference.values) << lp.ToString();
   EXPECT_EQ(ladder.duals, reference.duals) << lp.ToString();
@@ -76,17 +76,10 @@ LpProblem RandomLp(uint64_t seed, bool rational_coeffs) {
   std::uniform_int_distribution<int> nvars(1, 6);
   std::uniform_int_distribution<int> nrows(1, 7);
   std::uniform_int_distribution<int> sense_pick(0, 2);
-  std::uniform_int_distribution<int> free_pick(0, 4);
 
   LpProblem lp;
   const int n = nvars(rng);
-  for (int j = 0; j < n; ++j) {
-    if (free_pick(rng) == 0) {
-      lp.AddFreeVariable();
-    } else {
-      lp.AddVariable();
-    }
-  }
+  for (int j = 0; j < n; ++j) lp.AddVariable();
   auto draw = [&] {
     return rational_coeffs ? R(coeff(rng), denom(rng)) : R(coeff(rng));
   };
@@ -99,9 +92,25 @@ LpProblem RandomLp(uint64_t seed, bool rational_coeffs) {
   }
   std::vector<Rational> obj;
   for (int j = 0; j < n; ++j) obj.push_back(draw());
-  lp.SetObjective(seed % 2 ? Objective::kMaximize : Objective::kMinimize,
-                  std::move(obj));
+  lp.SetObjective(std::move(obj));
   return lp;
+}
+
+constexpr int kFirstSeed = 1;
+constexpr int kLastSeed = 40;
+
+// The differential seeds draw optimal, infeasible and unbounded programs,
+// in both coefficient modes, so parity covers every status.
+TEST(LadderRandomLpTest, SeedsDrawEveryStatus) {
+  for (bool rational_coeffs : {false, true}) {
+    std::map<SolveStatus, int> count;
+    for (int seed = kFirstSeed; seed <= kLastSeed; ++seed) {
+      ++count[ReferenceSolver().Solve(RandomLp(seed, rational_coeffs)).status];
+    }
+    EXPECT_GT(count[SolveStatus::kOptimal], 0) << rational_coeffs;
+    EXPECT_GT(count[SolveStatus::kInfeasible], 0) << rational_coeffs;
+    EXPECT_GT(count[SolveStatus::kUnbounded], 0) << rational_coeffs;
+  }
 }
 
 class LadderDifferentialTest : public ::testing::TestWithParam<int> {};
@@ -140,17 +149,11 @@ TEST_P(LadderDifferentialTest, WarmStartMatchesReference) {
   std::mt19937_64 rng(GetParam() * 977);
   std::uniform_int_distribution<int> bump(-2, 2);
   LpProblem perturbed;
-  for (int j = 0; j < lp.num_variables(); ++j) {
-    if (lp.variable_is_free(j)) {
-      perturbed.AddFreeVariable();
-    } else {
-      perturbed.AddVariable();
-    }
-  }
+  for (int j = 0; j < lp.num_variables(); ++j) perturbed.AddVariable();
   for (const Constraint& row : lp.constraints()) {
     perturbed.AddConstraint(row.coeffs, row.sense, row.rhs + R(bump(rng)));
   }
-  perturbed.SetObjective(lp.objective_sense(), lp.objective());
+  perturbed.SetObjective(lp.objective());
   const auto fast = ladder.SolveFrom(perturbed, cold.basis);
   const auto slow = reference.SolveFrom(perturbed, cold.basis);
   EXPECT_EQ(fast.warm_started, slow.warm_started);
@@ -158,7 +161,7 @@ TEST_P(LadderDifferentialTest, WarmStartMatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LadderDifferentialTest,
-                         ::testing::Range(1, 41));
+                         ::testing::Range(kFirstSeed, kLastSeed + 1));
 
 // ------------------------------------------------------------ escalation
 
@@ -185,7 +188,7 @@ TEST(LadderEscalationTest, NearOverflowProgramsEscalateAndMatchReference) {
     }
     std::vector<Rational> obj;
     for (int j = 0; j < n; ++j) obj.push_back(R(sign(rng) ? 1 : -1));
-    lp.SetObjective(Objective::kMinimize, std::move(obj));
+    lp.SetObjective(std::move(obj));
 
     LadderSimplex ladder;
     ReferenceSolver reference;
@@ -218,7 +221,7 @@ TEST(LadderEscalationTest, DeepPivotingPromotesToBigInt) {
     lp.AddConstraint(std::move(row), Sense::kLessEqual, R(coeff(rng)));
   }
   std::vector<Rational> obj(n, R(-1));
-  lp.SetObjective(Objective::kMinimize, std::move(obj));
+  lp.SetObjective(std::move(obj));
 
   LadderSimplex ladder;
   ReferenceSolver reference;
@@ -233,8 +236,8 @@ TEST(LadderEscalationTest, DeepPivotingPromotesToBigInt) {
 
 // A feasible, bounded LP whose integerized data need about `rhs_bits` + 3
 // bits: small positive rational coefficients (row scales at most 6) and
-// right-hand sides near 2^rhs_bits. The >= row needs phase I; the positive
-// objective is maximized, so the solve pivots. The coefficients keep every
+// right-hand sides near 2^rhs_bits. The >= row needs phase I; the objective
+// has negative costs, so the solve pivots. The coefficients keep every
 // fraction-free product within ~20 bits of the rhs, so the solve finishes
 // in the tier it starts in.
 LpProblem WideRhsLp(uint64_t seed, uint64_t rhs_bits) {
@@ -259,7 +262,9 @@ LpProblem WideRhsLp(uint64_t seed, uint64_t rhs_bits) {
   lp.AddConstraint(row(), Sense::kGreaterEqual, rhs(rhs_bits - 6));
   lp.AddConstraint(row(), Sense::kLessEqual, rhs(rhs_bits));
   lp.AddConstraint(row(), Sense::kLessEqual, rhs(rhs_bits));
-  lp.SetObjective(Objective::kMaximize, row());
+  std::vector<Rational> cost = row();
+  for (Rational& c : cost) c = -c;
+  lp.SetObjective(std::move(cost));
   return lp;
 }
 
@@ -310,7 +315,7 @@ TEST(LadderEscalationTest, PivotLimitFailsSoftLikeReference) {
   lp.AddVariable("y");
   lp.AddConstraint({R(1), R(1)}, Sense::kGreaterEqual, R(4));
   lp.AddConstraint({R(1), R(3)}, Sense::kGreaterEqual, R(6));
-  lp.SetObjective(Objective::kMinimize, {R(2), R(3)});
+  lp.SetObjective({R(2), R(3)});
   const auto fast = LadderSimplex(options).Solve(lp);
   const auto slow = ReferenceSolver(options).Solve(lp);
   EXPECT_EQ(fast.status, SolveStatus::kPivotLimit);
@@ -451,7 +456,7 @@ TEST(LadderIntegerProgramTest, UnitPivotPromotesMidRow) {
   }
   std::vector<Rational> objective;
   for (int64_t c : cost) objective.push_back(R(c));
-  lp.SetObjective(Objective::kMinimize, std::move(objective));
+  lp.SetObjective(std::move(objective));
 
   LadderSimplex ladder;
   const auto fast = ladder.Solve(program);

@@ -1,5 +1,7 @@
 #include "cq/query.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "cq/parser.h"
@@ -131,6 +133,22 @@ TEST(ParserTest, StructureErrors) {
   EXPECT_FALSE(ParseStructure("R = (1,2)").ok());
   EXPECT_FALSE(ParseStructure("R = {(1,x)}").ok());
   EXPECT_FALSE(ParseStructure("= {(1)}").ok());
+}
+
+TEST(ParserTest, OutOfRangeIntegersAreParseErrors) {
+  // A value beyond int is a ParseError, not an uncaught exception.
+  for (const char* text : {"R = {(99999999999)}", "R = {(1,-99999999999)}",
+                           "R = {(2147483648)}"}) {
+    auto d = ParseStructure(text);
+    ASSERT_FALSE(d.ok()) << text;
+    EXPECT_EQ(d.status().code(), util::StatusCode::kParseError) << text;
+  }
+  // The ends of the int range parse, and so does a leading '+'.
+  Structure d =
+      ParseStructure("R = {(2147483647, -2147483648, +7)}").ValueOrDie();
+  EXPECT_TRUE(d.Contains(0, {std::numeric_limits<int>::max(),
+                             std::numeric_limits<int>::min(), 7}));
+  EXPECT_FALSE(ParseStructure("R = {(+-7)}").ok());
 }
 
 TEST(ParserTest, EmptyRelationAdoptsKnownArity) {

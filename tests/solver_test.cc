@@ -15,21 +15,14 @@ namespace {
 
 using util::Rational;
 
-// Random dense LP with mixed senses, a sprinkling of free variables, and
-// occasional negative rhs, so every code path of the standard-form build
-// (slack signs, row flips, artificials) is exercised.
+// Random dense LP with mixed senses and occasional negative rhs, so every
+// code path of the standard-form build (slack signs, row flips, artificials)
+// is exercised.
 LpProblem RandomLp(int vars, int rows, uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> coeff(-9, 9);
-  std::uniform_int_distribution<int> pick(0, 5);
   LpProblem problem;
-  for (int j = 0; j < vars; ++j) {
-    if (pick(rng) == 0) {
-      problem.AddFreeVariable();
-    } else {
-      problem.AddVariable();
-    }
-  }
+  for (int j = 0; j < vars; ++j) problem.AddVariable();
   for (int i = 0; i < rows; ++i) {
     std::vector<Rational> row;
     for (int j = 0; j < vars; ++j) row.push_back(Rational(coeff(rng)));
@@ -40,10 +33,23 @@ LpProblem RandomLp(int vars, int rows, uint64_t seed) {
   }
   std::vector<Rational> obj;
   for (int j = 0; j < vars; ++j) obj.push_back(Rational(coeff(rng)));
-  problem.SetObjective(seed % 2 == 0 ? Objective::kMinimize
-                                     : Objective::kMaximize,
-                       std::move(obj));
+  problem.SetObjective(std::move(obj));
   return problem;
+}
+
+// The first program of the family at this shape that the reference solves
+// to optimality in more than one pivot: a cap test can then stop it early,
+// and a warm start has a terminal basis and pivots to save.
+LpProblem MultiPivotOptimalLp(int vars, int rows) {
+  for (uint64_t seed = 0; seed < 32; ++seed) {
+    LpProblem problem = RandomLp(vars, rows, seed);
+    const Solution reference = SimplexSolver().Solve(problem);
+    if (reference.status == SolveStatus::kOptimal && reference.pivots > 1) {
+      return problem;
+    }
+  }
+  ADD_FAILURE() << "no multi-pivot optimal program at " << vars << "x" << rows;
+  return RandomLp(vars, rows, 0);
 }
 
 TEST(SolverParityTest, ExactBackendNeverScreens) {
@@ -62,7 +68,7 @@ TEST(SolverParityTest, TerminalBasisIsReported) {
   problem.AddVariable("y");
   problem.AddConstraint({Rational(1), Rational(1)}, Sense::kGreaterEqual,
                         Rational(2));
-  problem.SetObjective(Objective::kMinimize, {Rational(1), Rational(1)});
+  problem.SetObjective({Rational(1), Rational(1)});
   auto solution = Solver().Solve(problem);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   ASSERT_EQ(solution.basis.size(), 1u);
@@ -71,26 +77,19 @@ TEST(SolverParityTest, TerminalBasisIsReported) {
 
 TEST(SolverPivotLimitTest, CapIsInclusive) {
   // A solve that finishes in exactly max_pivots pivots must still succeed;
-  // only needing one more fails. Scan seeds for a multi-pivot optimal case.
-  LpProblem problem;
-  Solution<Rational> reference;
-  for (uint64_t seed = 0; seed < 32; ++seed) {
-    problem = RandomLp(6, 7, seed);
-    reference = SimplexSolver<Rational>().Solve(problem);
-    if (reference.status == SolveStatus::kOptimal && reference.pivots > 1) {
-      break;
-    }
-  }
+  // only needing one more fails.
+  const LpProblem problem = MultiPivotOptimalLp(6, 7);
+  const Solution reference = SimplexSolver().Solve(problem);
   ASSERT_EQ(reference.status, SolveStatus::kOptimal);
   ASSERT_GT(reference.pivots, 1);
 
   SolverOptions at_cap;
   at_cap.max_pivots = reference.pivots;
-  EXPECT_EQ(SimplexSolver<Rational>(at_cap).Solve(problem).status,
+  EXPECT_EQ(SimplexSolver(at_cap).Solve(problem).status,
             SolveStatus::kOptimal);
   SolverOptions below_cap;
   below_cap.max_pivots = reference.pivots - 1;
-  EXPECT_EQ(SimplexSolver<Rational>(below_cap).Solve(problem).status,
+  EXPECT_EQ(SimplexSolver(below_cap).Solve(problem).status,
             SolveStatus::kPivotLimit);
 }
 
@@ -102,7 +101,7 @@ TEST(SolverPivotLimitTest, StatusHasAName) {
 
 TEST(SolverWarmStartTest, SolveKeyedResumesAndCounts) {
   Solver solver;
-  LpProblem problem = RandomLp(5, 6, 13);
+  LpProblem problem = MultiPivotOptimalLp(5, 6);
   auto first = solver.SolveKeyed(problem, "suite/shape-a");
   ASSERT_EQ(first.status, SolveStatus::kOptimal);
   EXPECT_EQ(solver.stats().warm_attempts, 0);
@@ -133,7 +132,7 @@ TEST(SolverWarmStartTest, DisabledWarmStartsAlwaysRunCold) {
   SolverOptions options;
   options.warm_starts = false;
   Solver solver(options);
-  LpProblem problem = RandomLp(5, 6, 13);
+  LpProblem problem = MultiPivotOptimalLp(5, 6);
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(solver.SolveKeyed(problem, "suite/shape-a").status,
               SolveStatus::kOptimal);
@@ -149,7 +148,7 @@ TEST(SolverWarmStartTest, KeyedSweepOverChangingProgramsStaysExact) {
   // and must stay observationally identical to a cold reference — statuses,
   // objectives, and exactly verified certificates.
   Solver keyed;
-  int optimal = 0, infeasible = 0;
+  int optimal = 0, infeasible = 0, unbounded = 0;
   for (uint64_t seed = 0; seed < 40; ++seed) {
     LpProblem problem = RandomLp(5, 6, seed);
     auto reference = Solver().Solve(problem);
@@ -165,16 +164,20 @@ TEST(SolverWarmStartTest, KeyedSweepOverChangingProgramsStaysExact) {
         ++infeasible;
         EXPECT_TRUE(VerifyFarkas(problem, warmed.farkas)) << "seed " << seed;
         break;
+      case SolveStatus::kUnbounded:
+        ++unbounded;
+        break;
       default:
         break;
     }
   }
-  // The sweep must exercise both verdicts and genuinely hand out hints.
+  // The sweep must draw every status and genuinely hand out hints.
   // (Unrelated random programs rarely *accept* a stale basis — the
   // acceptance path is asserted on the rhs-sweep test below, which models
   // the pipeline's real traffic: one skeleton, changing data.)
   EXPECT_GT(optimal, 0);
   EXPECT_GT(infeasible, 0);
+  EXPECT_GT(unbounded, 0);
   EXPECT_GT(keyed.stats().warm_attempts, 0);
 }
 
@@ -191,7 +194,7 @@ TEST(SolverWarmStartTest, RhsSweepAcceptsWarmBasesAcrossBackends) {
                           Rational(c));
     problem.AddConstraint({Rational(1), Rational(-1)}, Sense::kEqual,
                           Rational(0));
-    problem.SetObjective(Objective::kMinimize, {Rational(1), Rational(2)});
+    problem.SetObjective({Rational(1), Rational(2)});
     auto sol = solver.SolveKeyed(problem, "rhs-sweep");
     ASSERT_EQ(sol.status, SolveStatus::kOptimal) << "c=" << c;
     EXPECT_EQ(sol.objective, Rational(3 * c, 2));
@@ -228,7 +231,7 @@ TEST(SolverWarmStartTest, WarmPivotsSavedAccumulatesOnRepeatedShape) {
   // Re-solving the same program under one key must save pivots relative to
   // the recorded cold baseline (a cold solve pays full phase I).
   Solver solver;
-  LpProblem problem = RandomLp(6, 7, 7);
+  LpProblem problem = MultiPivotOptimalLp(6, 7);
   ASSERT_EQ(solver.SolveKeyed(problem, "repeat").status,
             SolveStatus::kOptimal);
   for (int i = 0; i < 3; ++i) {
