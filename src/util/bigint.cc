@@ -1,79 +1,85 @@
 #include "util/bigint.h"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <numeric>
 #include <ostream>
 
 #include "util/check.h"
 
 namespace bagcq::util {
 
-BigInt::BigInt(int64_t value) {
-  negative_ = value < 0;
-  // Avoid UB on INT64_MIN: negate in unsigned space.
-  uint64_t magnitude =
-      negative_ ? ~static_cast<uint64_t>(value) + 1 : static_cast<uint64_t>(value);
-  while (magnitude != 0) {
-    limbs_.push_back(static_cast<Limb>(magnitude & 0xffffffffu));
-    magnitude >>= 32;
-  }
+using U128 = unsigned __int128;
+
+static_assert(sizeof(BigInt) == 32, "the heap pointer shares the inline limbs");
+
+void BigInt::Limbs::Grow(size_t capacity) {
+  BAGCQ_CHECK(capacity < (size_t{1} << 31)) << "BigInt of " << capacity
+                                            << " limbs";
+  const auto grown = static_cast<uint32_t>(
+      std::max(capacity, 2 * static_cast<size_t>(capacity_)));
+  Limb* block = new Limb[grown];
+  std::copy_n(data(), size_, block);
+  if (on_heap()) delete[] heap_;
+  heap_ = block;
+  capacity_ = grown;
 }
 
-BigInt BigInt::FromParts(bool negative, uint64_t magnitude) {
+BigInt::BigInt(int64_t value)
+    // Negate in unsigned space so INT64_MIN does not overflow.
+    : BigInt(FromMagnitude(value < 0, value < 0
+                                          ? 0 - static_cast<uint64_t>(value)
+                                          : static_cast<uint64_t>(value))) {}
+
+BigInt BigInt::FromMagnitude(bool negative, U128 magnitude) {
   BigInt out;
-  while (magnitude != 0) {
-    out.limbs_.push_back(static_cast<Limb>(magnitude & 0xffffffffu));
-    magnitude >>= 32;
+  out.limbs_.resize(4);
+  for (int i = 0; i < 4; ++i) {
+    out.limbs_[i] = static_cast<Limb>(magnitude >> (kLimbBits * i));
   }
-  out.negative_ = negative && !out.limbs_.empty();
+  const auto high = static_cast<uint64_t>(magnitude >> 64);
+  const int bits = high != 0 ? 64 + std::bit_width(high)
+                             : std::bit_width(static_cast<uint64_t>(magnitude));
+  out.limbs_.resize((bits + kLimbBits - 1) / kLimbBits);
+  out.negative_ = negative && bits != 0;
   return out;
 }
 
-#if defined(__SIZEOF_INT128__)
 BigInt BigInt::FromInt128(__int128 value) {
-  const bool negative = value < 0;
   // Negate in unsigned space so the minimum value round-trips without UB.
-  unsigned __int128 magnitude =
-      negative ? ~static_cast<unsigned __int128>(value) + 1
-               : static_cast<unsigned __int128>(value);
-  BigInt out;
-  while (magnitude != 0) {
-    out.limbs_.push_back(static_cast<Limb>(magnitude & 0xffffffffu));
-    magnitude >>= 32;
-  }
-  out.negative_ = negative && !out.limbs_.empty();
-  return out;
+  return FromMagnitude(value < 0, value < 0 ? 0 - static_cast<U128>(value)
+                                            : static_cast<U128>(value));
 }
 
 bool BigInt::FitsInt128() const {
   if (limbs_.size() > 4) return false;
   if (limbs_.size() < 4) return true;
-  unsigned __int128 magnitude = 0;
+  U128 magnitude = 0;
   for (size_t i = limbs_.size(); i-- > 0;) {
     magnitude = (magnitude << 32) | limbs_[i];
   }
-  const unsigned __int128 half = static_cast<unsigned __int128>(1) << 127;
+  const U128 half = static_cast<U128>(1) << 127;
   return negative_ ? magnitude <= half : magnitude < half;
 }
 
 __int128 BigInt::ToInt128() const {
   BAGCQ_CHECK(FitsInt128()) << "BigInt does not fit int128: " << ToString();
-  unsigned __int128 magnitude = 0;
+  U128 magnitude = 0;
   for (size_t i = limbs_.size(); i-- > 0;) {
     magnitude = (magnitude << 32) | limbs_[i];
   }
   return negative_ ? static_cast<__int128>(~magnitude + 1)
                    : static_cast<__int128>(magnitude);
 }
-#endif
 
 void BigInt::Normalize() {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
+  limbs_.Trim();
   if (limbs_.empty()) negative_ = false;
 }
 
-int BigInt::CompareMagnitude(const std::vector<Limb>& a,
-                             const std::vector<Limb>& b) {
+int BigInt::CompareMagnitude(const Limbs& a, const Limbs& b) {
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   for (size_t i = a.size(); i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -81,27 +87,23 @@ int BigInt::CompareMagnitude(const std::vector<Limb>& a,
   return 0;
 }
 
-std::vector<BigInt::Limb> BigInt::AddMagnitude(const std::vector<Limb>& a,
-                                               const std::vector<Limb>& b) {
-  std::vector<Limb> out;
-  out.reserve(std::max(a.size(), b.size()) + 1);
+BigInt::Limbs BigInt::AddMagnitude(const Limbs& a, const Limbs& b) {
+  Limbs out(std::max(a.size(), b.size()));
   Wide carry = 0;
-  for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+  for (size_t i = 0; i < out.size(); ++i) {
     Wide sum = carry;
     if (i < a.size()) sum += a[i];
     if (i < b.size()) sum += b[i];
-    out.push_back(static_cast<Limb>(sum & 0xffffffffu));
+    out[i] = static_cast<Limb>(sum & 0xffffffffu);
     carry = sum >> 32;
   }
   if (carry != 0) out.push_back(static_cast<Limb>(carry));
   return out;
 }
 
-std::vector<BigInt::Limb> BigInt::SubMagnitude(const std::vector<Limb>& a,
-                                               const std::vector<Limb>& b) {
+BigInt::Limbs BigInt::SubMagnitude(const Limbs& a, const Limbs& b) {
   BAGCQ_DCHECK(CompareMagnitude(a, b) >= 0);
-  std::vector<Limb> out;
-  out.reserve(a.size());
+  Limbs out(a.size());
   int64_t borrow = 0;
   for (size_t i = 0; i < a.size(); ++i) {
     int64_t diff = static_cast<int64_t>(a[i]) - borrow -
@@ -112,16 +114,15 @@ std::vector<BigInt::Limb> BigInt::SubMagnitude(const std::vector<Limb>& a,
     } else {
       borrow = 0;
     }
-    out.push_back(static_cast<Limb>(diff));
+    out[i] = static_cast<Limb>(diff);
   }
-  while (!out.empty() && out.back() == 0) out.pop_back();
+  out.Trim();
   return out;
 }
 
-std::vector<BigInt::Limb> BigInt::MulMagnitude(const std::vector<Limb>& a,
-                                               const std::vector<Limb>& b) {
+BigInt::Limbs BigInt::MulMagnitude(const Limbs& a, const Limbs& b) {
   if (a.empty() || b.empty()) return {};
-  std::vector<Limb> out(a.size() + b.size(), 0);
+  Limbs out(a.size() + b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     Wide carry = 0;
     for (size_t j = 0; j < b.size(); ++j) {
@@ -137,32 +138,31 @@ std::vector<BigInt::Limb> BigInt::MulMagnitude(const std::vector<Limb>& a,
       ++k;
     }
   }
-  while (!out.empty() && out.back() == 0) out.pop_back();
+  out.Trim();
   return out;
 }
 
 // Knuth TAOCP vol. 2, Algorithm 4.3.1 D, base 2^32.
-void BigInt::DivModMagnitude(std::vector<Limb> a, std::vector<Limb> b,
-                             std::vector<Limb>* quotient,
-                             std::vector<Limb>* remainder) {
+void BigInt::DivModMagnitude(const Limbs& a, const Limbs& b,
+                             Limbs* quotient, Limbs* remainder) {
   BAGCQ_CHECK(!b.empty()) << "division by zero";
   if (CompareMagnitude(a, b) < 0) {
-    quotient->clear();
-    *remainder = std::move(a);
+    *quotient = Limbs();
+    *remainder = a;
     return;
   }
   if (b.size() == 1) {
     // Short division.
-    std::vector<Limb> q(a.size(), 0);
+    Limbs q(a.size());
     Wide rem = 0;
     for (size_t i = a.size(); i-- > 0;) {
       Wide cur = (rem << 32) | a[i];
       q[i] = static_cast<Limb>(cur / b[0]);
       rem = cur % b[0];
     }
-    while (!q.empty() && q.back() == 0) q.pop_back();
+    q.Trim();
     *quotient = std::move(q);
-    remainder->clear();
+    *remainder = Limbs();
     if (rem != 0) remainder->push_back(static_cast<Limb>(rem));
     return;
   }
@@ -170,23 +170,23 @@ void BigInt::DivModMagnitude(std::vector<Limb> a, std::vector<Limb> b,
   // D1: normalize so the divisor's top limb has its high bit set.
   int shift = 0;
   for (Limb top = b.back(); (top & 0x80000000u) == 0; top <<= 1) ++shift;
-  auto shl = [shift](const std::vector<Limb>& v) {
+  auto shl = [shift](const Limbs& v) {
     if (shift == 0) return v;
-    std::vector<Limb> out(v.size() + 1, 0);
+    Limbs out(v.size() + 1);
     for (size_t i = 0; i < v.size(); ++i) {
       out[i] |= v[i] << shift;
       out[i + 1] = static_cast<Limb>(static_cast<Wide>(v[i]) >> (32 - shift));
     }
-    while (!out.empty() && out.back() == 0) out.pop_back();
+    out.Trim();
     return out;
   };
-  std::vector<Limb> u = shl(a);
-  std::vector<Limb> v = shl(b);
+  Limbs u = shl(a);
+  Limbs v = shl(b);
   const size_t n = v.size();
   const size_t m = u.size() - n;
-  u.resize(u.size() + 1, 0);  // u has m+n+1 limbs
+  u.resize(u.size() + 1);  // u has m+n+1 limbs
 
-  std::vector<Limb> q(m + 1, 0);
+  Limbs q(m + 1);
   const Wide v_top = v[n - 1];
   const Wide v_second = v[n - 2];
 
@@ -236,7 +236,7 @@ void BigInt::DivModMagnitude(std::vector<Limb> a, std::vector<Limb> b,
     q[j] = static_cast<Limb>(q_hat);
   }
 
-  while (!q.empty() && q.back() == 0) q.pop_back();
+  q.Trim();
   *quotient = std::move(q);
 
   // D8: denormalize the remainder.
@@ -250,7 +250,7 @@ void BigInt::DivModMagnitude(std::vector<Limb> a, std::vector<Limb> b,
       }
     }
   }
-  while (!u.empty() && u.back() == 0) u.pop_back();
+  u.Trim();
   *remainder = std::move(u);
 }
 
@@ -266,49 +266,41 @@ BigInt BigInt::abs() const {
   return out;
 }
 
-BigInt BigInt::operator+(const BigInt& other) const {
-  // Single-limb fast path: both magnitudes fit 32 bits, so the signed sum
-  // fits comfortably in int64 — skip the magnitude-vector machinery.
-  if (limbs_.size() <= 1 && other.limbs_.size() <= 1) {
-    int64_t a = limbs_.empty() ? 0 : static_cast<int64_t>(limbs_[0]);
-    int64_t b = other.limbs_.empty() ? 0 : static_cast<int64_t>(other.limbs_[0]);
-    if (negative_) a = -a;
-    if (other.negative_) b = -b;
-    return BigInt(a + b);
+BigInt BigInt::Add(const BigInt& a, const BigInt& b, bool b_negative) {
+  if (a.limbs_.size() <= 2 && b.limbs_.size() <= 2) {
+    const uint64_t x = a.Low64();
+    const uint64_t y = b.Low64();
+    if (a.negative_ == b_negative) return FromMagnitude(b_negative, U128{x} + y);
+    return x >= y ? FromMagnitude(a.negative_, x - y)
+                  : FromMagnitude(b_negative, y - x);
   }
   BigInt out;
-  if (negative_ == other.negative_) {
-    out.limbs_ = AddMagnitude(limbs_, other.limbs_);
-    out.negative_ = negative_;
-  } else if (CompareMagnitude(limbs_, other.limbs_) >= 0) {
-    out.limbs_ = SubMagnitude(limbs_, other.limbs_);
-    out.negative_ = negative_;
+  if (a.negative_ == b_negative) {
+    out.limbs_ = AddMagnitude(a.limbs_, b.limbs_);
+    out.negative_ = b_negative;
+  } else if (CompareMagnitude(a.limbs_, b.limbs_) >= 0) {
+    out.limbs_ = SubMagnitude(a.limbs_, b.limbs_);
+    out.negative_ = a.negative_;
   } else {
-    out.limbs_ = SubMagnitude(other.limbs_, limbs_);
-    out.negative_ = other.negative_;
+    out.limbs_ = SubMagnitude(b.limbs_, a.limbs_);
+    out.negative_ = b_negative;
   }
   out.Normalize();
   return out;
 }
 
+BigInt BigInt::operator+(const BigInt& other) const {
+  return Add(*this, other, other.negative_);
+}
+
 BigInt BigInt::operator-(const BigInt& other) const {
-  // Single-limb fast path, and it also avoids materializing -other.
-  if (limbs_.size() <= 1 && other.limbs_.size() <= 1) {
-    int64_t a = limbs_.empty() ? 0 : static_cast<int64_t>(limbs_[0]);
-    int64_t b = other.limbs_.empty() ? 0 : static_cast<int64_t>(other.limbs_[0]);
-    if (negative_) a = -a;
-    if (other.negative_) b = -b;
-    return BigInt(a - b);
-  }
-  return *this + (-other);
+  return Add(*this, other, !other.negative_);
 }
 
 BigInt BigInt::operator*(const BigInt& other) const {
-  // Single-limb fast path: the 32x32-bit magnitude product fits uint64.
-  if (limbs_.size() <= 1 && other.limbs_.size() <= 1) {
-    if (limbs_.empty() || other.limbs_.empty()) return BigInt();
-    return FromParts(negative_ != other.negative_,
-                     static_cast<uint64_t>(limbs_[0]) * other.limbs_[0]);
+  if (limbs_.size() <= 2 && other.limbs_.size() <= 2) {
+    return FromMagnitude(negative_ != other.negative_,
+                         U128{Low64()} * other.Low64());
   }
   BigInt out;
   out.limbs_ = MulMagnitude(limbs_, other.limbs_);
@@ -319,10 +311,20 @@ BigInt BigInt::operator*(const BigInt& other) const {
 
 void BigInt::DivMod(const BigInt& dividend, const BigInt& divisor,
                     BigInt* quotient, BigInt* remainder) {
+  const bool quotient_negative = dividend.negative_ != divisor.negative_;
+  const bool remainder_negative = dividend.negative_;
+  if (dividend.limbs_.size() <= 2 && divisor.limbs_.size() <= 2) {
+    const uint64_t a = dividend.Low64();
+    const uint64_t b = divisor.Low64();
+    BAGCQ_CHECK(b != 0) << "division by zero";
+    *quotient = FromMagnitude(quotient_negative, a / b);
+    *remainder = FromMagnitude(remainder_negative, a % b);
+    return;
+  }
   BigInt q, r;
   DivModMagnitude(dividend.limbs_, divisor.limbs_, &q.limbs_, &r.limbs_);
-  q.negative_ = dividend.negative_ != divisor.negative_;
-  r.negative_ = dividend.negative_;
+  q.negative_ = quotient_negative;
+  r.negative_ = remainder_negative;
   q.Normalize();
   r.Normalize();
   *quotient = std::move(q);
@@ -366,19 +368,33 @@ bool BigInt::TryParse(std::string_view text, BigInt* out) {
   }
   if (text.empty()) return false;
   BigInt value;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * BigInt(10) + BigInt(c - '0');
+  // Nine digits per pass: value = value * 10^k + chunk, in place.
+  for (size_t pos = 0; pos < text.size();) {
+    Wide scale = 1;
+    Wide carry = 0;
+    for (const size_t end = std::min(pos + 9, text.size()); pos < end; ++pos) {
+      const char c = text[pos];
+      if (c < '0' || c > '9') return false;
+      scale *= 10;
+      carry = carry * 10 + static_cast<Wide>(c - '0');
+    }
+    Limb* limbs = value.limbs_.data();
+    for (size_t i = 0; i < value.limbs_.size(); ++i) {
+      const Wide cur = limbs[i] * scale + carry;
+      limbs[i] = static_cast<Limb>(cur);
+      carry = cur >> kLimbBits;
+    }
+    if (carry != 0) value.limbs_.push_back(static_cast<Limb>(carry));
   }
-  if (negative && !value.is_zero()) value.negative_ = true;
+  value.negative_ = negative && !value.is_zero();
   *out = std::move(value);
   return true;
 }
 
 BigInt BigInt::TwoToThe(uint64_t exponent) {
   BigInt out;
-  out.limbs_.assign(exponent / 32 + 1, 0);
-  out.limbs_.back() = Limb{1} << (exponent % 32);
+  out.limbs_.resize(exponent / 32 + 1);
+  out.limbs_[exponent / 32] = Limb{1} << (exponent % 32);
   return out;
 }
 
@@ -397,6 +413,9 @@ BigInt BigInt::Gcd(BigInt a, BigInt b) {
   a.negative_ = false;
   b.negative_ = false;
   while (!b.is_zero()) {
+    if (a.limbs_.size() <= 2 && b.limbs_.size() <= 2) {
+      return FromMagnitude(false, std::gcd(a.Low64(), b.Low64()));
+    }
     BigInt r = a % b;
     a = std::move(b);
     b = std::move(r);
@@ -410,10 +429,16 @@ BigInt BigInt::Lcm(const BigInt& a, const BigInt& b) {
 }
 
 std::string BigInt::ToString() const {
-  if (is_zero()) return "0";
-  // Repeated division by 10^9 (fits a limb) for speed.
-  std::vector<Limb> digits_chunks;
-  std::vector<Limb> current = limbs_;
+  if (limbs_.size() <= 2) {
+    char buffer[21];  // a sign and the 20 digits of 2^64 - 1
+    char* end = buffer;
+    if (negative_) *end++ = '-';
+    end = std::to_chars(end, buffer + sizeof(buffer), Low64()).ptr;
+    return std::string(buffer, end);
+  }
+  // Repeated division by 10^9 (fits a limb), least significant digits first.
+  std::string out;
+  Limbs current = limbs_;
   const Limb kChunk = 1000000000u;
   while (!current.empty()) {
     Wide rem = 0;
@@ -422,15 +447,14 @@ std::string BigInt::ToString() const {
       current[i] = static_cast<Limb>(cur / kChunk);
       rem = cur % kChunk;
     }
-    while (!current.empty() && current.back() == 0) current.pop_back();
-    digits_chunks.push_back(static_cast<Limb>(rem));
+    current.Trim();
+    for (int digit = 0; digit < 9; ++digit, rem /= 10) {
+      out.push_back(static_cast<char>('0' + rem % 10));
+    }
   }
-  std::string out = negative_ ? "-" : "";
-  out += std::to_string(digits_chunks.back());
-  for (size_t i = digits_chunks.size() - 1; i-- > 0;) {
-    std::string chunk = std::to_string(digits_chunks[i]);
-    out += std::string(9 - chunk.size(), '0') + chunk;
-  }
+  while (out.back() == '0') out.pop_back();
+  if (negative_) out.push_back('-');
+  std::reverse(out.begin(), out.end());
   return out;
 }
 
@@ -459,20 +483,15 @@ double BigInt::Log2Abs() const {
 
 bool BigInt::FitsInt64() const {
   if (limbs_.size() > 2) return false;
-  if (limbs_.size() < 2) return true;
-  uint64_t magnitude = (static_cast<uint64_t>(limbs_[1]) << 32) | limbs_[0];
-  if (negative_) return magnitude <= (uint64_t{1} << 63);
-  return magnitude < (uint64_t{1} << 63);
+  const uint64_t half = uint64_t{1} << 63;
+  return negative_ ? Low64() <= half : Low64() < half;
 }
 
 int64_t BigInt::ToInt64() const {
   BAGCQ_CHECK(FitsInt64()) << "BigInt does not fit int64: " << ToString();
-  uint64_t magnitude = 0;
-  if (limbs_.size() >= 1) magnitude |= limbs_[0];
-  if (limbs_.size() >= 2) magnitude |= static_cast<uint64_t>(limbs_[1]) << 32;
   // Negate in unsigned space so INT64_MIN round-trips without UB.
-  return negative_ ? static_cast<int64_t>(~magnitude + 1)
-                   : static_cast<int64_t>(magnitude);
+  return negative_ ? static_cast<int64_t>(0 - Low64())
+                   : static_cast<int64_t>(Low64());
 }
 
 size_t BigInt::BitLength() const {

@@ -1,5 +1,6 @@
 #include "util/rational.h"
 
+#include <algorithm>
 #include <ostream>
 
 #include "util/check.h"
@@ -113,6 +114,13 @@ double Rational::ToDouble() const {
   if (num_.FitsInt64() && den_.FitsInt64()) {
     return static_cast<double>(num_.ToInt64()) /
            static_cast<double>(den_.ToInt64());
+  }
+  // Past ~1024 bits a side converts to inf, and inf/inf is NaN: divide both
+  // by the power of two that brings the longer one to 1000 bits.
+  const size_t bits = std::max(num_.BitLength(), den_.BitLength());
+  if (bits > 1000) {
+    const BigInt scale = BigInt::TwoToThe(bits - 1000);
+    return (num_ / scale).ToDouble() / (den_ / scale).ToDouble();
   }
   return num_.ToDouble() / den_.ToDouble();
 }

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -211,27 +213,65 @@ TEST(BigIntTest, IsPowerOfTwo) {
   EXPECT_FALSE((BigInt::TwoToThe(200) + BigInt(1)).IsPowerOfTwo());
 }
 
-// The single-limb fast paths of +/-/* must agree with the general long-form
-// code on every sign/magnitude combination, including the boundary where the
-// int64 shortcut itself would overflow (two maximal 32-bit limbs).
+// The 64-bit paths of + - * DivMod Gcd ToString and TryParse must agree with
+// the general limb loops on every sign/magnitude combination, including the
+// one- and two-limb boundaries and values stored inline up to 2^128. Scaling
+// both operands by 2^128 (or a decimal by 10^40) forces the general path.
 TEST(BigIntTest, SmallValueFastPathsMatchLongForm) {
-  const int64_t samples[] = {0,           1,           -1,          7,
-                             -13,         4294967295LL, -4294967295LL,
-                             4294967296LL + 5,          -(4294967296LL + 5)};
-  for (int64_t a : samples) {
-    for (int64_t b : samples) {
-      const BigInt big_a(a), big_b(b);
-      EXPECT_EQ(big_a + big_b, BigInt(a + b)) << a << " + " << b;
-      EXPECT_EQ(big_a - big_b, BigInt(a - b)) << a << " - " << b;
-      const BigInt product = big_a * big_b;
-      if (b != 0) {
-        // Exact-division round trip pins the product against the
-        // independently-tested long-division path.
-        EXPECT_EQ(product / big_b, big_a) << a << " * " << b;
-        EXPECT_EQ(product % big_b, BigInt(0)) << a << " * " << b;
-      } else {
-        EXPECT_EQ(product, BigInt(0)) << a << " * 0";
+  const char* const texts[] = {
+      "0", "1", "-1", "7", "-13", "4294967295", "-4294967295", "4294967296",
+      "4294967301", "-4294967301", "9223372036854775807",
+      "-9223372036854775807", "-9223372036854775808", "18446744073709551615",
+      "18446744073709551616", "79228162514264337593543950336",
+      "170141183460469231731687303715884105728",
+      "340282366920938463463374607431768211456"};
+  const BigInt scale = BigInt::TwoToThe(128);
+  const BigInt ten40 = BigInt::Pow(BigInt(10), 40);
+  std::vector<BigInt> samples;
+  for (const char* text : texts) {
+    BigInt value;
+    ASSERT_TRUE(BigInt::TryParse(text, &value)) << text;
+    EXPECT_EQ(value.ToString(), text);
+    if (!value.is_zero()) {
+      const std::string scaled_text = std::string(text) + std::string(40, '0');
+      EXPECT_EQ((value * ten40).ToString(), scaled_text);
+      BigInt scaled;
+      ASSERT_TRUE(BigInt::TryParse(scaled_text, &scaled));
+      EXPECT_EQ(scaled, value * ten40) << text;
+    }
+    samples.push_back(value);
+  }
+  EXPECT_EQ(samples[14], BigInt::TwoToThe(64));
+  EXPECT_EQ(samples[15], BigInt::TwoToThe(96));
+  EXPECT_EQ(samples[16], BigInt::TwoToThe(127));
+  EXPECT_EQ(samples[17], BigInt::TwoToThe(128));
+  for (const BigInt& a : samples) {
+    for (const BigInt& b : samples) {
+      const BigInt big_a = a * scale, big_b = b * scale;
+      EXPECT_EQ(big_a + big_b, (a + b) * scale) << a << " + " << b;
+      EXPECT_EQ(big_a - big_b, (a - b) * scale) << a << " - " << b;
+      EXPECT_EQ(big_a * b, (a * b) * scale) << a << " * " << b;
+      int64_t expected = 0;
+      if (a.FitsInt64() && b.FitsInt64() &&
+          !__builtin_add_overflow(a.ToInt64(), b.ToInt64(), &expected)) {
+        EXPECT_EQ(a + b, BigInt(expected)) << a << " + " << b;
       }
+      if (a.FitsInt64() && b.FitsInt64() &&
+          !__builtin_sub_overflow(a.ToInt64(), b.ToInt64(), &expected)) {
+        EXPECT_EQ(a - b, BigInt(expected)) << a << " - " << b;
+      }
+      EXPECT_EQ(BigInt::Gcd(big_a, big_b), BigInt::Gcd(a, b) * scale)
+          << "gcd " << a << ", " << b;
+      if (b.is_zero()) continue;
+      EXPECT_EQ((a * b) / b, a) << a << " * " << b;
+      EXPECT_EQ((a * b) % b, BigInt(0)) << a << " * " << b;
+      BigInt q, r, big_q, big_r;
+      BigInt::DivMod(a, b, &q, &r);
+      BigInt::DivMod(big_a, big_b, &big_q, &big_r);
+      EXPECT_EQ(big_q, q) << a << " / " << b;
+      EXPECT_EQ(big_r, r * scale) << a << " % " << b;
+      EXPECT_EQ(a / b, q) << a << " / " << b;
+      EXPECT_EQ(a % b, r) << a << " % " << b;
     }
   }
   // Single-limb × single-limb products that overflow int64 but not uint64.
@@ -243,6 +283,54 @@ TEST(BigIntTest, SmallValueFastPathsMatchLongForm) {
   const BigInt wide = BigInt::TwoToThe(100);
   EXPECT_EQ(wide + BigInt(1) - BigInt(1), wide);
   EXPECT_EQ((wide * BigInt(3)) / BigInt(3), wide);
+}
+
+// Copies, moves and self-assignment across the four-limb inline boundary.
+TEST(BigIntTest, InlineAndHeapStorageKeepValues) {
+  // Squared past 2^128 onto the heap, then divided back inline.
+  const BigInt inline_value = BigInt::TwoToThe(100) + BigInt(12345);
+  BigInt x = inline_value;
+  x *= inline_value;
+  EXPECT_EQ(x.BitLength(), 201u);
+  x /= inline_value;
+  EXPECT_EQ(x, inline_value);
+
+  // A heap value moved into an inline one and back.
+  const BigInt heap_value = -BigInt::Pow(BigInt(10), 60);
+  BigInt heap = heap_value;
+  BigInt small(42);
+  small = std::move(heap);
+  EXPECT_EQ(small, heap_value);
+  heap = std::move(small);
+  EXPECT_EQ(heap, heap_value);
+  small = BigInt(42);
+  small = heap;  // copy onto inline storage
+  EXPECT_EQ(small, heap_value);
+  heap = BigInt(-7);  // a heap block takes an inline value
+  EXPECT_EQ(heap, BigInt(-7));
+  EXPECT_EQ(heap + heap_value, heap_value - BigInt(7));
+
+  // Self-assignment through a reference keeps the value, inline or not.
+  BigInt& alias = small;
+  small = alias;
+  EXPECT_EQ(small, heap_value);
+  small = std::move(alias);
+  EXPECT_EQ(small, heap_value);
+  BigInt& inline_alias = heap;
+  heap = inline_alias;
+  EXPECT_EQ(heap, BigInt(-7));
+
+  // Vector growth and erasure move values across both representations.
+  auto expected = [](int i) {
+    return i % 2 == 0 ? BigInt(-i) : BigInt::TwoToThe(8 * i) + BigInt(i);
+  };
+  std::vector<BigInt> values;
+  for (int i = 0; i < 64; ++i) values.push_back(expected(i));
+  values.erase(values.begin());
+  for (int i = 1; i < 64; ++i) EXPECT_EQ(values[i - 1], expected(i)) << i;
+  std::vector<BigInt> copies(values.rbegin(), values.rend());
+  copies = values;  // copies heap values onto inline ones and back
+  EXPECT_EQ(copies, values);
 }
 
 #if defined(__SIZEOF_INT128__)

@@ -79,6 +79,18 @@ TEST(RationalTest, ToDouble) {
   EXPECT_NEAR(huge.ToDouble(), 100.0, 1e-9);
 }
 
+// Both parts past double range: each converts to inf on its own.
+TEST(RationalTest, ToDoubleOfPartsBeyondDoubleRange) {
+  const BigInt p = BigInt::TwoToThe(1100);
+  EXPECT_NEAR(Rational(p + BigInt(1), p).ToDouble(), 1.0, 1e-12);
+  EXPECT_NEAR(Rational(BigInt(3) * p, BigInt(2) * p + BigInt(1)).ToDouble(),
+              1.5, 1e-12);
+  EXPECT_NEAR(Rational(-(BigInt(3) * p), BigInt(2) * p + BigInt(1)).ToDouble(),
+              -1.5, 1e-12);
+  EXPECT_NEAR(Rational(p, BigInt::TwoToThe(1095) + BigInt(1)).ToDouble(), 32.0,
+              1e-9);
+}
+
 TEST(RationalTest, RandomizedFieldAxioms) {
   std::mt19937_64 rng(99);
   std::uniform_int_distribution<int64_t> dist(-50, 50);
