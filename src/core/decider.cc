@@ -4,7 +4,6 @@
 
 #include "cq/homomorphism.h"
 #include "cq/transforms.h"
-#include "entropy/mobius.h"
 #include "util/check.h"
 
 namespace bagcq::core {
@@ -107,7 +106,7 @@ util::Result<Decision> DecideBagContainmentWithContext(
     decision.counterexample = over_normal.counterexample;
     if (necessity_applies) {
       auto witness = BuildWitnessFromNormal(q1, q2, inequality,
-                                            *over_normal.counterexample,
+                                            over_normal.decomposition,
                                             options.witness);
       if (witness.ok()) {
         decision.verdict = Verdict::kNotContained;

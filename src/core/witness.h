@@ -50,10 +50,16 @@ struct Witness {
   std::string ToString(const cq::ConjunctiveQuery& q1) const;
 };
 
-/// Builds a witness from a violating normal function. `normal_h` must be
-/// normal and must violate the inequality (max branch < 0); both are
-/// CHECK-verified. Returns ResourceExhausted if the scaled witness exceeds
-/// the limits.
+/// Builds a witness from a violating normal function h = Σ_W c_W·h_W, given
+/// by its weights (`MaxIIResult::decomposition`) or densely, decomposed by
+/// Möbius inversion; only the perfbench stage replay and tests use the dense
+/// form. Every W ⊊ vars(Q1), every c_W > 0 and max branch < 0 are
+/// CHECK-verified. Returns ResourceExhausted if the witness exceeds limits.
+util::Result<Witness> BuildWitnessFromNormal(
+    const cq::ConjunctiveQuery& q1, const cq::ConjunctiveQuery& q2,
+    const ContainmentInequality& inequality,
+    const std::map<util::VarSet, util::Rational>& coeffs,
+    const WitnessOptions& options = {});
 util::Result<Witness> BuildWitnessFromNormal(
     const cq::ConjunctiveQuery& q1, const cq::ConjunctiveQuery& q2,
     const ContainmentInequality& inequality,

@@ -1,6 +1,7 @@
 #include "cq/structure.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -19,6 +20,21 @@ void Structure::AddTuple(int relation, Tuple t) {
   auto& rel = relations_[relation];
   auto it = std::lower_bound(rel.begin(), rel.end(), t);
   if (it == rel.end() || *it != t) rel.insert(it, std::move(t));
+}
+
+void Structure::AddTuples(int relation, std::vector<Tuple> tuples) {
+  BAGCQ_CHECK(relation >= 0 && relation < vocab_.size());
+  for (const Tuple& t : tuples) {
+    BAGCQ_CHECK_EQ(static_cast<int>(t.size()), vocab_.arity(relation))
+        << "tuple arity mismatch for " << vocab_.name(relation);
+  }
+  std::sort(tuples.begin(), tuples.end());
+  auto& rel = relations_[relation];
+  const auto old_size = static_cast<std::ptrdiff_t>(rel.size());
+  rel.insert(rel.end(), std::make_move_iterator(tuples.begin()),
+             std::make_move_iterator(tuples.end()));
+  std::inplace_merge(rel.begin(), rel.begin() + old_size, rel.end());
+  rel.erase(std::unique(rel.begin(), rel.end()), rel.end());
 }
 
 bool Structure::Contains(int relation, const Tuple& t) const {

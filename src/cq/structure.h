@@ -21,6 +21,9 @@ class Structure {
 
   /// Inserts a tuple into relation r (set semantics; duplicates dropped).
   void AddTuple(int relation, Tuple t);
+  /// Inserts many tuples into relation r with one sort and one merge, where
+  /// AddTuple per tuple shifts the sorted vector.
+  void AddTuples(int relation, std::vector<Tuple> tuples);
   const std::vector<Tuple>& tuples(int relation) const {
     return relations_[relation];
   }

@@ -5,14 +5,7 @@
 namespace bagcq::entropy {
 
 SetFunction StepFunction(int n, VarSet w) {
-  VarSet full = VarSet::Full(n);
-  BAGCQ_CHECK(w.IsSubsetOf(full) && w != full)
-      << "step function requires W to be a proper subset of V";
-  SetFunction h(n);
-  for (uint32_t s = 1; s < (1u << n); ++s) {
-    if (!VarSet(s).IsSubsetOf(w)) h[VarSet(s)] = Rational(1);
-  }
-  return h;
+  return NormalFunction(n, {{w, Rational(1)}});
 }
 
 SetFunction ModularFunction(const std::vector<Rational>& weights) {
@@ -29,11 +22,17 @@ SetFunction ModularFunction(const std::vector<Rational>& weights) {
 }
 
 SetFunction NormalFunction(int n, const std::map<VarSet, Rational>& coeffs) {
+  const VarSet full = VarSet::Full(n);
   SetFunction h(n);
   for (const auto& [w, c] : coeffs) {
     BAGCQ_CHECK(c.sign() >= 0) << "normal coefficients must be nonnegative";
+    BAGCQ_CHECK(w.IsSubsetOf(full) && w != full)
+        << "step function requires W to be a proper subset of V";
     if (c.is_zero()) continue;
-    h = h + StepFunction(n, w) * c;
+    // c·h_W adds c at every X ⊄ W.
+    for (uint32_t s = 1; s < (1u << n); ++s) {
+      if (!VarSet(s).IsSubsetOf(w)) h[VarSet(s)] += c;
+    }
   }
   return h;
 }

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "entropy/functions.h"
-#include "entropy/mobius.h"
 #include "lp/lp_problem.h"
 #include "lp/simplex.h"
 #include "util/check.h"
@@ -280,7 +279,6 @@ MaxIIResult MaxIIOracle::CheckGeneratorForm(
     const std::vector<LinearExpr>& branches) const {
   const std::vector<VarSet> generator_sets = GeneratorSets(n_, kind_);
   const size_t k = branches.size();
-  const size_t num_gens = generator_sets.size();
 
   const std::string key =
       std::string("maxii/gen/") +
@@ -320,19 +318,15 @@ MaxIIResult MaxIIOracle::CheckGeneratorForm(
 
   BAGCQ_CHECK(solution.status == lp::SolveStatus::kOptimal)
       << "violation LP cannot be unbounded below (objective is Σ c_W ≥ 0)";
-  SetFunction h(n_);
-  for (size_t w = 0; w < num_gens; ++w) {
-    const Rational& f = solution.values[w];
-    BAGCQ_CHECK(f.sign() >= 0);
-    if (!f.is_zero()) h = h + StepFunction(n_, generator_sets[w]) * f;
-  }
-  if (kind_ == ConeKind::kNormal) {
-    BAGCQ_CHECK(IsNormal(h)) << "counterexample is not normal";
-  } else {
-    BAGCQ_CHECK(h.IsModular()) << "counterexample is not modular";
+  // Σ c_W h_W is in the cone by construction: every W is a generator and
+  // every c_W is nonnegative.
+  for (size_t w = 0; w < generator_sets.size(); ++w) {
+    const Rational& c = solution.values[w];
+    BAGCQ_CHECK(c.sign() >= 0);
+    if (!c.is_zero()) out.decomposition.emplace(generator_sets[w], c);
   }
   out.valid = false;
-  out.counterexample = std::move(h);
+  out.counterexample = NormalFunction(n_, out.decomposition);
   return out;
 }
 

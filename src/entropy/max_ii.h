@@ -19,6 +19,7 @@
 // containment problem of Theorem 3.1.
 #pragma once
 
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -46,6 +47,11 @@ struct MaxIIResult {
   std::optional<ShannonCertificate> certificate;
   /// Invalid: a member of the cone with max_ℓ E_ℓ(h) < 0.
   std::optional<SetFunction> counterexample;
+  /// Invalid over Nn or Mn: the LP's nonzero weights c_W > 0, with
+  /// counterexample = Σ_W c_W·h_W, keyed by generators of the cone (W ⊊ V
+  /// for Nn, co-singletons V − {i} for Mn). Witnesses are built from it.
+  /// Empty over Γn and when valid.
+  std::map<VarSet, Rational> decomposition;
   /// Invalid: max_ℓ E_ℓ(counterexample), a negative rational.
   Rational max_at_counterexample;
   int64_t lp_pivots = 0;

@@ -1,8 +1,5 @@
 #include "entropy/mobius.h"
 
-#include "entropy/functions.h"
-#include "util/check.h"
-
 namespace bagcq::entropy {
 
 namespace {
@@ -56,33 +53,20 @@ std::map<VarSet, Rational> IMeasure(const SetFunction& h) {
 }
 
 bool IsNormal(const SetFunction& h) {
-  if (!h.IsGrounded()) return false;
-  SetFunction g = MobiusInverse(h);
-  VarSet full = h.universe();
-  bool normal = true;
-  ForEachSubset(full, [&](VarSet x) {
-    if (x != full && g[x].sign() > 0) normal = false;
-  });
-  return normal;
+  return NormalDecomposition(h).has_value();
 }
 
 std::optional<std::map<VarSet, Rational>> NormalDecomposition(
     const SetFunction& h) {
-  if (!IsNormal(h)) return std::nullopt;
+  // For grounded h, Möbius inversion gives h = Σ_{W ⊊ V} −g(W)·h_W exactly,
+  // so h is normal iff every −g(W) is nonnegative (Fact B.7).
+  if (!h.IsGrounded()) return std::nullopt;
   SetFunction g = MobiusInverse(h);
-  VarSet full = h.universe();
   std::map<VarSet, Rational> coeffs;
-  ForEachSubset(full, [&](VarSet w) {
-    if (w == full) return;
-    Rational c = -g[w];
-    if (!c.is_zero()) coeffs[w] = c;
-  });
-  // Exactness cross-check: the decomposition must reproduce h.
-  SetFunction rebuilt(h.num_vars());
-  for (const auto& [w, c] : coeffs) {
-    rebuilt = rebuilt + StepFunction(h.num_vars(), w) * c;
+  for (uint32_t w = 0; w + 1 < (1u << h.num_vars()); ++w) {
+    if (g[VarSet(w)].sign() > 0) return std::nullopt;
+    if (!g[VarSet(w)].is_zero()) coeffs[VarSet(w)] = -g[VarSet(w)];
   }
-  BAGCQ_CHECK(rebuilt == h) << "normal decomposition failed to reproduce h";
   return coeffs;
 }
 

@@ -8,6 +8,9 @@
 // *normal* (a nonnegative combination of step functions, Section 3.2)
 // exactly when its I-measure is nonnegative, i.e. g(X) ≤ 0 for all X ≠ V
 // (Fact B.7).
+//
+// Nothing on the served decide path calls these: Nn/Mn counterexamples
+// arrive decomposed (`MaxIIResult::decomposition`).
 #pragma once
 
 #include <map>

@@ -8,8 +8,13 @@
 namespace bagcq::entropy {
 
 Relation Relation::FromTuples(int n, std::vector<Tuple> tuples) {
+  for (const Tuple& t : tuples) {
+    BAGCQ_CHECK_EQ(static_cast<int>(t.size()), n) << "tuple arity mismatch";
+  }
+  std::sort(tuples.begin(), tuples.end());
+  tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
   Relation out(n);
-  for (Tuple& t : tuples) out.AddTuple(std::move(t));
+  out.tuples_ = std::move(tuples);
   return out;
 }
 
@@ -52,24 +57,25 @@ bool Relation::IsTotallyUniform() const {
 
 Relation Relation::StepRelation(int n, VarSet w, int levels) {
   BAGCQ_CHECK_GE(levels, 1);
-  Relation out(n);
+  std::vector<Tuple> tuples;
+  tuples.reserve(levels);
   for (int a = 0; a < levels; ++a) {
     Tuple t(n, 0);
     for (int i = 0; i < n; ++i) {
       if (!w.Contains(i)) t[i] = a;
     }
-    out.AddTuple(std::move(t));
+    tuples.push_back(std::move(t));
   }
-  return out;
+  return FromTuples(n, std::move(tuples));
 }
 
 Relation Relation::ProductRelation(const std::vector<int>& sizes) {
   int n = static_cast<int>(sizes.size());
-  Relation out(n);
+  std::vector<Tuple> tuples;
   Tuple t(n, 0);
   // Odometer enumeration of the full product.
   while (true) {
-    out.AddTuple(t);
+    tuples.push_back(t);
     int i = 0;
     while (i < n) {
       if (++t[i] < sizes[i]) break;
@@ -78,7 +84,7 @@ Relation Relation::ProductRelation(const std::vector<int>& sizes) {
     }
     if (i == n) break;
   }
-  return out;
+  return FromTuples(n, std::move(tuples));
 }
 
 Relation Relation::DomainProduct(const Relation& other) const {
@@ -89,7 +95,8 @@ Relation Relation::DomainProduct(const Relation& other) const {
   for (const Tuple& t : other.tuples_) {
     for (int v : t) stride = std::max<int64_t>(stride, v + 1);
   }
-  Relation out(n_);
+  std::vector<Tuple> tuples;
+  tuples.reserve(tuples_.size() * other.tuples_.size());
   for (const Tuple& f : tuples_) {
     for (const Tuple& g : other.tuples_) {
       Tuple combined(n_);
@@ -98,10 +105,10 @@ Relation Relation::DomainProduct(const Relation& other) const {
         BAGCQ_CHECK(code <= INT32_MAX) << "domain product value overflow";
         combined[i] = static_cast<int>(code);
       }
-      out.AddTuple(std::move(combined));
+      tuples.push_back(std::move(combined));
     }
   }
-  return out;
+  return FromTuples(n_, std::move(tuples));
 }
 
 std::string Relation::ToString() const {

@@ -23,6 +23,9 @@ class Relation {
   using Tuple = std::vector<int>;
 
   explicit Relation(int n) : n_(n) {}
+  /// The set of `tuples`: one sort and one deduplication, where AddTuple
+  /// per tuple shifts the sorted vector and is quadratic in the worst case.
+  /// CHECK-fails on arity mismatch.
   static Relation FromTuples(int n, std::vector<Tuple> tuples);
 
   int num_vars() const { return n_; }

@@ -1,5 +1,8 @@
 #include "entropy/functions.h"
 
+#include <map>
+#include <random>
+
 #include <gtest/gtest.h>
 
 namespace bagcq::entropy {
@@ -38,6 +41,36 @@ TEST(FunctionsTest, NormalFunctionSumsSteps) {
   EXPECT_EQ(h[VarSet::Of({0})], Rational(1));
   EXPECT_EQ(h[VarSet::Of({1})], Rational(3));
   EXPECT_EQ(h[VarSet::Full(2)], Rational(3));
+
+  // Against the explicit Σ c_W·h_W on seeded random coefficient maps: the
+  // empty map (the zero function), maps over all proper subsets, and maps
+  // over the co-singletons only (the generators of Mn).
+  std::mt19937_64 rng(2026);
+  for (int n = 1; n <= 6; ++n) {
+    const VarSet full = VarSet::Full(n);
+    EXPECT_EQ(NormalFunction(n, {}), SetFunction(n));
+    for (int trial = 0; trial < 8; ++trial) {
+      const bool co_singletons = trial % 2 == 1;
+      std::map<VarSet, Rational> coeffs;
+      for (uint32_t s = 0; s + 1 < (1u << n); ++s) {
+        const VarSet w(s);
+        if (co_singletons && w.size() != n - 1) continue;
+        if (rng() % 3 == 0) continue;
+        coeffs[w] = Rational(static_cast<int64_t>(rng() % 7),
+                             static_cast<int64_t>(rng() % 5 + 1));
+      }
+      SetFunction expected(n);
+      Rational total;
+      for (const auto& [w, c] : coeffs) {
+        expected = expected + StepFunction(n, w) * c;
+        total += c;
+      }
+      EXPECT_EQ(NormalFunction(n, coeffs), expected)
+          << "n=" << n << " trial=" << trial;
+      // Every step function is 1 on V, so h(V) = Σ_W c_W.
+      EXPECT_EQ(expected[full], total);
+    }
+  }
 }
 
 TEST(FunctionsDeathTest, NormalFunctionRejectsNegativeCoefficients) {

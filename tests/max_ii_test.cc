@@ -28,6 +28,26 @@ std::vector<LinearExpr> Example38Branches() {
   return BranchesForBoundedForm(n, Rational(1), exprs);
 }
 
+// An invalid generator-form result carries its counterexample as a
+// decomposition Σ_W c_W h_W over generators of that cone, with every c_W > 0,
+// and the dense counterexample is exactly that sum.
+void ExpectDecomposedCounterexample(const MaxIIResult& r, int n,
+                                    ConeKind kind) {
+  ASSERT_FALSE(r.valid);
+  ASSERT_TRUE(r.counterexample.has_value());
+  ASSERT_FALSE(r.decomposition.empty());
+  const VarSet full = VarSet::Full(n);
+  for (const auto& [w, c] : r.decomposition) {
+    EXPECT_TRUE(w.IsSubsetOf(full) && w != full) << w.mask();
+    if (kind == ConeKind::kModular) {
+      EXPECT_EQ(w.size(), n - 1) << w.mask();
+    }
+    EXPECT_GT(c.sign(), 0) << w.mask();
+  }
+  EXPECT_EQ(NormalFunction(n, r.decomposition), *r.counterexample);
+  EXPECT_EQ(NormalDecomposition(*r.counterexample), r.decomposition);
+}
+
 TEST(MaxIIOracleTest, Example38ValidOverAllCones) {
   auto branches = Example38Branches();
   for (ConeKind kind :
@@ -70,14 +90,17 @@ TEST(MaxIIOracleTest, CounterexamplesRespectConeMembership) {
   MaxIIResult gamma = MaxIIOracle(3, ConeKind::kPolymatroid).Check({bad});
   ASSERT_FALSE(gamma.valid);
   EXPECT_TRUE(gamma.counterexample->IsPolymatroid());
+  EXPECT_TRUE(gamma.decomposition.empty());
 
   MaxIIResult normal = MaxIIOracle(3, ConeKind::kNormal).Check({bad});
   ASSERT_FALSE(normal.valid);
   EXPECT_TRUE(IsNormal(*normal.counterexample));
+  ExpectDecomposedCounterexample(normal, 3, ConeKind::kNormal);
 
   MaxIIResult modular = MaxIIOracle(3, ConeKind::kModular).Check({bad});
   ASSERT_FALSE(modular.valid);
   EXPECT_TRUE(modular.counterexample->IsModular());
+  ExpectDecomposedCounterexample(modular, 3, ConeKind::kModular);
 }
 
 TEST(MaxIIOracleTest, ZhangYeungSeparatesNormalFromPolymatroid) {
@@ -174,9 +197,14 @@ TEST_P(Theorem36Sweep, ConeEquivalenceHolds) {
       MaxIIOracle(p.n, ConeKind::kPolymatroid).Check(branches).valid;
   ConeKind small_cone =
       p.unconditioned ? ConeKind::kModular : ConeKind::kNormal;
-  bool over_small = MaxIIOracle(p.n, small_cone).Check(branches).valid;
-  EXPECT_EQ(over_gamma, over_small)
+  MaxIIResult small = MaxIIOracle(p.n, small_cone).Check(branches);
+  EXPECT_EQ(over_gamma, small.valid)
       << "Theorem 3.6 equivalence failed, seed=" << p.seed;
+  if (small.valid) {
+    EXPECT_TRUE(small.decomposition.empty());
+  } else {
+    ExpectDecomposedCounterexample(small, p.n, small_cone);
+  }
 }
 
 std::vector<SweepParams> MakeSweep() {

@@ -1,5 +1,9 @@
 #include "entropy/relation.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "entropy/functions.h"
@@ -19,6 +23,28 @@ TEST(RelationTest, DeduplicatesAndSorts) {
   EXPECT_EQ(p.size(), 2);
   EXPECT_EQ(p.tuples()[0], (Relation::Tuple{0, 1}));
   EXPECT_EQ(p.tuples()[1], (Relation::Tuple{1, 0}));
+}
+
+TEST(RelationTest, DomainProductEqualsFromTuplesInEitherFactorOrder) {
+  // With the {x0,x1} factor first, the nested loop over the two factors
+  // emits the product's tuples out of lexicographic order.
+  const Relation a = Relation::StepRelation(4, VarSet::Of({0, 1}), 16);
+  const Relation b = Relation::StepRelation(4, VarSet::Of({2, 3}), 16);
+  for (const auto& [f, g] : {std::pair(a, b), std::pair(b, a)}) {
+    const int stride = 16;  // one past the largest value in g
+    std::vector<Relation::Tuple> tuples;
+    for (const Relation::Tuple& x : f.tuples()) {
+      for (const Relation::Tuple& y : g.tuples()) {
+        Relation::Tuple t(4);
+        for (int i = 0; i < 4; ++i) t[i] = x[i] * stride + y[i];
+        tuples.push_back(std::move(t));
+      }
+    }
+    const Relation p = f.DomainProduct(g);
+    EXPECT_EQ(p.size(), 256);
+    EXPECT_EQ(p.tuples(), Relation::FromTuples(4, tuples).tuples());
+    EXPECT_TRUE(std::is_sorted(p.tuples().begin(), p.tuples().end()));
+  }
 }
 
 TEST(RelationTest, ProjectionCounts) {

@@ -90,6 +90,31 @@ TEST(WitnessTest, Example35FromHandBuiltNormalFunction) {
   EXPECT_FALSE(cq::BagLeqOn(q1, q2, witness.database));
 }
 
+TEST(WitnessTest, Example35WitnessAtScale8FromDecomposition) {
+  // h = 8·(h_{x1x2} + h_{x1'x2'}) already clears the Lemma 4.8 gap, so the
+  // scale is 1: two factors of 2^8 levels and |P| = 2^16. Each of A, B, C
+  // then holds 512 annotated diagonal pairs, so |hom(Q1,D)| = 512² while
+  // every homomorphism of Q2 is fixed by its A-tuple.
+  cq::ConjunctiveQuery q1 = Parse(
+      "A(x1,x2), B(x1,x2), C(x1,x2), A(x1',x2'), B(x1',x2'), C(x1',x2')");
+  cq::ConjunctiveQuery q2 =
+      cq::ParseQueryWithVocabulary("A(y1,y2), B(y1,y3), C(y4,y2)", q1.vocab())
+          .ValueOrDie();
+  auto inequality = BuildContainmentInequality(q1, q2).ValueOrDie();
+  const VarSet w1 = VarSet::Of({0, 1});
+  const VarSet w2 = VarSet::Of({2, 3});
+  auto witness = BuildWitnessFromNormal(q1, q2, inequality,
+                                        {{w1, Rational(8)}, {w2, Rational(8)}})
+                     .ValueOrDie();
+  EXPECT_EQ(witness.relation.size(), 65'536);
+  EXPECT_EQ(witness.lhs_log2, 16);
+  EXPECT_EQ(witness.factor_levels.at(w1), 256);
+  EXPECT_EQ(witness.factor_levels.at(w2), 256);
+  EXPECT_TRUE(witness.counts_verified);
+  EXPECT_EQ(witness.hom_q1, 262'144);
+  EXPECT_EQ(witness.hom_q2, 512);
+}
+
 TEST(WitnessTest, PaperScaleWitnessMatchesExample35Numbers) {
   // The paper's illustration uses the *unannotated* database: with
   // P = {(u,u,v,v) : u,v ∈ [2]}, A = B = C = {(u,u)} and
