@@ -430,6 +430,14 @@ class EventLoop {
     std::map<uint64_t, std::string> ready;  // replies waiting on order
   };
 
+  /// The backpressure gates, both directions: a connection is read from
+  /// only while it drains its replies and pipelines fewer requests than the
+  /// workers have left to answer.
+  static bool Readable(const Conn& conn) {
+    return conn.out.pending() < kConnBacklogCap &&
+           conn.next_seq - conn.next_flush < kMaxPipelinedRequests;
+  }
+
   void AcceptAll(int listener);
   void ReadConn(uint64_t conn_id);
   void ParseConnFrames(uint64_t conn_id);
@@ -583,8 +591,21 @@ util::Status EventLoop::Run() {
   // Layout of the poll set: [wake][listeners][backend][conns].
   std::vector<pollfd> fds;
   std::vector<uint64_t> conn_ids;
+  bool drain_read_done = false;
   while (!shutdown_->load(std::memory_order_acquire)) {
     const bool draining = draining_->load(std::memory_order_acquire);
+    if (draining && !drain_read_done) {
+      // A request sent before Drain() is already in its socket, but this
+      // loop may not have read it yet: one last read of every readable
+      // connection accepts it, so only requests sent after the drain began
+      // go unanswered.
+      drain_read_done = true;
+      conn_ids.clear();
+      for (const auto& [id, conn] : conns_) {
+        if (Readable(conn)) conn_ids.push_back(id);
+      }
+      for (uint64_t conn_id : conn_ids) ReadConn(conn_id);
+    }
     // The drain barrier: accepted work all answered and flushed → done.
     if (draining && DrainComplete()) break;
     fds.clear();
@@ -602,14 +623,9 @@ util::Status EventLoop::Run() {
     fds.push_back({backend_->completion_fd(), POLLIN, 0});
     for (const auto& [id, conn] : conns_) {
       short events = 0;
-      // Backpressure, both directions: stop reading from a client that is
-      // not draining its replies, and from one pipelining faster than the
-      // workers answer; resume as buffers and the pipeline drain. A
-      // draining server reads nothing new at all — only flushes.
-      if (!draining && conn.out.pending() < kConnBacklogCap &&
-          conn.next_seq - conn.next_flush < kMaxPipelinedRequests) {
-        events |= POLLIN;
-      }
+      // Reads resume as buffers and the pipeline drain. A draining server
+      // reads nothing new at all — only flushes.
+      if (!draining && Readable(conn)) events |= POLLIN;
       if (!conn.out.empty()) events |= POLLOUT;
       fds.push_back({conn.fd, events, 0});
       conn_ids.push_back(id);

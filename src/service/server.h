@@ -203,8 +203,9 @@ class Server {
   void Shutdown();
 
   /// Graceful drain, the SIGTERM path in both modes: Serve stops accepting
-  /// connections and stops reading new requests, finishes every request
-  /// already accepted, flushes every reply, then returns OK.
+  /// connections, accepts the requests already in each socket with one last
+  /// read and then stops reading, finishes every accepted request, flushes
+  /// every reply, then returns OK.
   /// Async-signal-safe (an atomic store plus one self-pipe write),
   /// thread-safe, idempotent. Zero accepted requests are dropped — the ops
   /// contract a rolling restart relies on (docs/serving.md, "Draining and

@@ -525,11 +525,12 @@ TEST_F(ThreadedServeTest, SkewedShardTrafficUsesAllWorkersViaStealing) {
   StartServer();
   api::Engine parser{ColdOptions()};
   // One pair, repeated: every request hashes to the same affinity worker.
-  // Cold + memo-less engines re-solve each time (ms-scale work), so the
-  // affinity queue runs deep while the other three workers sit idle — the
-  // exact situation stealing exists for.
+  // Cold + memo-less engines re-solve each time, and this pair takes
+  // milliseconds (a triangle pair takes tens of µs, which a slow client's
+  // sends can keep pace with), so the affinity queue runs deep while the
+  // other three workers sit idle — the exact situation stealing exists for.
   const api::QueryPair pair =
-      parser.ParsePair("R(x,y), R(y,z), R(z,x)", "R(a,b), R(a,c)")
+      parser.ParsePair("R(x,y), R(y,z), R(z,w), R(w,x)", "R(a,b), R(a,c)")
           .ValueOrDie();
   Service inproc{ColdOptions()};
   Response reference_response = inproc.Handle(DecideRequest{pair});
@@ -688,11 +689,17 @@ TEST(ThreadedPoolTest, FullQueueRejectsWithUnavailableAndKeepsServing) {
   const api::QueryPair pair =
       parser.ParsePair("R(x,y), R(y,z), R(z,x)", "R(a,b), R(a,c)")
           .ValueOrDie();
-  const std::string payload = EncodeRequest(Request{DecideRequest{pair}});
+  // One decide of this pair takes tens of µs, about what a submit can cost
+  // when the woken worker takes the CPU first, so each item is a batch of
+  // kBatch decides: milliseconds of work per item, longer than a scheduler
+  // time slice, against µs-scale submits.
+  constexpr size_t kBatch = 128;
+  const std::string payload = EncodeRequest(
+      Request{DecideBatchRequest{std::vector<api::QueryPair>(kBatch, pair)}});
 
-  // Flood far past the queue: submits are µs-scale, decisions ms-scale, so
-  // most must bounce — and every bounce must be kUnavailable, never a block
-  // or a crash.
+  // Flood far past the queue: submits are µs-scale, items ms-scale, so most
+  // must bounce — and every bounce must be kUnavailable, never a block or a
+  // crash.
   std::vector<uint64_t> accepted;
   int rejected = 0;
   for (int i = 0; i < 32; ++i) {
@@ -722,7 +729,9 @@ TEST(ThreadedPoolTest, FullQueueRejectsWithUnavailableAndKeepsServing) {
     for (const ThreadedEnginePool::Completion& c : pool.TakeCompletions()) {
       auto response = DecodeResponse(c.payload);
       ASSERT_TRUE(response.ok()) << response.status().ToString();
-      EXPECT_NE(std::get_if<DecisionResponse>(&*response), nullptr);
+      const auto* batch = std::get_if<BatchResponse>(&*response);
+      ASSERT_NE(batch, nullptr);
+      EXPECT_EQ(batch->results.size(), kBatch);
       ++done;
     }
   }
