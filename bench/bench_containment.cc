@@ -125,7 +125,7 @@ void BM_RepeatDecisionExactBackend(benchmark::State& state) {
 BENCHMARK(BM_RepeatDecisionExactBackend);
 
 // DecideBatch over a mixed 32-pair workload: one session decides every
-// pair in order, reusing its prover pool and warm-start slots.
+// pair in order, reusing its prover cache and warm-start slots.
 void BM_DecideBatch(benchmark::State& state) {
   Engine engine;
   const char* rows[][2] = {

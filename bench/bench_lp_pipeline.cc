@@ -204,9 +204,8 @@ int main(int argc, char** argv) {
     }
 
     // The threaded engine tier over the same batch: identical sharding,
-    // in-process queues instead of framed pipes, one shared prover pool
-    // instead of per-process skeletons. threads4_vs_fork4 below is the
-    // headline fork-vs-thread number.
+    // in-process queues instead of framed pipes. threads4_vs_fork4 below is
+    // the headline fork-vs-thread number.
     {
       service::ThreadedEnginePool pool;
       service::ThreadedPoolOptions pool_options;
@@ -373,7 +372,7 @@ int main(int argc, char** argv) {
   add_speedup("service_batch:w2_vs_w1", find("service_batch/w1"),
               find("service_batch/w2"));
   // Thread mode vs fork mode at the same width: >1 means dropping the
-  // framed-pipe hop and sharing skeletons pays for losing process isolation.
+  // framed-pipe hop pays for losing process isolation.
   add_speedup("service_batch:threads4_vs_fork4", find("service_batch/w4"),
               find("service_batch/threads4"));
   // 4 concurrent batches vs 4 sequential ones through the same 2-worker

@@ -125,11 +125,7 @@ lp::SolverOptions SolverOptionsFor(const EngineOptions& options) {
 }  // namespace
 
 Engine::Engine(EngineOptions options)
-    : options_(options), solver_(SolverOptionsFor(options)) {
-  if (options_.shared_prover_pool() != nullptr) {
-    provers_.SetShared(options_.shared_prover_pool());
-  }
-}
+    : options_(options), solver_(SolverOptionsFor(options)) {}
 
 util::Result<DecisionResult> Engine::Decide(const cq::ConjunctiveQuery& q1,
                                             const cq::ConjunctiveQuery& q2) {

@@ -12,16 +12,10 @@
 // never as a CHECK abort.
 //
 // What the session caches (the reason the Engine exists):
-//   * a per-n ShannonProver pool — the elemental system of Γn (which grows
-//     as ~n·2ⁿ constraints, stored as sparse int8 LP columns) is
-//     constructed once per variable count and shared by every subsequent
-//     decision, proof, and batch element. With
-//     EngineOptions::set_shared_prover_pool the pool is process-wide
-//     instead of per-session: N engines in one process (the threaded
-//     serving tier) build each elemental system exactly once and read the
-//     same const instance — safe because a constructed ShannonProver is
-//     immutable and Prove() is const (the mutable simplex workspace is
-//     always the caller's);
+//   * a per-n ShannonProver cache — the elemental system of Γn (which
+//     grows as ~n·2ⁿ constraints, stored as sparse int8 LP columns) is
+//     constructed once per variable count and reused by every subsequent
+//     decision, proof, and batch element;
 //   * one exact lp::Solver whose tableau arena persists across calls, so
 //     repeated decisions stop reallocating it;
 //   * optionally, a query-pair → DecisionResult memo for repeated traffic
@@ -40,10 +34,10 @@
 //
 // Engines are not thread-safe; use one Engine per thread (as
 // service::ThreadedEnginePool does, which is where in-process parallel
-// batches live). By default they share nothing; with a shared prover pool
-// they share exactly the read-only elemental systems and nothing else —
-// solver workspaces, warm-start slots, the decision memo, and every counter
-// stay private to the engine.
+// batches live). Engines share no session state: provers, solver
+// workspaces, warm-start slots, the decision memo, and every counter are
+// private to the engine. The only thing two engines can share is a
+// thread-safe decision store (EngineOptions::set_decision_store).
 #pragma once
 
 #include <deque>
@@ -77,23 +71,23 @@ struct EngineStats {
   int64_t proofs = 0;           // ProveInequality / CheckMaxInequality calls
   int64_t errors = 0;           // calls that returned a non-OK status
   int64_t prover_constructions = 0;  // elemental systems built
-  int64_t prover_cache_hits = 0;     // decisions served from the pool
+  int64_t prover_cache_hits = 0;     // prover lookups served from the cache
   int64_t lp_solves = 0;        // LPs run by the session's solver
   int64_t lp_pivots = 0;        // pivots across those LPs
   int64_t lp_screen_accepts = 0;   // always 0: wire slot of a removed backend
   int64_t lp_exact_fallbacks = 0;  // always 0: wire slot of a removed backend
   int64_t lp_warm_accepts = 0;     // LPs resumed from a warm-start basis
   int64_t lp_warm_pivots_saved = 0;  // pivots saved vs cold baselines
-  // Ladder pivots done in the int64 / 128-bit tier. Unlike lp_pivots they
-  // include phase-I artificial pivot-outs (see CallStats).
-  int64_t lp_word_pivots = 0;
-  int64_t lp_wide_pivots = 0;
-  int64_t lp_bigint_promotions = 0;  // exact solves escalated to BigInt
   int64_t decision_memo_hits = 0;  // decisions served from the memo cache
   int64_t store_hits = 0;      // decisions served from the persistent store
   int64_t store_misses = 0;    // store consulted, key absent (or unverifiable)
   int64_t store_appends = 0;   // fresh results persisted to the store
   int64_t store_rejects = 0;   // fresh results the store's admission refused
+  // Ladder pivots done in the int64 / 128-bit tier. Unlike lp_pivots they
+  // include phase-I artificial pivot-outs (see CallStats).
+  int64_t lp_word_pivots = 0;
+  int64_t lp_wide_pivots = 0;
+  int64_t lp_bigint_promotions = 0;  // exact solves escalated to BigInt
   double total_ms = 0.0;        // wall-clock across all calls
 
   /// Field-wise sum — the one place aggregation lives, so a future counter
@@ -111,14 +105,14 @@ struct EngineStats {
     lp_exact_fallbacks += other.lp_exact_fallbacks;
     lp_warm_accepts += other.lp_warm_accepts;
     lp_warm_pivots_saved += other.lp_warm_pivots_saved;
-    lp_word_pivots += other.lp_word_pivots;
-    lp_wide_pivots += other.lp_wide_pivots;
-    lp_bigint_promotions += other.lp_bigint_promotions;
     decision_memo_hits += other.decision_memo_hits;
     store_hits += other.store_hits;
     store_misses += other.store_misses;
     store_appends += other.store_appends;
     store_rejects += other.store_rejects;
+    lp_word_pivots += other.lp_word_pivots;
+    lp_wide_pivots += other.lp_wide_pivots;
+    lp_bigint_promotions += other.lp_bigint_promotions;
     total_ms += other.total_ms;
     return *this;
   }
@@ -149,7 +143,7 @@ class Engine {
   util::Result<DecisionResult> DecideBagBag(std::string_view q1_text,
                                             std::string_view q2_text);
 
-  /// Decides every pair in input order, reusing the session's prover pool
+  /// Decides every pair in input order, reusing the session's prover cache
   /// and LP workspace — at a fixed variable count the elemental system is
   /// constructed once for the whole batch. Per-pair failures come back as
   /// per-pair error results; the batch never aborts early.
@@ -198,9 +192,7 @@ class Engine {
   /// use) — for callers that want the elemental system itself.
   const entropy::ShannonProver& prover(int n) { return provers_.Get(n); }
   /// Drops every cached prover, the LP workspace, and the decision memo;
-  /// counters reset. A process-wide shared prover pool is deliberately NOT
-  /// cleared — its provers are pure functions of n and other engines may
-  /// be reading them concurrently.
+  /// counters reset.
   void ClearCache();
 
  private:

@@ -14,10 +14,6 @@
 
 #include "core/decider.h"
 
-namespace bagcq::entropy {
-class SharedProverPool;  // entropy/prover_cache.h — cross-engine skeleton pool
-}
-
 namespace bagcq::api {
 
 class DecisionStore;  // api/decision_store.h — the persistent-store hook
@@ -71,23 +67,6 @@ class EngineOptions {
   }
   size_t memo_max_entries() const { return memo_max_entries_; }
 
-  /// Process-wide elemental-skeleton sharing (entropy/prover_cache.h): when
-  /// set, the Engine resolves prover-cache misses through this thread-safe
-  /// pool instead of building privately, so N engines in one process (the
-  /// server's --engine-threads mode) construct each ~n·2ⁿ-constraint
-  /// elemental system exactly once and all read the same const instance.
-  /// Thread-safety: the pool serializes construction internally; constructed
-  /// provers are immutable and safe for concurrent reads (Prove() is const —
-  /// the mutable simplex workspace stays per-engine). Not owned; must
-  /// outlive the Engine. Null (the default) keeps the cache private.
-  EngineOptions& set_shared_prover_pool(entropy::SharedProverPool* pool) {
-    shared_prover_pool_ = pool;
-    return *this;
-  }
-  entropy::SharedProverPool* shared_prover_pool() const {
-    return shared_prover_pool_;
-  }
-
   /// Persistent decision store (api/decision_store.h), consulted between
   /// the in-memory memo and a cold solve and offered every freshly solved
   /// result. Not owned; must outlive the Engine, and be safe for concurrent
@@ -115,7 +94,6 @@ class EngineOptions {
   bool warm_starts_ = true;
   bool memoize_decisions_ = false;
   size_t memo_max_entries_ = 65'536;
-  entropy::SharedProverPool* shared_prover_pool_ = nullptr;
   DecisionStore* decision_store_ = nullptr;
 };
 

@@ -31,15 +31,6 @@ struct CallStats {
   /// Pivots those warm starts saved vs the recorded cold baseline of the
   /// same LP shape.
   int64_t lp_warm_pivots_saved = 0;
-  /// Escalation-ladder tallies: pivots completed in the int64 tier, in the
-  /// 128-bit tier, and how many solves promoted to BigInt. The two pivot
-  /// tallies also count the pivots that move basic artificials out of the
-  /// basis after phase I, which lp_pivots (like the reference simplex) does
-  /// not count, so they are not a split of lp_pivots: their sum can exceed
-  /// it.
-  int64_t lp_word_pivots = 0;
-  int64_t lp_wide_pivots = 0;
-  int64_t lp_bigint_promotions = 0;
   /// No elemental system was (re)built for this call — the per-n prover came
   /// from the session cache (or the call never needed one).
   bool prover_cache_hit = false;
@@ -52,6 +43,15 @@ struct CallStats {
   /// (for certificate-carrying results) re-verified, with no LP run. As
   /// with memo_hit, elapsed_ms/lp_pivots are those of the original solve.
   bool store_hit = false;
+  /// Escalation-ladder tallies: pivots completed in the int64 tier, in the
+  /// 128-bit tier, and how many solves promoted to BigInt. The two pivot
+  /// tallies also count the pivots that move basic artificials out of the
+  /// basis after phase I, which lp_pivots (like the reference simplex) does
+  /// not count, so they are not a split of lp_pivots: their sum can exceed
+  /// it.
+  int64_t lp_word_pivots = 0;
+  int64_t lp_wide_pivots = 0;
+  int64_t lp_bigint_promotions = 0;
 };
 
 /// Outcome of Engine::Decide / DecideBatch.

@@ -51,16 +51,33 @@ std::vector<ElementalInequality> ElementalInequalities(int n) {
 
 std::vector<ElementalColumn> ElementalColumns(
     int n, const std::vector<ElementalInequality>& elementals) {
+  const uint64_t full = VarSet::Full(n).mask();
   std::vector<ElementalColumn> out(elementals.size());
   for (size_t t = 0; t < elementals.size(); ++t) {
+    const ElementalInequality& e = elementals[t];
     ElementalColumn& column = out[t];
-    const LinearExpr expr = elementals[t].ToExpr(n);
-    for (const auto& [x, c] : expr.terms()) {
-      BAGCQ_CHECK(column.size < 4 && (c == Rational(1) || c == Rational(-1)))
-          << "elemental " << t << " is not a 4-term, +-1 column";
-      column.row[column.size] = static_cast<uint32_t>(x.mask() - 1);
-      column.coeff[column.size] = static_cast<int8_t>(c.sign());
+    // Terms go in ascending mask order, the order of ToExpr's terms; h(∅)
+    // is 0 and has no row.
+    auto add = [&column](uint64_t mask, int8_t coeff) {
+      if (mask == 0) return;
+      column.row[column.size] = static_cast<uint32_t>(mask - 1);
+      column.coeff[column.size] = coeff;
       ++column.size;
+    };
+    const uint64_t bit_i = uint64_t{1} << e.i;
+    if (e.kind == ElementalInequality::Kind::kMonotonicity) {
+      // h(V) − h(V−i).
+      add(full & ~bit_i, -1);
+      add(full, 1);
+    } else {
+      // h(K+i) + h(K+j) − h(K+i+j) − h(K), ascending because i < j.
+      BAGCQ_DCHECK(e.i < e.j);
+      const uint64_t k = e.k.mask();
+      const uint64_t bit_j = uint64_t{1} << e.j;
+      add(k, -1);
+      add(k | bit_i, 1);
+      add(k | bit_j, 1);
+      add(k | bit_i | bit_j, -1);
     }
   }
   return out;

@@ -38,7 +38,8 @@ std::vector<ElementalInequality> ElementalInequalities(int n);
 
 /// One elemental inequality as a sparse LP column: its nonzero coefficients
 /// on the subset rows, where row s − 1 holds h(X) for the subset X of mask
-/// s. Monotonicity has two terms and submodularity three or four, each ±1.
+/// s. Monotonicity has one or two terms and submodularity three or four,
+/// each ±1, in ascending row order.
 struct ElementalColumn {
   std::array<uint32_t, 4> row{};
   std::array<int8_t, 4> coeff{};
@@ -46,7 +47,8 @@ struct ElementalColumn {
 };
 
 /// `elementals` (over n variables) as columns, in the same order: the
-/// constraint matrix every LP over Γn shares.
+/// constraint matrix every LP over Γn shares. Each column is computed from
+/// the elemental's (i, j, K) masks; it equals the terms of ToExpr(n).
 std::vector<ElementalColumn> ElementalColumns(
     int n, const std::vector<ElementalInequality>& elementals);
 

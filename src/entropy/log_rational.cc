@@ -114,10 +114,4 @@ LogRational LogSetFunction::Evaluate(const LinearExpr& e) const {
   return out;
 }
 
-std::vector<double> LogSetFunction::ToDoubles() const {
-  std::vector<double> out(values_.size());
-  for (size_t i = 0; i < values_.size(); ++i) out[i] = values_[i].ToDouble();
-  return out;
-}
-
 }  // namespace bagcq::entropy

@@ -75,9 +75,6 @@ class LogSetFunction {
   /// Exact evaluation of a linear entropy expression.
   LogRational Evaluate(const LinearExpr& e) const;
 
-  /// Approximate SetFunction (for display; not for proofs).
-  std::vector<double> ToDoubles() const;
-
  private:
   int n_;
   std::vector<LogRational> values_;

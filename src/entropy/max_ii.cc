@@ -207,18 +207,13 @@ MaxIIResult MaxIIOracle::Check(const std::vector<LinearExpr>& branches) const {
 // polymatroid h with max_ℓ E_ℓ(h) ≤ -g < 0.
 MaxIIResult MaxIIOracle::CheckConstraintForm(
     const std::vector<LinearExpr>& branches) const {
-  // Cached elemental system when a session prover is attached; otherwise a
-  // per-call build (standalone use) through the same ElementalColumns.
-  std::vector<ElementalInequality> local_elementals;
-  std::vector<ElementalColumn> local_columns;
-  if (prover_ == nullptr) {
-    local_elementals = ElementalInequalities(n_);
-    local_columns = ElementalColumns(n_, local_elementals);
-  }
-  const std::vector<ElementalInequality>& elementals =
-      prover_ != nullptr ? prover_->elementals() : local_elementals;
-  const std::vector<ElementalColumn>& columns =
-      prover_ != nullptr ? prover_->columns() : local_columns;
+  // The session's cached elemental system, or a per-call build
+  // (standalone use).
+  std::optional<ShannonProver> local;
+  if (prover_ == nullptr) local.emplace(n_);
+  const ShannonProver& prover = prover_ != nullptr ? *prover_ : *local;
+  const std::vector<ElementalInequality>& elementals = prover.elementals();
+  const std::vector<ElementalColumn>& columns = prover.columns();
   const size_t k = branches.size();
   const size_t m = elementals.size();
   const uint32_t num_sets = (1u << n_) - 1;

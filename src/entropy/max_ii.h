@@ -61,9 +61,9 @@ class MaxIIOracle {
  public:
   MaxIIOracle(int n, ConeKind kind);
 
-  /// Session-state sharing (the Engine path): a cached ShannonProver whose
+  /// Session state (the Engine path): a cached ShannonProver whose
   /// elementals and sparse elemental columns replace the per-call
-  /// ElementalInequalities(n) build on the Γn route, and a long-lived
+  /// ShannonProver(n) build on the Γn route, and a long-lived
   /// lp::Solver whose workspace — and per-shape warm-start
   /// basis, keyed by (form, cone, n, branch count) — is reused across calls:
   /// the branch LPs of one decision, and of every following decision at the
@@ -78,11 +78,6 @@ class MaxIIOracle {
   /// Validity of 0 ≤ max_ℓ branches[ℓ](h) over the cone. `branches` must be
   /// nonempty; all artifacts are CHECK-verified before return.
   MaxIIResult Check(const std::vector<LinearExpr>& branches) const;
-
-  /// Validity of 0 ≤ e(h) (the k = 1 case, IIP).
-  MaxIIResult CheckSingle(const LinearExpr& e) const {
-    return Check({e});
-  }
 
  private:
   MaxIIResult CheckConstraintForm(const std::vector<LinearExpr>& branches) const;

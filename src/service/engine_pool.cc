@@ -45,7 +45,6 @@ util::Status ThreadedEnginePool::Start(const ThreadedPoolOptions& options) {
   (void)SetNonBlocking(completion_fds_[1]);
 
   api::EngineOptions engine = options.engine;
-  engine.set_shared_prover_pool(&shared_provers_);
   if (!options.store_path.empty()) {
     // One repairing open, then the SAME handle for every engine: unlike fork
     // mode's handle-per-process, a ProofStore is thread-safe for concurrent
@@ -87,7 +86,6 @@ void ThreadedEnginePool::Stop() {
     queues_.clear();
   }
   store_.reset();
-  shared_provers_.Clear();  // quiescent: every reader just joined
   for (int& fd : completion_fds_) {
     if (fd >= 0) ::close(fd);
     fd = -1;

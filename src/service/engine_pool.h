@@ -1,11 +1,8 @@
 // ThreadedEnginePool: the thread backend of the serving seam
 // (service/backend.h), the one-process sibling of the fork backend
-// WorkerPool. N worker threads each own a Service (hence an Engine), all
-// sharing exactly three read-only-or-thread-safe things:
+// WorkerPool. N worker threads each own a Service (hence an Engine, with
+// its own prover cache), all sharing exactly two thread-safe things:
 //
-//   * one SharedProverPool, so the elemental system of Γn (~n·2ⁿ
-//     inequalities and their sparse LP columns) is built once per process,
-//     not once per worker;
 //   * one store::ProofStore handle (thread-safe by contract), repaired once
 //     at Start before any worker serves;
 //   * the queue fabric below.
@@ -26,9 +23,9 @@
 //
 // Fork vs thread tradeoff (docs/serving.md has the operator's version):
 // fork mode buys crash isolation (a worker segfault costs one respawn);
-// thread mode buys shared skeletons, shared page cache, no fork latency,
-// and work stealing — but a crash takes the process. Both speak the same
-// wire surface and produce byte-identical replies.
+// thread mode buys one shared proof-store index, shared page cache, no
+// fork latency, and work stealing — but a crash takes the process. Both
+// speak the same wire surface and produce byte-identical replies.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +36,6 @@
 #include <vector>
 
 #include "api/options.h"
-#include "entropy/prover_cache.h"
 #include "service/backend.h"
 #include "service/message.h"
 #include "service/service.h"
@@ -57,8 +53,8 @@ struct ThreadedPoolOptions {
   /// Worker threads (one Engine each). Must be >= 1.
   int num_threads = 4;
   /// Per-worker Engine configuration. Decision memoization defaults on for
-  /// a serving tier; Start() overlays the shared prover pool (and the proof
-  /// store when store_path is set) on top of whatever is passed here.
+  /// a serving tier; Start() overlays the proof store (when store_path is
+  /// set) on top of whatever is passed here.
   api::EngineOptions engine = api::EngineOptions().set_memoize_decisions(true);
   /// Path of a persistent proof-store log shared by every worker thread, or
   /// empty for no persistence. Unlike fork mode's one-handle-per-process,
@@ -94,8 +90,8 @@ class ThreadedEnginePool : public Backend {
   ThreadedEnginePool();  // out of line: store::ProofStore is incomplete here
   ~ThreadedEnginePool() override;
 
-  /// Builds the N services (constructing engines eagerly, sharing one
-  /// prover pool and at most one proof-store handle) and starts the worker
+  /// Builds the N services (constructing engines eagerly, sharing at most
+  /// one proof-store handle) and starts the worker
   /// threads. InvalidArgument on bad options (fewer than one thread) or a
   /// started pool; Internal on pipe failure. An unopenable store fails soft
   /// to storeless serving, mirroring fork mode.
@@ -156,7 +152,6 @@ class ThreadedEnginePool : public Backend {
       BAGCQ_EXCLUDES(completion_mutex_);
 
   ThreadedPoolOptions options_;
-  entropy::SharedProverPool shared_provers_;
   std::unique_ptr<store::ProofStore> store_;
   /// Structure (size, service pointers, threads) is immutable between
   /// Start and Stop, which only the single front thread calls — workers

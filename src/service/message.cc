@@ -450,7 +450,11 @@ std::string DebugString(const Response& response) {
           for (size_t i = 0; i < r.queue_depth_hwm.size(); ++i) {
             os << (i > 0 ? "," : "") << r.queue_depth_hwm[i];
           }
-          os << "]}";
+          os << "], prover_constructions=" << r.stats.prover_constructions
+             << ", prover_cache_hits=" << r.stats.prover_cache_hits
+             << ", lp_warm_accepts=" << r.stats.lp_warm_accepts
+             << ", lp_warm_pivots_saved=" << r.stats.lp_warm_pivots_saved
+             << ", total_ms=" << r.stats.total_ms << "}";
         } else if constexpr (std::is_same_v<T, AckResponse>) {
           os << "Ack{" << r.status.ToString() << "}";
         } else if constexpr (std::is_same_v<T, BatchChunkResponse>) {

@@ -1,7 +1,5 @@
 #include "wire/codec.h"
 
-#include <cstdio>
-
 namespace bagcq::wire {
 
 void Encoder::PutVarint(uint64_t v) {
@@ -132,20 +130,6 @@ util::Status Decoder::ExpectExhausted(std::string_view what) const {
   if (exhausted()) return util::Status::OK();
   return util::Status::InvalidArgument("wire: trailing bytes after " +
                                        std::string(what));
-}
-
-std::string HexDump(std::string_view bytes, size_t max_bytes) {
-  std::string out;
-  const size_t n = bytes.size() < max_bytes ? bytes.size() : max_bytes;
-  out.reserve(3 * n + 16);
-  char hex[4];
-  for (size_t i = 0; i < n; ++i) {
-    std::snprintf(hex, sizeof(hex), "%02x", static_cast<uint8_t>(bytes[i]));
-    if (i != 0) out.push_back(' ');
-    out.append(hex);
-  }
-  if (bytes.size() > n) out += " ...";
-  return out;
 }
 
 uint64_t Fingerprint(std::string_view bytes) {

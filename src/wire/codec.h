@@ -79,10 +79,6 @@ class Decoder {
   size_t pos_ = 0;
 };
 
-/// "a1 b2 c3 ..." debug rendering of a wire buffer (the text debug form's
-/// raw layer; message-level DebugString lives with the message types).
-std::string HexDump(std::string_view bytes, size_t max_bytes = 256);
-
 /// FNV-1a over the buffer — the deterministic shard hash used to route
 /// query pairs to workers (stable across processes and platforms, unlike
 /// std::hash).

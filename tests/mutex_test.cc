@@ -1,5 +1,5 @@
 // util::Mutex / MutexLock / CondVar — the annotated capability types every
-// locked layer (engine pool, memo, prover pool, proof store) now uses.
+// locked layer (engine pool, proof store) now uses.
 //
 // Two things are under test:
 //   1. Runtime semantics: mutual exclusion actually excludes and CondVar

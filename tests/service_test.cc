@@ -171,6 +171,31 @@ TEST(ServiceHandleTest, StatsAndClearCacheDriveTheEngineSession) {
   EXPECT_EQ(std::get_if<StatsResponse>(&stats_response)->stats.decisions, 0);
 }
 
+TEST(ServiceMessageTest, StatsDebugStringShowsEveryCounter) {
+  StatsResponse stats;
+  stats.workers = 4;
+  stats.respawns = 1;
+  stats.stats.decisions = 500;
+  stats.stats.prover_constructions = 7;
+  stats.stats.prover_cache_hits = 493;
+  stats.stats.lp_warm_accepts = 320;
+  stats.stats.lp_warm_pivots_saved = 1100;
+  stats.stats.total_ms = 2.5;
+  stats.queue_depth_hwm = {1, 2};
+  const std::string text = DebugString(Response{stats});
+  for (const char* token :
+       {"workers=4", "respawns=1", "decisions=500", "proofs=", "errors=",
+        "lp_solves=", "lp_pivots=", "lp_word_pivots=", "lp_wide_pivots=",
+        "lp_bigint_promotions=", "memo_hits=", "store_hits=",
+        "store_misses=", "store_appends=", "store_rejects=", "connections=",
+        "in_flight=", "steals=", "bytes_in=", "bytes_out=",
+        "queue_hwm=[1,2]", "prover_constructions=7",
+        "prover_cache_hits=493", "lp_warm_accepts=320",
+        "lp_warm_pivots_saved=1100", "total_ms=2.5"}) {
+    EXPECT_NE(text.find(token), std::string::npos) << token << " in " << text;
+  }
+}
+
 TEST(ServiceBytesTest, GarbageBytesComeBackAsEncodedErrorResponse) {
   Service service;
   for (const std::string& garbage :

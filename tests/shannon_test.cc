@@ -29,6 +29,31 @@ TEST(ElementalTest, ExpressionsEvaluateOnParity) {
   }
 }
 
+TEST(ElementalTest, ColumnsMatchExpandedInequalities) {
+  // ElementalColumns computes each column from (i, j, K) by mask
+  // arithmetic; ToExpr expands the same inequality through LinearExpr.
+  for (int n = 1; n <= 8; ++n) {
+    const std::vector<ElementalInequality> elementals =
+        ElementalInequalities(n);
+    const std::vector<ElementalColumn> columns =
+        ElementalColumns(n, elementals);
+    ASSERT_EQ(columns.size(), elementals.size());
+    for (size_t t = 0; t < elementals.size(); ++t) {
+      const LinearExpr expr = elementals[t].ToExpr(n);
+      std::vector<std::pair<uint32_t, Rational>> expected;
+      for (const auto& [x, c] : expr.terms()) {
+        expected.push_back({static_cast<uint32_t>(x.mask() - 1), c});
+      }
+      std::vector<std::pair<uint32_t, Rational>> got;
+      for (int q = 0; q < columns[t].size; ++q) {
+        got.push_back(
+            {columns[t].row[q], Rational(int64_t{columns[t].coeff[q]})});
+      }
+      EXPECT_EQ(got, expected) << "n=" << n << ", elemental " << t;
+    }
+  }
+}
+
 TEST(ElementalTest, DecomposeFullEntropyIsExact) {
   // The CHECK inside DecomposeFullEntropy verifies exactness; run it for a
   // range of n.

@@ -370,6 +370,51 @@ TEST(WireResultTest, CallStatsStoreHitRoundTrips) {
   EXPECT_EQ(out.lp_bigint_promotions, 23);
 }
 
+// tools/check_wire_evolution.py reads each stats struct's declaration order
+// as its byte layout. Positional initialization gives every field a
+// distinct value in declaration order, so the encoded fields must read
+// back in that same order.
+TEST(WireTest, StatsStructsEncodeInDeclarationOrder) {
+  const api::EngineStats engine_stats{1,  2,  3,  4,  5,  6,  7,
+                                      8,  9,  10, 11, 12, 13, 14,
+                                      15, 16, 17, 18, 19, 20.5};
+  const std::string engine_bytes =
+      EncodeToString(engine_stats, EncodeEngineStats);
+  Decoder engine_in(engine_bytes);
+  for (int64_t want = 1; want <= 19; ++want) {
+    int64_t got = 0;
+    ASSERT_TRUE(engine_in.GetSigned(&got));
+    EXPECT_EQ(got, want) << "EngineStats field " << want - 1;
+  }
+  double total_ms = 0;
+  ASSERT_TRUE(engine_in.GetDouble(&total_ms));
+  EXPECT_EQ(total_ms, 20.5);
+  EXPECT_TRUE(engine_in.exhausted());
+
+  const api::CallStats call_stats{0.5, 2, 3, 4, true, false, true, 8, 9, 10};
+  const std::string call_bytes = EncodeToString(call_stats, EncodeCallStats);
+  Decoder call_in(call_bytes);
+  double elapsed_ms = 0;
+  ASSERT_TRUE(call_in.GetDouble(&elapsed_ms));
+  EXPECT_EQ(elapsed_ms, 0.5);
+  for (int64_t want : {2, 3, 4}) {
+    int64_t got = 0;
+    ASSERT_TRUE(call_in.GetSigned(&got));
+    EXPECT_EQ(got, want);
+  }
+  for (bool want : {true, false, true}) {
+    bool got = !want;
+    ASSERT_TRUE(call_in.GetBool(&got));
+    EXPECT_EQ(got, want);
+  }
+  for (int64_t want : {8, 9, 10}) {
+    int64_t got = 0;
+    ASSERT_TRUE(call_in.GetSigned(&got));
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_TRUE(call_in.exhausted());
+}
+
 // ------------------------------------------------------- property sweep
 
 TEST(WirePropertyTest, RandomizedValuesReEncodeByteIdentically) {

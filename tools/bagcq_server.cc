@@ -5,10 +5,9 @@
 // re-forked with a fresh Engine when its link reports it dead. Thread mode
 // (--engine-threads N; the flag's presence picks the mode, and N must be at
 // least 1) runs a ThreadedEnginePool: one process with N engine-owning
-// worker threads sharing the read-only elemental constraint skeletons and
-// one proof-store handle; requests have fingerprint AFFINITY to a worker's
-// queue but an idle worker steals from the deepest queue, and a full queue
-// fails soft with kUnavailable. Both are a service::Backend behind the same
+// worker threads sharing one proof-store handle; requests have fingerprint
+// AFFINITY to a worker's queue but an idle worker steals from the deepest
+// queue, and a full queue fails soft with kUnavailable. Both are a service::Backend behind the same
 // Server front, speak the same wire surface and produce byte-identical
 // replies (docs/serving.md has the tradeoffs).
 //
@@ -61,9 +60,8 @@ int Usage(const char* argv0) {
       "  --workers N        fork mode: N worker processes, one Engine each\n"
       "                     (default 2; crash isolation, respawn on death)\n"
       "  --engine-threads N thread mode: one process, N engine threads\n"
-      "                     sharing constraint skeletons, with per-worker\n"
-      "                     queues and work stealing (mutually exclusive\n"
-      "                     with --workers)\n"
+      "                     with per-worker queues and work stealing\n"
+      "                     (mutually exclusive with --workers)\n"
       "  --no-memoize       disable the per-worker decision memo\n"
       "  --cold             disable LP warm starts (deterministic pivots)\n"
       "  --store PATH       persistent proof-store log shared by all\n"

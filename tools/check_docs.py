@@ -29,6 +29,11 @@ Checks, each grep-level simple so failures are self-explanatory:
    docs/static-analysis.md — the annotation vocabulary is only usable
    if the document a reviewer is pointed at actually lists it.
 
+It also prints, without gating on it, the served-closure line count: the
+lines of every src/ file reachable by #include from tools/bagcq_server.cc
+and tools/bagcq_client.cc, each header counted with its .cc (whose own
+includes are followed too), next to the line count of all of src/.
+
 Exit status: 0 = docs and code agree, 1 = drift (or missing files).
 
 Usage: tools/check_docs.py [REPO_ROOT]
@@ -82,6 +87,37 @@ def enum_names(source, enum_name):
     if match is None:
         sys.exit(f"error: enum {enum_name} not found")
     return re.findall(r"\b(k[A-Z]\w*)\b", match.group(1))
+
+
+def served_closure(root):
+    """The src/ files (repo-relative) the server and client compile in."""
+    include_re = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.M)
+    pending = [os.path.join("tools", "bagcq_server.cc"),
+               os.path.join("tools", "bagcq_client.cc")]
+    seen = set()
+    while pending:
+        rel = pending.pop()
+        if rel in seen:
+            continue
+        seen.add(rel)
+        for include in include_re.findall(read(root, rel)):
+            header = os.path.join("src", include)
+            if not os.path.exists(os.path.join(root, header)):
+                continue
+            pending.append(header)
+            source = os.path.splitext(header)[0] + ".cc"
+            if os.path.exists(os.path.join(root, source)):
+                pending.append(source)
+    return [rel for rel in seen if rel.startswith("src" + os.sep)]
+
+
+def report_served_lines(root):
+    src_files = [os.path.relpath(os.path.join(directory, name), root)
+                 for directory, _, names in os.walk(os.path.join(root, "src"))
+                 for name in names]
+    served = sum(read(root, rel).count("\n") for rel in served_closure(root))
+    total = sum(read(root, rel).count("\n") for rel in src_files)
+    print(f"served closure: {served:,} of {total:,} lines in src/")
 
 
 def check_mentions(names, spec, what, failures):
@@ -196,6 +232,8 @@ def main():
             f"proof-store.md: store constant '{name}' is undocumented")
     print(f"store constants: {len(constants) - len(missing)}"
           f"/{len(constants)} documented")
+
+    report_served_lines(root)
 
     if failures:
         print("\ndocs gate FAILED:", file=sys.stderr)
