@@ -1,8 +1,13 @@
 #include "entropy/functions.h"
 
+#include <utility>
+
+#include "util/bigint.h"
 #include "util/check.h"
 
 namespace bagcq::entropy {
+
+using util::BigInt;
 
 SetFunction StepFunction(int n, VarSet w) {
   return NormalFunction(n, {{w, Rational(1)}});
@@ -23,16 +28,33 @@ SetFunction ModularFunction(const std::vector<Rational>& weights) {
 
 SetFunction NormalFunction(int n, const std::map<VarSet, Rational>& coeffs) {
   const VarSet full = VarSet::Full(n);
-  SetFunction h(n);
+  // c·h_W adds c at every X ⊄ W. Over the common denominator L of the c_W,
+  // h(X) = (Σ_{W : X ⊄ W} L·c_W) / L: one integer sum per set, and one
+  // Rational per distinct sum.
+  BigInt den(1);
   for (const auto& [w, c] : coeffs) {
     BAGCQ_CHECK(c.sign() >= 0) << "normal coefficients must be nonnegative";
     BAGCQ_CHECK(w.IsSubsetOf(full) && w != full)
         << "step function requires W to be a proper subset of V";
-    if (c.is_zero()) continue;
-    // c·h_W adds c at every X ⊄ W.
-    for (uint32_t s = 1; s < (1u << n); ++s) {
-      if (!VarSet(s).IsSubsetOf(w)) h[VarSet(s)] += c;
+    if (!c.is_zero()) den = BigInt::Lcm(den, c.den());
+  }
+  std::vector<std::pair<VarSet, BigInt>> steps;
+  for (const auto& [w, c] : coeffs) {
+    if (!c.is_zero()) steps.emplace_back(w, c.num() * (den / c.den()));
+  }
+  SetFunction h(n);
+  if (steps.empty()) return h;
+  std::map<BigInt, Rational> value_of_sum;
+  for (uint32_t s = 1; s < (1u << n); ++s) {
+    BigInt sum;
+    for (const auto& [w, numer] : steps) {
+      if (!VarSet(s).IsSubsetOf(w)) sum += numer;
     }
+    auto it = value_of_sum.find(sum);
+    if (it == value_of_sum.end()) {
+      it = value_of_sum.emplace(sum, Rational(sum, den)).first;
+    }
+    h[VarSet(s)] = it->second;
   }
   return h;
 }

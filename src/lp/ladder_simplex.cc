@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
 #include <utility>
 
 #include "util/check.h"
@@ -26,10 +27,32 @@ namespace {
 using util::BigInt;
 using util::Rational;
 
+// |v| as an unsigned magnitude: well defined for the most negative value.
+template <typename U, typename T>
+U Magnitude(const T& v) {
+  return v < 0 ? U{0} - static_cast<U>(v) : static_cast<U>(v);
+}
+
+// Divisibility by, and exact division by, a fixed g > 0 with the tier's own
+// operators (the word tier has a faster Divisor of its own).
+template <typename Ops>
+class PlainDivisor {
+ public:
+  using T = typename Ops::T;
+  explicit PlainDivisor(T g) : g_(std::move(g)) {}
+  bool Divides(const T& x) const { return Ops::IsZero(x % g_); }
+  T Divide(const T& x) const { return Ops::ExactDiv(x, g_); }
+
+ private:
+  T g_;
+};
+
 // Per-tier arithmetic. Every Mul/Sub reports whether the operation would
-// overflow the tier (the ladder promotes and retries); ExactDiv asserts the
-// fraction-free invariant (the division has no remainder) in debug builds.
-// CompareProducts decides a*b <=> c*d, the cross-multiplied ratio test.
+// overflow the tier (the ladder promotes and retries); ExactDiv asserts in
+// debug builds that the division has no remainder (every division the
+// tableau makes is by a common factor). Gcd(a, b) is gcd(a, |b|) for a > 0,
+// so it never exceeds a and always fits the tier. CompareProducts decides
+// a*b <=> c*d, the cross-multiplied ratio test.
 struct Ops64 {
   using T = int64_t;
   static bool Mul(const T& a, const T& b, T* out) {
@@ -40,10 +63,45 @@ struct Ops64 {
   }
   static bool IsZero(const T& v) { return v == 0; }
   static int Sign(const T& v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
+  static T Gcd(const T& a, const T& b) {
+    return static_cast<T>(std::gcd(static_cast<uint64_t>(a),
+                                   Magnitude<uint64_t>(b)));
+  }
   static T ExactDiv(const T& a, const T& b) {
     BAGCQ_DCHECK(a % b == 0);
     return a / b;
   }
+  // Divisibility by, and exact division by, a fixed g > 0 without a
+  // hardware divide per cell (Granlund and Montgomery, PLDI 1994): with
+  // g = 2^k * q, q odd, and qinv the inverse of q modulo 2^64, g divides x
+  // iff the low k bits of |x| are 0 and (|x| >> k) * qinv mod 2^64 is at
+  // most (2^64 - 1) / q, and then that product is |x| / g.
+  class Divisor {
+   public:
+    explicit Divisor(T g)
+        : shift_(__builtin_ctzll(static_cast<uint64_t>(g))),
+          odd_(static_cast<uint64_t>(g) >> shift_),
+          inverse_(odd_),
+          limit_(~uint64_t{0} / odd_) {
+      for (int bits = 3; bits < 64; bits *= 2) inverse_ *= 2 - odd_ * inverse_;
+    }
+    bool Divides(const T& x) const {
+      const uint64_t m = Magnitude<uint64_t>(x);
+      return (m & ((uint64_t{1} << shift_) - 1)) == 0 &&
+             (m >> shift_) * inverse_ <= limit_;
+    }
+    T Divide(const T& x) const {
+      BAGCQ_DCHECK(Divides(x));
+      const T q = static_cast<T>((Magnitude<uint64_t>(x) >> shift_) * inverse_);
+      return x < 0 ? -q : q;
+    }
+
+   private:
+    int shift_;
+    uint64_t odd_;
+    uint64_t inverse_;
+    uint64_t limit_;
+  };
   static T Narrow(const BigInt& v) { return v.ToInt64(); }
   static BigInt ToBig(const T& v) { return BigInt(v); }
   static T* ArenaOf(LadderWorkspace& ws) { return ws.w64.data(); }
@@ -66,6 +124,11 @@ struct Ops64 {
 
 struct OpsWide {
   using T = LadderWide;
+#if defined(__SIZEOF_INT128__)
+  using U = unsigned __int128;
+#else
+  using U = uint64_t;
+#endif
   static bool Mul(const T& a, const T& b, T* out) {
     return __builtin_mul_overflow(a, b, out);
   }
@@ -74,10 +137,21 @@ struct OpsWide {
   }
   static bool IsZero(const T& v) { return v == 0; }
   static int Sign(const T& v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
+  static T Gcd(const T& a, const T& b) {
+    U x = static_cast<U>(a);
+    U y = Magnitude<U>(b);
+    while (y != 0) {
+      const U rest = x % y;
+      x = y;
+      y = rest;
+    }
+    return static_cast<T>(x);
+  }
   static T ExactDiv(const T& a, const T& b) {
     BAGCQ_DCHECK(a % b == 0);
     return a / b;
   }
+  using Divisor = PlainDivisor<OpsWide>;
   static T Narrow(const BigInt& v) {
 #if defined(__SIZEOF_INT128__)
     return v.ToInt128();
@@ -114,12 +188,14 @@ struct OpsBig {
   }
   static bool IsZero(const T& v) { return v.is_zero(); }
   static int Sign(const T& v) { return v.sign(); }
+  static T Gcd(const T& a, const T& b) { return BigInt::Gcd(a, b); }
   static T ExactDiv(const T& a, const T& b) {
     T q, r;
     BigInt::DivMod(a, b, &q, &r);
     BAGCQ_DCHECK(r.is_zero());
     return q;
   }
+  using Divisor = PlainDivisor<OpsBig>;
   static const T& Narrow(const BigInt& v) { return v; }
   static BigInt ToBig(const T& v) { return v; }
   static T* ArenaOf(LadderWorkspace& ws) { return ws.wbig.data(); }
@@ -136,13 +212,16 @@ struct OpsBig {
 constexpr size_t kWordBits = 62;
 constexpr size_t kWideBits = 126;
 
-// The fraction-free tableau + driver. Mirrors the reference Tableau in
+// The row-scaled integer tableau + driver. Mirrors the reference Tableau in
 // simplex.cc decision for decision — same column layout, same Bland selection,
 // same warm-install and artificial-pivot-out flow — so that the two exact
 // simplexes emit identical results (see the header for why the pivot
 // sequences coincide). Storage is the flat block in LadderWorkspace: rows
 // 0..m-1 are constraints, row m is the cost row, column ncols is the rhs,
-// and the trailing cell is the shared denominator d (> 0 always).
+// and the trailing cell is the cost row's scale. Each row is an integer row
+// over its own positive scale (real entry = M[i][j] / scale_i), kept
+// primitive: the gcd of its entries, the cost row's scale included, is 1.
+// A constraint row's scale is its entry in its basic column.
 class LadderTableau {
  public:
   LadderTableau(const LpProblem& problem, const SolverOptions& options,
@@ -197,8 +276,8 @@ class LadderTableau {
         out.status = SolveStatus::kPivotLimit;
         return out;
       }
-      // Phase-I objective is -C[m][ncols]/d (d > 0): positive iff the cost
-      // cell is negative.
+      // Phase-I objective is -C[m][ncols]/d, d the cost row's scale (> 0):
+      // positive iff the cost cell is negative.
       if (SignAt(m_, ncols_) < 0) {
         out.status = SolveStatus::kInfeasible;
         out.farkas = ExtractRowMultipliers(/*phase_one=*/true);
@@ -219,9 +298,10 @@ class LadderTableau {
     }
 
     out.status = SolveStatus::kOptimal;
-    // Objective = -C[m][ncols] / (d * L), undoing the objective
-    // integerization scale.
-    out.objective = Rational(-CellBig(m_, ncols_), DenBig() * ws_.cost_scale);
+    // Objective = -C[m][ncols] / (d * L), d the cost row's scale, undoing
+    // the objective integerization scale.
+    out.objective =
+        Rational(-CellBig(m_, ncols_), CostRowScale() * ws_.cost_scale);
     out.values = ExtractPrimal();
     out.duals = ExtractRowMultipliers(/*phase_one=*/false);
     out.basis = ExtractBasis();
@@ -300,8 +380,8 @@ class LadderTableau {
     ncols_ = col;
     num_artificials_ = ncols_ - art_begin_;
     stride_ = static_cast<size_t>(ncols_) + 1;
-    den_index_ = static_cast<size_t>(m_ + 1) * stride_;
-    cells_ = den_index_ + 1;
+    scale_cell_ = static_cast<size_t>(m_ + 1) * stride_;
+    cells_ = scale_cell_ + 1;
   }
 
   static Rational CoeffAt(const Constraint& row, int j) {
@@ -336,7 +416,7 @@ class LadderTableau {
       }
       if (ws_.art_col_of_row[i] >= 0) ri[ws_.art_col_of_row[i]] = 1;
     }
-    a[den_index_] = 1;
+    a[scale_cell_] = 1;
     tier_ = LadderTier::kWord;
   }
 
@@ -403,7 +483,7 @@ class LadderTableau {
       }
       if (ws_.art_col_of_row[i] >= 0) ri[ws_.art_col_of_row[i]] = BigInt(1);
     }
-    a[den_index_] = BigInt(1);
+    a[scale_cell_] = BigInt(1);
 
     if (max_bits <= kWordBits) {
       ws_.w64.resize(cells_);
@@ -471,7 +551,7 @@ class LadderTableau {
     return IndexBig(static_cast<size_t>(i) * stride_ + j);
   }
 
-  BigInt DenBig() const { return IndexBig(den_index_); }
+  BigInt CostRowScale() const { return IndexBig(scale_cell_); }
 
   BigInt IndexBig(size_t k) const {
     return OnTier([&](auto ops) {
@@ -484,103 +564,143 @@ class LadderTableau {
 
   struct PivotResume {
     int row = 0;        // row to continue at
-    int col = 0;        // cell within that row
+    int col = 0;        // cell within that row; ncols_ + 1 is the cost
+                        // row's pending scale multiply
     bool mid_row = false;
-    BigInt factor;      // the in-progress row's elimination factor
+    BigInt a, b;        // the in-progress row's factors
   };
 
-  // One fraction-free pivot on (r, c), cost row included (it is row m_ of
-  // the block; a zero cost row stays zero under the generic update, which is
-  // what makes install-time pivots safe). Returns false when the tier
-  // overflowed: resume_ then records the exact cell to continue from —
-  // committed cells of the current row were already divided by the old d,
-  // which promotion preserves verbatim, so resuming is exact.
-  //
-  // A unit pivot (piv == d) leaves a row with factor f = 0 unchanged, so
-  // it skips such rows. When moreover d == 1 the update is
-  // M'[i][j] = M[i][j] - f*M[r][j]: an entry in a column where the pivot
-  // row is zero keeps its value, and nothing the dense loop checks there
-  // can overflow. So that pivot computes only the pivot row's nonzero
-  // columns (its support), with the dense loop's checked operations, and a
-  // resume lands on the first support column at or after the saved one;
-  // tiers and promotions are exactly the dense loop's. These are most
-  // pivots of the elemental LPs, whose pivot rows are mostly zero. With
-  // d > 1 the dense loop's product piv*M[i][j] of an unchanged entry can
-  // overflow and promote, so the dense loop runs.
+  // One pivot on (r, c), cost row included (it is row m_ of the block). The
+  // pivot row is left as it is; its scale becomes piv = M[r][c] > 0. A row
+  // with M[i][c] = 0 is untouched (a zero cost row stays zero, which is
+  // what makes install-time pivots safe). Any other row becomes
+  // a*row_i - b*row_r with g = gcd(piv, M[i][c]), a = piv/g, b = M[i][c]/g,
+  // and its scale is multiplied by a: the cost row's in the trailing cell,
+  // a constraint row's in its basic column, where the pivot row is zero.
+  // With a = 1 only the pivot row's nonzero columns (its support) change,
+  // so such a row computes just those. Each updated row is then made
+  // primitive again (ReduceRowT). Returns false when the tier overflowed:
+  // resume_ then records the exact cell to continue from, with both
+  // factors; committed cells of the current row keep their values under
+  // promotion, so resuming is exact.
   template <typename Ops>
   bool PivotT(int r, int c) {
     using T = typename Ops::T;
     T* a = Ops::ArenaOf(ws_);
-    const T d = a[den_index_];
     const T* pr = a + static_cast<size_t>(r) * stride_;
     const T piv = pr[c];
     BAGCQ_DCHECK(Ops::Sign(piv) > 0);
-    const bool unit_pivot = piv == d;
-    const bool unit_den = d == T{1};
-    const bool sparse = unit_pivot && unit_den;
-    std::vector<int>& support = ws_.pivot_support;
-    if (sparse) {
-      support.clear();
-      for (int j = 0; j <= ncols_; ++j) {
-        if (!Ops::IsZero(pr[j])) support.push_back(j);
-      }
-    }
+    const bool unit_piv = piv == T{1};
+    const int leave = ws_.basis[r];
+    const int* support_end = nullptr;
     for (int i = resume_.row; i <= m_; ++i) {
       if (i == r) continue;
       T* ri = a + static_cast<size_t>(i) * stride_;
-      T f;
+      T fa, fb;
       int j0 = 0;
       if (resume_.mid_row && i == resume_.row) {
-        f = Ops::Narrow(resume_.factor);
+        fa = Ops::Narrow(resume_.a);
+        fb = Ops::Narrow(resume_.b);
         j0 = resume_.col;
+      } else if (Ops::IsZero(ri[c])) {
+        continue;
+      } else if (unit_piv) {
+        fa = piv;
+        fb = ri[c];
       } else {
-        f = ri[c];
-        if (Ops::IsZero(f) && unit_pivot) continue;
+        const T g = Ops::Gcd(piv, ri[c]);
+        fa = Ops::ExactDiv(piv, g);
+        fb = Ops::ExactDiv(ri[c], g);
       }
-      if (sparse) {
-        for (auto k = std::lower_bound(support.begin(), support.end(), j0);
-             k != support.end(); ++k) {
+      if (fa == T{1}) {
+        if (support_end == nullptr) support_end = BuildSupportT<Ops>(pr);
+        const int* begin = ws_.pivot_support.data();
+        for (const int* k = std::lower_bound(begin, support_end, j0);
+             k != support_end; ++k) {
           const int j = *k;
           T t, next;
-          if (Ops::Mul(f, pr[j], &t) || Ops::Sub(ri[j], t, &next)) {
-            return SaveResume(i, j, Ops::ToBig(f));
+          if (Ops::Mul(fb, pr[j], &t) || Ops::Sub(ri[j], t, &next)) {
+            return SaveResume<Ops>(i, j, fa, fb);
           }
           ri[j] = std::move(next);
         }
-        resume_.mid_row = false;
-        continue;
-      }
-      const bool f_zero = Ops::IsZero(f);
-      for (int j = j0; j <= ncols_; ++j) {
-        T t1;
-        if (f_zero) {
-          if (Ops::IsZero(ri[j])) continue;
-          if (Ops::Mul(piv, ri[j], &t1)) {
-            return SaveResume(i, j, Ops::ToBig(f));
-          }
-        } else {
-          if (Ops::IsZero(ri[j]) && Ops::IsZero(pr[j])) continue;
-          T t2, t3;
-          if (Ops::Mul(piv, ri[j], &t1) || Ops::Mul(f, pr[j], &t2) ||
+      } else {
+        for (int j = j0; j <= ncols_; ++j) {
+          T t1, t2, t3;
+          if (Ops::Mul(fa, ri[j], &t1) || Ops::Mul(fb, pr[j], &t2) ||
               Ops::Sub(t1, t2, &t3)) {
-            return SaveResume(i, j, Ops::ToBig(f));
+            return SaveResume<Ops>(i, j, fa, fb);
           }
-          t1 = std::move(t3);
+          ri[j] = std::move(t3);
         }
-        ri[j] = unit_den ? std::move(t1) : Ops::ExactDiv(t1, d);
+        if (i == m_) {
+          T scale;
+          if (Ops::Mul(fa, a[scale_cell_], &scale)) {
+            return SaveResume<Ops>(i, ncols_ + 1, fa, fb);
+          }
+          a[scale_cell_] = std::move(scale);
+        }
       }
       resume_.mid_row = false;
+      // The leaving column is a unit column at r, so the row now holds
+      // -b*M[r][leave] there; any common factor of the row divides that
+      // entry and the row's scale.
+      const T& scale = i == m_ ? a[scale_cell_] : ri[ws_.basis[i]];
+      if (!(scale == T{1})) ReduceRowT<Ops>(i, Ops::Gcd(scale, ri[leave]));
     }
-    a[den_index_] = piv;
     return true;
   }
 
-  bool SaveResume(int i, int j, BigInt f) {
+  // Lists the nonzero columns of pivot row pr in ws_.pivot_support and
+  // returns the end of that list.
+  template <typename Ops>
+  const int* BuildSupportT(const typename Ops::T* pr) {
+    std::vector<int>& support = ws_.pivot_support;
+    if (support.size() < stride_) support.resize(stride_);
+    int* out = support.data();
+    for (int j = 0; j <= ncols_; ++j) {
+      *out = j;
+      out += !Ops::IsZero(pr[j]);
+    }
+    return out;
+  }
+
+  template <typename Ops>
+  bool SaveResume(int i, int j, const typename Ops::T& fa,
+                  const typename Ops::T& fb) {
     resume_.row = i;
     resume_.col = j;
     resume_.mid_row = true;
-    resume_.factor = std::move(f);
+    resume_.a = Ops::ToBig(fa);
+    resume_.b = Ops::ToBig(fb);
     return false;
+  }
+
+  // Divides row i (the cost row together with its scale cell) by the gcd
+  // of its entries, given g >= 1, a multiple of that gcd. A first pass,
+  // without branches, checks whether g divides every entry, as it mostly
+  // does; only if not is the gcd narrowed cell by cell, stopping as soon as
+  // it is 1. Division by a positive divisor cannot overflow, so this never
+  // promotes.
+  template <typename Ops>
+  void ReduceRowT(int i, typename Ops::T g) {
+    using T = typename Ops::T;
+    if (g == T{1}) return;
+    T* a = Ops::ArenaOf(ws_);
+    T* ri = a + static_cast<size_t>(i) * stride_;
+    typename Ops::Divisor divisor(g);
+    bool divides = true;
+    for (int j = 0; j <= ncols_; ++j) divides &= divisor.Divides(ri[j]);
+    if (!divides) {
+      for (int j = 0; j <= ncols_; ++j) {
+        if (Ops::IsZero(ri[j]) || divisor.Divides(ri[j])) continue;
+        g = Ops::Gcd(g, ri[j]);
+        if (g == T{1}) return;
+        divisor = typename Ops::Divisor(g);
+      }
+    }
+    for (int j = 0; j <= ncols_; ++j) ri[j] = divisor.Divide(ri[j]);
+    if (i == m_) a[scale_cell_] = divisor.Divide(a[scale_cell_]);
   }
 
   // A full pivot, promoting (and resuming mid-row) as many times as the
@@ -622,9 +742,11 @@ class LadderTableau {
   // ---- cost row -----------------------------------------------------------
 
   // Loads ws_.phase_cost (integer, per column) and rebuilds the cost row
-  // C[j] = d*c_j - sum_i c_basis(i) * M[i][j] — the fraction-free image of
-  // the reference's d_j = c_j - z_j recomputation. Reads only the rows, so
-  // an overflow restarts the rebuild wholesale in the next tier.
+  // C[j] = s*c_j - sum_i c_basis(i) * (s/s_i) * M[i][j] over the scale s,
+  // the lcm of the scales s_i of the rows whose basic column has a nonzero
+  // cost — the integer image of the reference's d_j = c_j - z_j
+  // recomputation — and makes it primitive. Reads only the constraint rows,
+  // so an overflow restarts the rebuild wholesale in the next tier.
   void SetPhaseCosts(bool phase_one) {
     ws_.phase_cost.assign(ncols_, BigInt());
     if (phase_one) {
@@ -646,7 +768,14 @@ class LadderTableau {
   bool SetPhaseCostsT() {
     using T = typename Ops::T;
     T* a = Ops::ArenaOf(ws_);
-    const T d = a[den_index_];
+    T s{1};
+    for (int i = 0; i < m_; ++i) {
+      if (ws_.phase_cost[ws_.basis[i]].is_zero()) continue;
+      const T& si = a[static_cast<size_t>(i) * stride_ + ws_.basis[i]];
+      T lcm;
+      if (Ops::Mul(s, Ops::ExactDiv(si, Ops::Gcd(si, s)), &lcm)) return false;
+      s = std::move(lcm);
+    }
     T* crow = a + static_cast<size_t>(m_) * stride_;
     for (int j = 0; j < ncols_; ++j) {
       const BigInt& c = ws_.phase_cost[j];
@@ -655,14 +784,18 @@ class LadderTableau {
         continue;
       }
       T cj = Ops::Narrow(c);
-      if (Ops::Mul(d, cj, &crow[j])) return false;
+      if (Ops::Mul(s, cj, &crow[j])) return false;
     }
     crow[ncols_] = T{};
     for (int i = 0; i < m_; ++i) {
       const BigInt& cb_big = ws_.phase_cost[ws_.basis[i]];
       if (cb_big.is_zero()) continue;
-      const T cb = Ops::Narrow(cb_big);
       const T* ri = a + static_cast<size_t>(i) * stride_;
+      T cb;
+      if (Ops::Mul(Ops::Narrow(cb_big), Ops::ExactDiv(s, ri[ws_.basis[i]]),
+                   &cb)) {
+        return false;
+      }
       for (int j = 0; j <= ncols_; ++j) {
         if (Ops::IsZero(ri[j])) continue;
         T t, next;
@@ -672,6 +805,8 @@ class LadderTableau {
         crow[j] = std::move(next);
       }
     }
+    a[scale_cell_] = s;
+    ReduceRowT<Ops>(m_, s);
     return true;
   }
 
@@ -753,14 +888,16 @@ class LadderTableau {
     return -1;
   }
 
+  // Column col is 1 at row r (its entry equals row r's scale) and 0
+  // elsewhere.
   template <typename Ops>
   bool IsUnitColumnAtT(int col, int r) {
     using T = typename Ops::T;
     const T* a = Ops::ArenaOf(ws_);
-    const T& d = a[den_index_];
+    const T& scale = a[static_cast<size_t>(r) * stride_ + ws_.basis[r]];
     for (int i = 0; i < m_; ++i) {
       const T& v = a[static_cast<size_t>(i) * stride_ + col];
-      if (i == r ? !(v == d) : !Ops::IsZero(v)) return false;
+      if (i == r ? !(v == scale) : !Ops::IsZero(v)) return false;
     }
     return true;
   }
@@ -836,24 +973,26 @@ class LadderTableau {
     return out;
   }
 
+  // A basic variable's value is its row's rhs over the row's scale.
   std::vector<Rational> ExtractPrimal() const {
-    const BigInt d = DenBig();
     std::vector<Rational> out(NumVariables());
     for (int i = 0; i < m_; ++i) {
       if (ws_.basis[i] < static_cast<int>(out.size())) {
-        out[ws_.basis[i]] = Rational(CellBig(i, ncols_), d);
+        out[ws_.basis[i]] =
+            Rational(CellBig(i, ncols_), CellBig(i, ws_.basis[i]));
       }
     }
     return out;
   }
 
   // Row multipliers in *problem* space: the scaled-system multiplier
-  // (d*c_identity - C[identity]) / d, un-flipped by the row sign, times the
-  // row scale t_i, divided by the phase's objective scale (lcm(t) for the
-  // phase-I/Farkas certificate, L for phase-II duals) — which lands exactly
-  // on what the reference simplex extracts.
+  // (d*c_identity - C[identity]) / d, with d the cost row's scale,
+  // un-flipped by the row sign, times the integerization scale t_i, divided
+  // by the phase's objective scale (lcm(t) for the phase-I/Farkas
+  // certificate, L for phase-II duals) — which lands exactly on what the
+  // reference simplex extracts.
   std::vector<Rational> ExtractRowMultipliers(bool phase_one) const {
-    const BigInt d = DenBig();
+    const BigInt d = CostRowScale();
     const BigInt& scale = phase_one ? ws_.art_scale : ws_.cost_scale;
     std::vector<Rational> out(m_);
     for (int i = 0; i < m_; ++i) {
@@ -878,7 +1017,7 @@ class LadderTableau {
   int art_begin_ = 0;
   int num_artificials_ = 0;
   size_t stride_ = 0;
-  size_t den_index_ = 0;
+  size_t scale_cell_ = 0;
   size_t cells_ = 0;
 
   LadderTier tier_ = LadderTier::kWord;

@@ -6,15 +6,25 @@
 // but runs the tableau in integer arithmetic on a single flat strided block
 // instead of a vector-of-Rational matrix:
 //
-//   * Integer-preserving pivoting (fraction-free / Bareiss, the integer
-//     pivoting of Edmonds and of Avis's lrs): the tableau is an integer
-//     matrix M plus one positive denominator d, real entry = M[i][j]/d. A
-//     pivot on (r, c) with piv = M[r][c] > 0 updates every other row i as
-//     M'[i][j] = (piv*M[i][j] - M[i][c]*M[r][j]) / d — the division is
-//     exact (entries are subdeterminants of the integer input) — leaves the
-//     pivot row untouched, and sets d' = piv.
-//     A pivot with piv == d == 1 changes only the entries in the pivot
-//     row's nonzero columns, so it computes only those.
+//   * Row-scaled integer pivoting: every row is an integer row over its own
+//     positive scale, real entry = M[i][j] / s_i. A constraint row's scale
+//     is its entry in its basic column; the cost row's is the trailing cell
+//     of the block. A pivot on (r, c) with piv = M[r][c] > 0 leaves the
+//     pivot row as it is (its scale becomes piv) and every row with
+//     M[i][c] = 0 untouched; any other row becomes a*row_i - b*row_r, with
+//     g = gcd(piv, M[i][c]), a = piv/g and b = M[i][c]/g, and its scale is
+//     multiplied by a. Bland's choices read only signs and the ratios
+//     rhs_i / M[i][enter], in which a row's scale cancels, so they are the
+//     reference's. A row with a = 1 changes only in the pivot row's
+//     nonzero columns, so it computes only those. Each updated row is then
+//     made primitive (the gcd of its entries, scale included, is 1): the
+//     gcd of its scale and its entry in the leaving column bounds the
+//     row's common factor, and the row is scanned and divided only when
+//     that gcd exceeds 1. These are the only gcds the pivot loop runs,
+//     besides the one that gives a and b when piv > 1. A primitive row
+//     divides the row of the shared-denominator (Bareiss) tableau that
+//     represents the same rational row, so no entry or product is larger
+//     than there, and a tier promotion comes no earlier.
 //
 //   * A three-tier arithmetic ladder. The tableau starts in the narrowest
 //     tier that holds the input and every multiply/add is overflow-checked
@@ -25,10 +35,11 @@
 //     kBig (util::BigInt — never overflows). The tier selects the arithmetic
 //     in one place (LadderTableau::OnTier in ladder_simplex.cc).
 //
-//   * Lossless Rational conversion only at the boundary: Solution values /
-//     objective / duals / farkas / warm-start basis export are built as
-//     Rational(M, d) (plus the integerization scales below), so VerifyDuals
-//     and VerifyFarkas consume exactly what the Rational reference produces.
+//   * Lossless Rational conversion only at the boundary: Solution values
+//     are built as Rational(rhs_i, s_i), and objective / duals / farkas
+//     over the cost row's scale (plus the integerization scales below), so
+//     VerifyDuals and VerifyFarkas consume exactly what the Rational
+//     reference produces.
 //
 // Both input forms follow the lp_problem.h contract (nonnegative variables,
 // minimize), so program column j is tableau column j. Non-integer input is
@@ -71,10 +82,10 @@ enum class LadderTier : uint8_t {
 const char* LadderTierToString(LadderTier tier);
 
 /// Persistent arena for LadderSimplex. One tier's flat block is live at a
-/// time — (m+1) rows of (ncols+1) entries plus the trailing denominator cell
-/// — and all three keep their capacity across solves, so a session's
-/// repeated solves of equal-shaped programs (the keyed warm slots of one
-/// lp::Solver) do zero allocation.
+/// time — (m+1) rows of (ncols+1) entries plus the trailing cell, the cost
+/// row's scale — and all three keep their capacity across solves, so a
+/// session's repeated solves of equal-shaped programs (the keyed warm slots
+/// of one lp::Solver) do zero allocation.
 struct LadderWorkspace {
   // Row and column metadata (see LadderTableau::BuildLayout).
   std::vector<int> basis;
@@ -90,7 +101,8 @@ struct LadderWorkspace {
   util::BigInt art_scale;
   std::vector<util::BigInt> structural_cost;
   std::vector<util::BigInt> phase_cost;
-  // The nonzero columns of a unit pivot's pivot row.
+  // The nonzero columns of the pivot row, listed when a pivot first
+  // updates a row with a = 1.
   std::vector<int> pivot_support;
   // The tiered arenas.
   std::vector<int64_t> w64;

@@ -71,6 +71,26 @@ TEST(FunctionsTest, NormalFunctionSumsSteps) {
       EXPECT_EQ(expected[full], total);
     }
   }
+
+  // Denominators 2^61 − 1, 2^59 − 1 and 2^53 − 1 are pairwise coprime, so
+  // the common denominator exceeds 2^128, past BigInt's inline storage.
+  // Checked against h(X) = Σ_{W : X ⊄ W} c_W, added up as plain Rationals.
+  const int64_t dens[] = {(int64_t{1} << 61) - 1, (int64_t{1} << 59) - 1,
+                          (int64_t{1} << 53) - 1};
+  for (int n = 2; n <= 5; ++n) {
+    std::map<VarSet, Rational> coeffs;
+    for (uint32_t s = 0; s + 1 < (1u << n); ++s) {
+      coeffs[VarSet(s)] = Rational(2 * s + 1, dens[s % 3]);
+    }
+    const SetFunction h = NormalFunction(n, coeffs);
+    for (uint32_t x = 0; x < (1u << n); ++x) {
+      Rational expected;
+      for (const auto& [w, c] : coeffs) {
+        if (!VarSet(x).IsSubsetOf(w)) expected += c;
+      }
+      EXPECT_EQ(h[VarSet(x)], expected) << "n=" << n << " X=" << x;
+    }
+  }
 }
 
 TEST(FunctionsDeathTest, NormalFunctionRejectsNegativeCoefficients) {

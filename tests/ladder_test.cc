@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <string>
@@ -470,6 +471,248 @@ TEST(LadderIntegerProgramTest, UnitPivotPromotesMidRow) {
   EXPECT_EQ(staged.wide_pivots, fast.wide_pivots);
   EXPECT_EQ(staged.bigint_promotions, fast.bigint_promotions);
 }
+
+// A non-unit pivot (a = 4, b = -3) whose update of the cost row overflows
+// int64 at the rhs column, the objective's cell, after the cost row's
+// structural and slack cells are committed: the pivot resumes in the wide
+// tier at the rhs with both factors. The first pivot is on (0, x0) with
+// entry 4 (x0 enters first, and only row 0 holds it); rows 1 and 2 have no
+// x0 and stay as they are. The cost row becomes 4*C + 3*row_0, and 3 times
+// row 0's rhs H overflows int64. A resume that lost a factor would change
+// the objective; one that recomputed a committed cell would change later
+// entering choices and row 0's dual.
+TEST(LadderIntegerProgramTest, NonUnitPivotPromotesMidRow) {
+  const int64_t kHuge = (int64_t{1} << 62) - 1;
+  IntegerProgram program;
+  LpProblem lp;
+  const std::vector<std::vector<int64_t>> rows = {{4, 1, 0},
+                                                  {0, 1, 1},
+                                                  {0, 2, 3}};
+  const std::vector<int64_t> rhs = {kHuge, 5, 7};
+  const std::vector<int64_t> cost = {-3, -1, -2};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    program.AddRow(Sense::kLessEqual, rhs[i]);
+  }
+  for (size_t j = 0; j < cost.size(); ++j) {
+    program.AddColumn(cost[j]);
+    lp.AddVariable();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      program.AddEntry(static_cast<int>(i), rows[i][j]);
+    }
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::vector<Rational> coeffs;
+    for (int64_t v : rows[i]) coeffs.push_back(R(v));
+    lp.AddConstraint(std::move(coeffs), Sense::kLessEqual, R(rhs[i]));
+  }
+  std::vector<Rational> objective;
+  for (int64_t c : cost) objective.push_back(R(c));
+  lp.SetObjective(std::move(objective));
+
+  const auto fast = LadderSimplex().Solve(program);
+  ExpectParity(lp, fast, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
+  ASSERT_GE(fast.pivots, 2);
+  EXPECT_EQ(fast.word_pivots, 0) << "the first pivot must leave the word tier";
+  EXPECT_EQ(fast.bigint_promotions, 0);
+  if (kHasWideTier) {
+    EXPECT_EQ(fast.wide_pivots, fast.pivots);
+  }
+  const auto staged = LadderSimplex().Solve(lp);
+  ExpectParity(lp, staged, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
+  EXPECT_EQ(staged.word_pivots, fast.word_pivots);
+  EXPECT_EQ(staged.wide_pivots, fast.wide_pivots);
+  EXPECT_EQ(staged.bigint_promotions, fast.bigint_promotions);
+}
+
+// ------------------------------------------------------------ row scales
+
+// A pivot rewrites only the rows whose pivot-column entry is nonzero. With
+// the pivot cap at 0 the solve stops after its first pivot, on (0, x0) with
+// entry 2, and leaves that tableau in the word-tier arena. Row 2 has no x0
+// and keeps its input integers (a tableau over one shared denominator
+// would hold twice them). Rows 1 and 3 and the cost row become
+// a*row_i - b*row_0 with g = gcd(2, M[i][x0]), a = 2/g, b = M[i][x0]/g,
+// each primitive; the cost row's scale, the trailing cell, becomes a.
+TEST(LadderRowScaleTest, ZeroFactorRowsAreUntouched) {
+  // Columns: x0..x2, the slacks of rows 0..3, the rhs.
+  const std::vector<std::vector<int64_t>> input = {
+      {2, 1, 0, 1, 0, 0, 0, 4},
+      {3, 1, 1, 0, 1, 0, 0, 9},
+      {0, 5, 3, 0, 0, 1, 0, 7},
+      {-4, 2, 6, 0, 0, 0, 1, 10}};
+  IntegerProgram program;
+  for (const std::vector<int64_t>& row : input) {
+    program.AddRow(Sense::kLessEqual, row.back());
+  }
+  for (int j = 0; j < 3; ++j) {
+    program.AddColumn(j == 0 ? -1 : 0);
+    for (int i = 0; i < 4; ++i) program.AddEntry(i, input[i][j]);
+  }
+  SolverOptions options;
+  options.max_pivots = 0;
+  LadderSimplex ladder(options);
+  const Solution capped = ladder.Solve(program);
+  ASSERT_EQ(capped.status, SolveStatus::kPivotLimit);
+  ASSERT_EQ(capped.pivots, 1);
+  ASSERT_EQ(capped.word_pivots, 1);
+
+  const std::vector<int64_t>& arena = ladder.workspace().w64;
+  const size_t stride = input[0].size();
+  ASSERT_EQ(arena.size(), 5 * stride + 1);
+  auto row = [&](size_t i) {
+    return std::vector<int64_t>(arena.begin() + i * stride,
+                                arena.begin() + (i + 1) * stride);
+  };
+  EXPECT_EQ(row(0), input[0]) << "the pivot row is left as it is";
+  EXPECT_EQ(row(2), input[2]) << "a zero factor leaves the row untouched";
+  // Row 1: g = 1, a = 2, b = 3.
+  EXPECT_EQ(row(1), (std::vector<int64_t>{0, -1, 2, -3, 2, 0, 0, 6}));
+  // Row 3: g = 2, a = 1, b = -2.
+  EXPECT_EQ(row(3), (std::vector<int64_t>{0, 4, 6, 2, 0, 0, 1, 18}));
+  // The cost row (-1, 0, ..., 0) over scale 1: g = 1, a = 2, b = -1.
+  EXPECT_EQ(row(4), (std::vector<int64_t>{0, 1, 0, 1, 0, 0, 0, 4}));
+  EXPECT_EQ(arena.back(), 2);
+  EXPECT_EQ(ladder.workspace().basis, (std::vector<int>{0, 4, 5, 6}));
+
+  // Uncapped, the same program matches the reference.
+  LpProblem lp;
+  for (int j = 0; j < 3; ++j) lp.AddVariable();
+  for (const std::vector<int64_t>& r : input) {
+    std::vector<Rational> coeffs;
+    for (int j = 0; j < 3; ++j) coeffs.push_back(R(r[j]));
+    lp.AddConstraint(std::move(coeffs), Sense::kLessEqual, R(r.back()));
+  }
+  lp.SetObjective({R(-1), R(0), R(0)});
+  ExpectParity(lp, LadderSimplex().Solve(program), ReferenceSolver().Solve(lp),
+               /*same_pivots=*/true);
+}
+
+// The arena a solve left in `ws`, read in `tier`, as BigInts.
+std::vector<util::BigInt> ArenaAsBig(const LadderWorkspace& ws,
+                                     LadderTier tier) {
+  std::vector<util::BigInt> out;
+  switch (tier) {
+    case LadderTier::kWord:
+      for (int64_t v : ws.w64) out.emplace_back(v);
+      break;
+    case LadderTier::kWide:
+#if defined(__SIZEOF_INT128__)
+      for (LadderWide v : ws.wwide) out.push_back(util::BigInt::FromInt128(v));
+#else
+      for (LadderWide v : ws.wwide) out.emplace_back(v);
+#endif
+      break;
+    case LadderTier::kBig:
+      out = ws.wbig;
+      break;
+  }
+  return out;
+}
+
+// The row-scaled invariants of the tableau a solve left in `ws`, in
+// `tier`: every constraint row is primitive (its entries have gcd 1) with
+// a positive entry, its scale, in its basic column; the cost row together
+// with its scale, the trailing cell, is primitive, and that scale is
+// positive.
+void ExpectPrimitiveRows(const LadderWorkspace& ws, LadderTier tier,
+                         const std::string& what) {
+  const std::vector<util::BigInt> arena = ArenaAsBig(ws, tier);
+  const size_t m = ws.basis.size();
+  const size_t stride = ws.col_entry.size() + 1;
+  ASSERT_EQ(arena.size(), (m + 1) * stride + 1) << what;
+  for (size_t i = 0; i <= m; ++i) {
+    const util::BigInt* row = arena.data() + i * stride;
+    const size_t cells = i < m ? stride : stride + 1;
+    util::BigInt g;
+    for (size_t j = 0; j < cells; ++j) g = util::BigInt::Gcd(g, row[j]);
+    EXPECT_EQ(g, util::BigInt(1)) << what << ", row " << i;
+    if (i < m) {
+      EXPECT_GT(row[ws.basis[i]].sign(), 0) << what << ", row " << i;
+    }
+  }
+  EXPECT_GT(arena.back().sign(), 0) << what;
+}
+
+// A solve that stayed in the word tier, checked there.
+void ExpectPrimitiveWordRows(const LadderWorkspace& ws,
+                             const Solution& solution,
+                             const std::string& what) {
+  ASSERT_EQ(solution.wide_pivots, 0) << what;
+  ASSERT_EQ(solution.bigint_promotions, 0) << what;
+  ExpectPrimitiveRows(ws, LadderTier::kWord, what);
+}
+
+TEST(LadderRowScaleTest, RandomLpRowsStayPrimitive) {
+  for (bool rational_coeffs : {false, true}) {
+    for (int seed = kFirstSeed; seed <= kLastSeed; ++seed) {
+      const std::string what = "seed " + std::to_string(seed) +
+                               (rational_coeffs ? " rational" : " integer");
+      const LpProblem lp = RandomLp(seed, rational_coeffs);
+      LadderSimplex ladder;
+      const Solution cold = ladder.Solve(lp);
+      ExpectPrimitiveWordRows(ladder.workspace(), cold, what + " cold");
+      if (cold.basis.empty()) continue;
+      const Solution warm = ladder.SolveFrom(lp, cold.basis);
+      ExpectPrimitiveWordRows(ladder.workspace(), warm, what + " warm");
+    }
+  }
+}
+
+// The same invariants in the wider tiers, on the programs whose
+// integerized data start there and never promote (see
+// WideDataStartInTheWideTier and HugeDataStartInBigInt).
+TEST(LadderRowScaleTest, WideAndBigRowsStayPrimitive) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    for (uint64_t rhs_bits : {80, 140}) {
+      const std::string what = "seed " + std::to_string(seed) + ", " +
+                               std::to_string(rhs_bits) + " bits";
+      const LadderTier tier = rhs_bits == 80 && kHasWideTier
+                                  ? LadderTier::kWide
+                                  : LadderTier::kBig;
+      const LpProblem lp = WideRhsLp(seed, rhs_bits);
+      LadderSimplex ladder;
+      const Solution cold = ladder.Solve(lp);
+      ASSERT_EQ(cold.bigint_promotions, 0) << what;
+      ExpectPrimitiveRows(ladder.workspace(), tier, what + " cold");
+      const Solution warm = ladder.SolveFrom(lp, cold.basis);
+      ASSERT_EQ(warm.bigint_promotions, 0) << what;
+      ExpectPrimitiveRows(ladder.workspace(), tier, what + " warm");
+    }
+  }
+}
+
+class LadderRowScaleDecisionTest : public ::testing::TestWithParam<int> {};
+
+// The decision LPs of LadderIntegerProgramTest, cold and warm from their
+// own optimal or Farkas basis.
+TEST_P(LadderRowScaleDecisionTest, DecisionLpRowsStayPrimitive) {
+  const int n = GetParam();
+  const std::vector<entropy::ElementalColumn> columns =
+      entropy::ElementalColumns(n, entropy::ElementalInequalities(n));
+  int solves = 0;
+  for (const std::vector<entropy::LinearExpr>& branches : DecisionBranches(n)) {
+    std::vector<IntegerProgram> programs;
+    programs.push_back(*entropy::GammaIntegerProgram(n, columns, branches));
+    for (entropy::ConeKind kind :
+         {entropy::ConeKind::kNormal, entropy::ConeKind::kModular}) {
+      programs.push_back(*entropy::GeneratorIntegerProgram(n, kind, branches));
+    }
+    for (const IntegerProgram& program : programs) {
+      const std::string what = "n=" + std::to_string(n) + " lp " +
+                               std::to_string(solves++);
+      LadderSimplex ladder;
+      const Solution cold = ladder.Solve(program);
+      ExpectPrimitiveWordRows(ladder.workspace(), cold, what + " cold");
+      if (cold.basis.empty()) continue;
+      const Solution warm = ladder.SolveFrom(program, cold.basis);
+      ExpectPrimitiveWordRows(ladder.workspace(), warm, what + " warm");
+    }
+  }
+  EXPECT_GE(solves, 12) << "too few generated pairs at n = " << n;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, LadderRowScaleDecisionTest,
+                         ::testing::Range(2, 7));
 
 // ------------------------------------------------------------ workspace
 
