@@ -68,7 +68,8 @@ int main() {
     }
     bool convex = total == Rational(1);
     auto proof = engine.ProveInequality(combined).ValueOrDie();
-    bool ok = convex && proof.valid && proof.certificate->Verify(combined);
+    bool ok = convex && proof.valid &&
+              proof.certificate->Verify(branches, result.lambda);
     std::printf("  instance %zu: k=%zu, lambda convex: %s, Σλ·E Shannon: %s "
                 "%s\n",
                 i, branches.size(), convex ? "yes" : "no",

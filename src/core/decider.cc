@@ -1,6 +1,7 @@
 #include "core/decider.h"
 
 #include <sstream>
+#include <utility>
 
 #include "cq/homomorphism.h"
 #include "cq/transforms.h"
@@ -103,7 +104,7 @@ util::Result<Decision> DecideBagContainmentWithContext(
   decision.lp_pivots += over_normal.lp_pivots;
 
   if (!over_normal.valid) {
-    decision.counterexample = over_normal.counterexample;
+    decision.counterexample = std::move(over_normal.counterexample);
     if (necessity_applies) {
       auto witness = BuildWitnessFromNormal(q1, q2, inequality,
                                             over_normal.decomposition,
@@ -172,7 +173,7 @@ util::Result<Decision> DecideBagContainmentWithContext(
     decision.validity = std::move(over_gamma);
   } else {
     decision.verdict = Verdict::kUnknown;
-    decision.counterexample = over_gamma.counterexample;
+    decision.counterexample = std::move(over_gamma.counterexample);
     decision.method =
         "valid over Nn but fails over Gamma_n; the entropic status of "
         "Eq. (8) is open here (non-simple branches)";

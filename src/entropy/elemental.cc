@@ -49,36 +49,42 @@ std::vector<ElementalInequality> ElementalInequalities(int n) {
   return out;
 }
 
+ElementalColumn ElementalColumnOf(int n, const ElementalInequality& e) {
+  const uint64_t full = VarSet::Full(n).mask();
+  ElementalColumn column;
+  // Terms go in ascending mask order, the order of ToExpr's terms; h(∅)
+  // is 0 and has no row.
+  auto add = [&column](uint64_t mask, int8_t coeff) {
+    if (mask == 0) return;
+    column.row[column.size] = static_cast<uint32_t>(mask - 1);
+    column.coeff[column.size] = coeff;
+    ++column.size;
+  };
+  const uint64_t bit_i = uint64_t{1} << e.i;
+  if (e.kind == ElementalInequality::Kind::kMonotonicity) {
+    // h(V) − h(V−i).
+    add(full & ~bit_i, -1);
+    add(full, 1);
+  } else {
+    // h(K+i) + h(K+j) − h(K+i+j) − h(K), ascending because i < j.
+    const uint64_t k = e.k.mask();
+    const uint64_t bit_j = uint64_t{1} << e.j;
+    add(k, -1);
+    add(k | bit_i, 1);
+    add(k | bit_j, 1);
+    add(k | bit_i | bit_j, -1);
+  }
+  return column;
+}
+
 std::vector<ElementalColumn> ElementalColumns(
     int n, const std::vector<ElementalInequality>& elementals) {
-  const uint64_t full = VarSet::Full(n).mask();
-  std::vector<ElementalColumn> out(elementals.size());
-  for (size_t t = 0; t < elementals.size(); ++t) {
-    const ElementalInequality& e = elementals[t];
-    ElementalColumn& column = out[t];
-    // Terms go in ascending mask order, the order of ToExpr's terms; h(∅)
-    // is 0 and has no row.
-    auto add = [&column](uint64_t mask, int8_t coeff) {
-      if (mask == 0) return;
-      column.row[column.size] = static_cast<uint32_t>(mask - 1);
-      column.coeff[column.size] = coeff;
-      ++column.size;
-    };
-    const uint64_t bit_i = uint64_t{1} << e.i;
-    if (e.kind == ElementalInequality::Kind::kMonotonicity) {
-      // h(V) − h(V−i).
-      add(full & ~bit_i, -1);
-      add(full, 1);
-    } else {
-      // h(K+i) + h(K+j) − h(K+i+j) − h(K), ascending because i < j.
-      BAGCQ_DCHECK(e.i < e.j);
-      const uint64_t k = e.k.mask();
-      const uint64_t bit_j = uint64_t{1} << e.j;
-      add(k, -1);
-      add(k | bit_i, 1);
-      add(k | bit_j, 1);
-      add(k | bit_i | bit_j, -1);
-    }
+  std::vector<ElementalColumn> out;
+  out.reserve(elementals.size());
+  for (const ElementalInequality& e : elementals) {
+    BAGCQ_DCHECK(e.kind == ElementalInequality::Kind::kMonotonicity ||
+                 e.i < e.j);
+    out.push_back(ElementalColumnOf(n, e));
   }
   return out;
 }

@@ -46,9 +46,14 @@ struct ElementalColumn {
   int size = 0;
 };
 
+/// One elemental's column over n variables, computed from its (i, j, K)
+/// masks. For indices in 0..n−1 and K inside them its terms sum to
+/// ToExpr(n); for a well-formed elemental (i < j, both outside K) they are
+/// ToExpr's terms, in ascending row order.
+ElementalColumn ElementalColumnOf(int n, const ElementalInequality& e);
+
 /// `elementals` (over n variables) as columns, in the same order: the
-/// constraint matrix every LP over Γn shares. Each column is computed from
-/// the elemental's (i, j, K) masks; it equals the terms of ToExpr(n).
+/// constraint matrix every LP over Γn shares.
 std::vector<ElementalColumn> ElementalColumns(
     int n, const std::vector<ElementalInequality>& elementals);
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "entropy/dense_check.h"
 #include "entropy/functions.h"
 #include "lp/lp_problem.h"
 #include "lp/simplex.h"
@@ -233,14 +234,12 @@ MaxIIResult MaxIIOracle::CheckConstraintForm(
     out.valid = true;
     out.lambda.assign(solution.values.begin(), solution.values.begin() + k);
     // The y block certifies Σ λ E = Σ y elemental exactly.
-    LinearExpr combined(n_);
-    for (size_t l = 0; l < k; ++l) combined = combined + branches[l] * out.lambda[l];
     ShannonCertificate cert;
     for (size_t t = 0; t < m; ++t) {
       const Rational& y = solution.values[k + t];
       if (!y.is_zero()) cert.combination.push_back({elementals[t], y});
     }
-    BAGCQ_CHECK(cert.Verify(combined))
+    BAGCQ_CHECK(cert.Verify(branches, out.lambda))
         << "Max-II certificate failed exact verification";
     out.certificate = std::move(cert);
     return out;
@@ -272,7 +271,6 @@ MaxIIResult MaxIIOracle::CheckConstraintForm(
 //                Σ_ℓ λ_ℓ E_ℓ(g_W) ≥ 0 for every generator.
 MaxIIResult MaxIIOracle::CheckGeneratorForm(
     const std::vector<LinearExpr>& branches) const {
-  const std::vector<VarSet> generator_sets = GeneratorSets(n_, kind_);
   const size_t k = branches.size();
 
   const std::string key =
@@ -300,14 +298,9 @@ MaxIIResult MaxIIOracle::CheckGeneratorForm(
     for (const Rational& y : solution.farkas) out.lambda.push_back(-y / total);
     // Exact λ verification: the combination is nonnegative on every
     // generator, hence on the whole cone.
-    LinearExpr combined(n_);
-    for (size_t l = 0; l < k; ++l) {
-      combined = combined + branches[l] * out.lambda[l];
-    }
-    for (VarSet w : generator_sets) {
-      BAGCQ_CHECK(combined.EvaluateOnStep(w).sign() >= 0)
-          << "lambda combination negative on a generator";
-    }
+    BAGCQ_CHECK(dense::NonnegativeOnSteps(branches, out.lambda,
+                                          kind_ == ConeKind::kModular))
+        << "lambda combination negative on a generator";
     return out;
   }
 
@@ -315,6 +308,7 @@ MaxIIResult MaxIIOracle::CheckGeneratorForm(
       << "violation LP cannot be unbounded below (objective is Σ c_W ≥ 0)";
   // Σ c_W h_W is in the cone by construction: every W is a generator and
   // every c_W is nonnegative.
+  const std::vector<VarSet> generator_sets = GeneratorSets(n_, kind_);
   for (size_t w = 0; w < generator_sets.size(); ++w) {
     const Rational& c = solution.values[w];
     BAGCQ_CHECK(c.sign() >= 0);

@@ -5,19 +5,16 @@
 #include <sstream>
 #include <string>
 
+#include "entropy/dense_check.h"
 #include "lp/lp_problem.h"
 #include "lp/solver.h"
 #include "util/check.h"
 
 namespace bagcq::entropy {
 
-bool ShannonCertificate::Verify(const LinearExpr& target) const {
-  LinearExpr sum(target.num_vars());
-  for (const auto& [elemental, weight] : combination) {
-    if (weight.sign() < 0) return false;
-    sum = sum + elemental.ToExpr(target.num_vars()) * weight;
-  }
-  return sum == target;
+bool ShannonCertificate::Verify(std::span<const LinearExpr> branches,
+                                std::span<const Rational> lambda) const {
+  return dense::EqualsElementalSum(branches, lambda, combination);
 }
 
 std::string ShannonCertificate::ToString(
@@ -119,7 +116,8 @@ IIResult ShannonProver::Prove(const LinearExpr& e, lp::Solver* solver) const {
       BAGCQ_CHECK(y.sign() >= 0);
       if (!y.is_zero()) cert.combination.push_back({elementals_[t], y});
     }
-    BAGCQ_CHECK(cert.Verify(e))
+    const Rational one(1);
+    BAGCQ_CHECK(cert.Verify({&e, 1}, {&one, 1}))
         << "certificate failed exact verification for " << e.ToString();
     out.certificate = std::move(cert);
     return out;

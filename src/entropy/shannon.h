@@ -13,6 +13,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,12 +27,18 @@ class Solver;
 
 namespace bagcq::entropy {
 
-/// An exact proof: E = Σ weight_t · elemental_t with all weights ≥ 0.
+/// An exact proof: E = Σ weight_t · elemental_t with all weights > 0.
 struct ShannonCertificate {
   std::vector<std::pair<ElementalInequality, Rational>> combination;
 
-  /// Re-expands the combination and compares with `target` exactly.
-  bool Verify(const LinearExpr& target) const;
+  /// Whether the combination proves E = Σ_ℓ lambda[ℓ]·branches[ℓ] ≥ 0 over
+  /// Γn: every weight is positive and the combination equals E exactly.
+  /// One dense integer pass (dense_check.h) reads the branches and each
+  /// elemental's (i, j, K); a single inequality E is one branch with
+  /// weight 1. False when the branches are empty, differ in variable count,
+  /// or are not as many as the weights.
+  bool Verify(std::span<const LinearExpr> branches,
+              std::span<const Rational> lambda) const;
   std::string ToString(int n, const std::vector<std::string>& names) const;
 };
 

@@ -299,9 +299,10 @@ class LadderTableau {
 
     out.status = SolveStatus::kOptimal;
     // Objective = -C[m][ncols] / (d * L), d the cost row's scale, undoing
-    // the objective integerization scale.
-    out.objective =
-        Rational(-CellBig(m_, ncols_), CostRowScale() * ws_.cost_scale);
+    // the objective integerization scale (L = 1 for integer input).
+    out.objective = Rational(
+        -CellBig(m_, ncols_),
+        ip_ != nullptr ? CostRowScale() : CostRowScale() * ws_.cost_scale);
     out.values = ExtractPrimal();
     out.duals = ExtractRowMultipliers(/*phase_one=*/false);
     out.basis = ExtractBasis();
@@ -389,17 +390,10 @@ class LadderTableau {
   }
 
   // Integer input: no scaling (t_i = L = 1) and no staging. The word-tier
-  // arena is zeroed and each sparse column scattered into it.
+  // arena is zeroed and each sparse column scattered into it; the costs
+  // are read from the program when a phase starts (SetPhaseCosts).
   void BuildIntegerFill() {
     const int n = ip_->num_columns();
-    ws_.row_scale.assign(m_, BigInt(1));
-    ws_.cost_scale = BigInt(1);
-    ws_.art_scale = BigInt(1);
-    ws_.structural_cost.assign(ncols_, BigInt());
-    for (int j = 0; j < n; ++j) {
-      if (ip_->cost(j) != 0) ws_.structural_cost[j] = BigInt(ip_->cost(j));
-    }
-
     ws_.w64.assign(cells_, 0);
     int64_t* a = ws_.w64.data();
     for (int j = 0; j < n; ++j) {
@@ -741,13 +735,31 @@ class LadderTableau {
 
   // ---- cost row -----------------------------------------------------------
 
-  // Loads ws_.phase_cost (integer, per column) and rebuilds the cost row
-  // C[j] = s*c_j - sum_i c_basis(i) * (s/s_i) * M[i][j] over the scale s,
-  // the lcm of the scales s_i of the rows whose basic column has a nonzero
-  // cost — the integer image of the reference's d_j = c_j - z_j
-  // recomputation — and makes it primitive. Reads only the constraint rows,
-  // so an overflow restarts the rebuild wholesale in the next tier.
+  // Loads the integer phase costs c_j, one per column (int_phase_cost for
+  // integer input, whose scales are all 1, else phase_cost), and rebuilds
+  // the cost row C[j] = s*c_j - sum_i c_basis(i) * (s/s_i) * M[i][j] over
+  // the scale s, the lcm of the scales s_i of the rows whose basic column
+  // has a nonzero cost — the integer image of the reference's
+  // d_j = c_j - z_j recomputation — and makes it primitive. Reads only the
+  // constraint rows, so an overflow restarts the rebuild wholesale in the
+  // next tier.
   void SetPhaseCosts(bool phase_one) {
+    if (ip_ != nullptr) {
+      // An artificial's phase-I cost lcm(t)/t_i is 1.
+      ws_.int_phase_cost.assign(ncols_, 0);
+      if (phase_one) {
+        std::fill(ws_.int_phase_cost.begin() + art_begin_,
+                  ws_.int_phase_cost.end(), 1);
+      } else {
+        for (int j = 0; j < ip_->num_columns(); ++j) {
+          ws_.int_phase_cost[j] = ip_->cost(j);
+        }
+      }
+      RunPromoting([&](auto ops) {
+        return SetPhaseCostsT<decltype(ops)>(ws_.int_phase_cost);
+      });
+      return;
+    }
     ws_.phase_cost.assign(ncols_, BigInt());
     if (phase_one) {
       for (int i = 0; i < m_; ++i) {
@@ -761,16 +773,31 @@ class LadderTableau {
         ws_.phase_cost[j] = ws_.structural_cost[j];
       }
     }
-    RunPromoting([&](auto ops) { return SetPhaseCostsT<decltype(ops)>(); });
+    RunPromoting([&](auto ops) {
+      return SetPhaseCostsT<decltype(ops)>(ws_.phase_cost);
+    });
   }
 
+  // A phase cost in the tier's integers: an int64 one widens; a BigInt one
+  // narrows (BuildStagedFill chose a tier that holds it).
   template <typename Ops>
-  bool SetPhaseCostsT() {
+  static typename Ops::T CostInTier(int64_t c) {
+    return typename Ops::T(c);
+  }
+  template <typename Ops>
+  static typename Ops::T CostInTier(const BigInt& c) {
+    return Ops::Narrow(c);
+  }
+  static bool IsZeroCost(int64_t c) { return c == 0; }
+  static bool IsZeroCost(const BigInt& c) { return c.is_zero(); }
+
+  template <typename Ops, typename Cost>
+  bool SetPhaseCostsT(const std::vector<Cost>& cost) {
     using T = typename Ops::T;
     T* a = Ops::ArenaOf(ws_);
     T s{1};
     for (int i = 0; i < m_; ++i) {
-      if (ws_.phase_cost[ws_.basis[i]].is_zero()) continue;
+      if (IsZeroCost(cost[ws_.basis[i]])) continue;
       const T& si = a[static_cast<size_t>(i) * stride_ + ws_.basis[i]];
       T lcm;
       if (Ops::Mul(s, Ops::ExactDiv(si, Ops::Gcd(si, s)), &lcm)) return false;
@@ -778,22 +805,20 @@ class LadderTableau {
     }
     T* crow = a + static_cast<size_t>(m_) * stride_;
     for (int j = 0; j < ncols_; ++j) {
-      const BigInt& c = ws_.phase_cost[j];
-      if (c.is_zero()) {
+      if (IsZeroCost(cost[j])) {
         crow[j] = T{};
         continue;
       }
-      T cj = Ops::Narrow(c);
-      if (Ops::Mul(s, cj, &crow[j])) return false;
+      if (Ops::Mul(s, CostInTier<Ops>(cost[j]), &crow[j])) return false;
     }
     crow[ncols_] = T{};
     for (int i = 0; i < m_; ++i) {
-      const BigInt& cb_big = ws_.phase_cost[ws_.basis[i]];
-      if (cb_big.is_zero()) continue;
+      const Cost& cb_cost = cost[ws_.basis[i]];
+      if (IsZeroCost(cb_cost)) continue;
       const T* ri = a + static_cast<size_t>(i) * stride_;
       T cb;
-      if (Ops::Mul(Ops::Narrow(cb_big), Ops::ExactDiv(s, ri[ws_.basis[i]]),
-                   &cb)) {
+      if (Ops::Mul(CostInTier<Ops>(cb_cost),
+                   Ops::ExactDiv(s, ri[ws_.basis[i]]), &cb)) {
         return false;
       }
       for (int j = 0; j <= ncols_; ++j) {
@@ -990,18 +1015,26 @@ class LadderTableau {
   // un-flipped by the row sign, times the integerization scale t_i, divided
   // by the phase's objective scale (lcm(t) for the phase-I/Farkas
   // certificate, L for phase-II duals) — which lands exactly on what the
-  // reference simplex extracts.
+  // reference simplex extracts. Integer input has all three scales 1.
   std::vector<Rational> ExtractRowMultipliers(bool phase_one) const {
     const BigInt d = CostRowScale();
-    const BigInt& scale = phase_one ? ws_.art_scale : ws_.cost_scale;
+    const bool integer = ip_ != nullptr;
+    const BigInt den =
+        integer ? d : d * (phase_one ? ws_.art_scale : ws_.cost_scale);
     std::vector<Rational> out(m_);
     for (int i = 0; i < m_; ++i) {
       const int col = ws_.identity_col[i];
       BAGCQ_CHECK_GE(col, 0) << "row without identity column";
-      BigInt numer = d * ws_.phase_cost[col] - CellBig(m_, col);
-      numer = numer * ws_.row_scale[i];
+      BigInt numer = -CellBig(m_, col);
+      if (!integer) {
+        numer = (d * ws_.phase_cost[col] + numer) * ws_.row_scale[i];
+      } else if (const int64_t c = ws_.int_phase_cost[col]; c == 1) {
+        numer += d;
+      } else if (c != 0) {
+        numer += d * BigInt(c);
+      }
       if (ws_.row_sign[i] < 0) numer = -numer;
-      out[i] = Rational(std::move(numer), d * scale);
+      out[i] = Rational(std::move(numer), den);
     }
     return out;
   }

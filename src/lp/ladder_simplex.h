@@ -94,13 +94,16 @@ struct LadderWorkspace {
   std::vector<int> slack_col_of_row;
   std::vector<int> art_col_of_row;
   std::vector<BasisEntry> col_entry;
-  // Integerization state: t_i per row, the objective scale L, lcm(t), and
-  // the integer (scaled) phase-II / current-phase cost vectors.
+  // Integerization state of an LpProblem: t_i per row, the objective
+  // scale L, lcm(t), and the integer (scaled) phase-II / current-phase cost
+  // vectors. An IntegerProgram has every scale 1 and int64 costs, so its
+  // current-phase costs are int_phase_cost and the rest is unused.
   std::vector<util::BigInt> row_scale;
   util::BigInt cost_scale;
   util::BigInt art_scale;
   std::vector<util::BigInt> structural_cost;
   std::vector<util::BigInt> phase_cost;
+  std::vector<int64_t> int_phase_cost;
   // The nonzero columns of the pivot row, listed when a pivot first
   // updates a row with a = 1.
   std::vector<int> pivot_support;

@@ -225,20 +225,12 @@ bool ProofStore::Lookup(const std::string& key, api::DecisionResult* out) {
     ok = true;
     if (result.validity.has_value() &&
         result.validity->certificate.has_value()) {
-      // Verify-on-load: re-expand the certificate against the λ-combination
-      // of the stored containment branches. A record that fails is a miss —
-      // the engine re-solves and re-proves from scratch.
-      ok = false;
-      if (result.inequality.has_value() &&
-          result.validity->lambda.size() ==
-              result.inequality->branches.size()) {
-        entropy::LinearExpr combo(result.inequality->n);
-        for (size_t b = 0; b < result.validity->lambda.size(); ++b) {
-          combo = combo + result.inequality->branches[b] *
-                              result.validity->lambda[b];
-        }
-        ok = result.validity->certificate->Verify(combo);
-      }
+      // Verify-on-load: the certificate must prove the λ-combination of the
+      // stored containment branches. A record that fails is a miss — the
+      // engine re-solves and re-proves from scratch.
+      ok = result.inequality.has_value() &&
+           result.validity->certificate->Verify(result.inequality->branches,
+                                                result.validity->lambda);
     }
     if (ok) *out = std::move(result);
   }

@@ -28,9 +28,10 @@
 // to crashes or wrong answers.
 //
 // Load policy (normative, see docs/proof-store.md §4): a looked-up result
-// that carries a Shannon certificate is re-verified on load — the λ-combo
-// of its containment branches is re-expanded through
-// ShannonCertificate::Verify before the result is served (verify-on-load).
+// that carries a Shannon certificate is re-verified on load — the
+// certificate must prove the λ-combination of its containment branches
+// (ShannonCertificate::Verify) before the result is served
+// (verify-on-load).
 // A verdict-only record (no certificate to check) is served on the strength
 // of its checksum alone (trust-but-checksum). Either failure reads as a
 // miss.

@@ -192,7 +192,8 @@ TEST(EngineProverTest, WideCoefficientsNeverPivotInTheWordTier) {
   auto valid = engine.ProveInequality(valid_text->expr).ValueOrDie();
   EXPECT_TRUE(valid.valid);
   ASSERT_TRUE(valid.certificate.has_value());
-  EXPECT_TRUE(valid.certificate->Verify(valid_text->expr));
+  const Rational one(1);
+  EXPECT_TRUE(valid.certificate->Verify({&valid_text->expr, 1}, {&one, 1}));
   EXPECT_GT(valid.stats.lp_pivots, 0);
   EXPECT_EQ(valid.stats.lp_word_pivots, 0);
 
@@ -510,7 +511,8 @@ TEST(EngineWarmStartTest, RepeatedProofsResumeFromWarmBases) {
   auto second = engine.ProveInequality(e).ValueOrDie();
   EXPECT_TRUE(second.valid);
   ASSERT_TRUE(second.certificate.has_value());
-  EXPECT_TRUE(second.certificate->Verify(e));
+  const Rational one(1);
+  EXPECT_TRUE(second.certificate->Verify({&e, 1}, {&one, 1}));
   EXPECT_GE(second.stats.lp_warm_accepts, 1);
   EXPECT_LE(second.stats.lp_pivots, first.stats.lp_pivots);
 

@@ -1,10 +1,13 @@
 #include "entropy/max_ii.h"
 
+#include <map>
 #include <ostream>
 #include <random>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "entropy/dense_check.h"
 #include "entropy/functions.h"
 #include "entropy/known_inequalities.h"
 #include "entropy/mobius.h"
@@ -12,6 +15,7 @@
 namespace bagcq::entropy {
 namespace {
 
+using util::BigInt;
 using util::Rational;
 using util::VarSet;
 
@@ -65,11 +69,7 @@ TEST(MaxIIOracleTest, Example38CertificateIsTheThirdsCombination) {
   MaxIIResult r = MaxIIOracle(3, ConeKind::kPolymatroid).Check(branches);
   ASSERT_TRUE(r.valid);
   ASSERT_TRUE(r.certificate.has_value());
-  LinearExpr combined(3);
-  for (size_t l = 0; l < branches.size(); ++l) {
-    combined = combined + branches[l] * r.lambda[l];
-  }
-  EXPECT_TRUE(r.certificate->Verify(combined));
+  EXPECT_TRUE(r.certificate->Verify(branches, r.lambda));
 }
 
 TEST(MaxIIOracleTest, SingleBranchOfExample38Fails) {
@@ -235,6 +235,215 @@ TEST(Theorem61Test, LambdaCombinationValidOnEntropicPoints) {
   for (const auto& family : std::vector<std::vector<uint64_t>>{
            {0b01, 0b10, 0b11}, {0b1, 0b1, 0b0}, {0b001, 0b010, 0b100}}) {
     EXPECT_GE(combined.Evaluate(GF2RankFunction(family)).sign(), 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The dense λ check over Nn and Mn (dense::NonnegativeOnSteps, which
+// MaxIIOracle CHECKs) against a LinearExpr/Rational reference.
+// ---------------------------------------------------------------------------
+
+LinearExpr Combine(const std::vector<LinearExpr>& branches,
+                   const std::vector<Rational>& lambda) {
+  LinearExpr out(branches[0].num_vars());
+  for (size_t l = 0; l < branches.size(); ++l) {
+    out = out + branches[l] * lambda[l];
+  }
+  return out;
+}
+
+// The index sets W of the cone's generators h_W: W ⊊ V for Nn, V − {i}
+// for Mn.
+std::vector<VarSet> Generators(int n, ConeKind kind) {
+  std::vector<VarSet> out;
+  const VarSet full = VarSet::Full(n);
+  for (uint64_t w = 0; w < full.mask(); ++w) {
+    if (kind == ConeKind::kNormal || VarSet(w).size() == n - 1) {
+      out.push_back(VarSet(w));
+    }
+  }
+  return out;
+}
+
+// min_W e(h_W) over the cone's generators, by EvaluateOnStep.
+Rational MinOnGenerators(const LinearExpr& e, ConeKind kind) {
+  const std::vector<VarSet> generators = Generators(e.num_vars(), kind);
+  Rational low = e.EvaluateOnStep(generators[0]);
+  for (VarSet w : generators) low = std::min(low, e.EvaluateOnStep(w));
+  return low;
+}
+
+// num/den with num in 1..9 and den in 1..6.
+Rational RandomWeight(std::mt19937_64& rng) {
+  return Rational(static_cast<int64_t>(1 + rng() % 9),
+                  static_cast<int64_t>(1 + rng() % 6));
+}
+
+// Up to `terms` terms with integer coefficients in −4..4.
+LinearExpr RandomExpr(int n, int terms, std::mt19937_64& rng) {
+  LinearExpr e(n);
+  for (int t = 0; t < terms; ++t) {
+    e.Add(VarSet(1 + rng() % ((uint64_t{1} << n) - 1)),
+          Rational(static_cast<int64_t>(rng() % 9) - 4));
+  }
+  return e;
+}
+
+// Branches and a λ with Σ_ℓ λ_ℓ·E_ℓ = target: up to two random branches,
+// some with weight 0, and a last one that makes up the difference.
+std::pair<std::vector<LinearExpr>, std::vector<Rational>> SplitIntoBranches(
+    const LinearExpr& target, std::mt19937_64& rng) {
+  std::vector<LinearExpr> branches;
+  std::vector<Rational> lambda;
+  LinearExpr rest = target;
+  const int k = 1 + static_cast<int>(rng() % 3);
+  for (int l = 0; l + 1 < k; ++l) {
+    branches.push_back(RandomExpr(target.num_vars(), 3, rng));
+    lambda.push_back(rng() % 3 == 0 ? Rational(0) : RandomWeight(rng));
+    rest = rest - branches.back() * lambda.back();
+  }
+  const Rational last = RandomWeight(rng);
+  branches.push_back(rest * last.Inverse());
+  lambda.push_back(last);
+  return {std::move(branches), std::move(lambda)};
+}
+
+// An expression whose value at each generator W of the cone is f[W]. Over
+// Mn it is Σ_i f[V − {i}]·h({i}). Over Nn, E(h_W) = z[V] − z[W] with
+// z[W] = Σ_{X ⊆ W} c_X, so c is the Möbius inverse of z[W] = f[∅] − f[W],
+// z[V] = f[∅], which has c_∅ = z[∅] = 0.
+LinearExpr WithStepValues(int n, ConeKind kind,
+                          const std::map<VarSet, Rational>& f) {
+  const VarSet full = VarSet::Full(n);
+  LinearExpr e(n);
+  if (kind == ConeKind::kModular) {
+    for (int i = 0; i < n; ++i) {
+      e.Add(VarSet::Singleton(i), f.at(full.Without(i)));
+    }
+    return e;
+  }
+  auto z = [&](VarSet w) {
+    return w == full ? f.at(VarSet()) : f.at(VarSet()) - f.at(w);
+  };
+  ForEachSubset(full, [&](VarSet x) {
+    Rational c;
+    ForEachSubset(x, [&](VarSet y) {
+      c = (x.size() - y.size()) % 2 == 0 ? c + z(y) : c - z(y);
+    });
+    e.Add(x, c);
+  });
+  return e;
+}
+
+TEST(DenseCheckTest, GeneratorCheckAgreesWithLinearExprReference) {
+  std::mt19937_64 rng(2026);
+  for (int n = 1; n <= 8; ++n) {
+    const VarSet full = VarSet::Full(n);
+    for (ConeKind kind : {ConeKind::kNormal, ConeKind::kModular}) {
+      const bool co_singletons = kind == ConeKind::kModular;
+      int accepted = 0;
+      int rejected = 0;
+      for (int round = 0; round < 40; ++round) {
+        const int k = 1 + static_cast<int>(rng() % 4);
+        std::vector<LinearExpr> branches;
+        std::vector<Rational> lambda;
+        for (int l = 0; l < k; ++l) {
+          branches.push_back(RandomExpr(n, 4, rng));
+          lambda.push_back(l > 0 && rng() % 4 == 0 ? Rational(0)
+                                                   : RandomWeight(rng));
+        }
+        // Two rounds in three lift a negative minimum to exactly 0 through
+        // branch 0's h(V), which is 1 at every generator.
+        const Rational low = MinOnGenerators(Combine(branches, lambda), kind);
+        if (round % 3 != 0 && low.sign() < 0) {
+          branches[0].Add(full, -low / lambda[0]);
+        }
+        const bool reference =
+            MinOnGenerators(Combine(branches, lambda), kind).sign() >= 0;
+        EXPECT_EQ(dense::NonnegativeOnSteps(branches, lambda, co_singletons),
+                  reference)
+            << ConeKindToString(kind) << " n=" << n << " round=" << round;
+        ++(reference ? accepted : rejected);
+      }
+      EXPECT_GT(accepted, 0) << ConeKindToString(kind) << " n=" << n;
+      EXPECT_GT(rejected, 0) << ConeKindToString(kind) << " n=" << n;
+    }
+  }
+}
+
+TEST(DenseCheckTest, LambdaNegativeAtOneGeneratorIsRejected) {
+  // For every generator in turn, a combination that is at least 1 at every
+  // other generator and −1/3 there is rejected; 0 there is accepted.
+  std::mt19937_64 rng(11);
+  for (int n = 1; n <= 5; ++n) {
+    for (ConeKind kind : {ConeKind::kNormal, ConeKind::kModular}) {
+      const std::vector<VarSet> generators = Generators(n, kind);
+      for (VarSet bad : generators) {
+        for (const Rational& at_bad : {Rational(-1, 3), Rational(0)}) {
+          std::map<VarSet, Rational> f;
+          for (VarSet w : generators) {
+            f[w] = w == bad ? at_bad
+                            : Rational(static_cast<int64_t>(1 + rng() % 3));
+          }
+          const auto [branches, lambda] =
+              SplitIntoBranches(WithStepValues(n, kind, f), rng);
+          const LinearExpr combined = Combine(branches, lambda);
+          for (VarSet w : generators) {
+            ASSERT_EQ(combined.EvaluateOnStep(w), f[w]);
+          }
+          EXPECT_EQ(dense::NonnegativeOnSteps(branches, lambda,
+                                              kind == ConeKind::kModular),
+                    at_bad.sign() >= 0)
+              << ConeKindToString(kind) << " n=" << n
+              << " W=" << bad.mask();
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseCheckTest, GeneratorCheckBeyond128BitsTakesTheBigIntTier) {
+  // Coefficients near 2^62 under λ with a common denominator p above 2^64:
+  // D·λ_ℓ·c reaches about 2^132, so the __int128 pass overflows and the
+  // BigInt pass decides, in agreement with the reference.
+  const int n = 3;
+  const BigInt big = BigInt::TwoToThe(62) - BigInt(1);
+  const BigInt p = BigInt::TwoToThe(70) + BigInt(1);
+  // big·h(V) − minus·h(X0): with minus = big − 1 it is ≥ 1 at every
+  // generator; with big + 1 it is −1 wherever X0 ⊄ W.
+  auto branch = [n, &big](const BigInt& minus) {
+    LinearExpr e(n);
+    e.Add(VarSet::Full(n), Rational(big));
+    e.Add(VarSet::Of({0}), -Rational(minus));
+    return e;
+  };
+  const std::vector<Rational> lambda = {Rational(BigInt(1), p),
+                                        Rational(p - BigInt(1), p)};
+  const std::vector<Rational> halves = {Rational(1, 2), Rational(1, 2)};
+  for (ConeKind kind : {ConeKind::kNormal, ConeKind::kModular}) {
+    const bool co_singletons = kind == ConeKind::kModular;
+    for (const BigInt& minus : {big - BigInt(1), big + BigInt(1)}) {
+      const std::vector<LinearExpr> branches = {branch(big - BigInt(1)),
+                                                branch(minus)};
+      const bool reference =
+          MinOnGenerators(Combine(branches, lambda), kind).sign() >= 0;
+      EXPECT_EQ(reference, minus < big);
+      EXPECT_FALSE(dense::NonnegativeOnStepsIn<dense::Int128Ops>(
+                       branches, lambda, co_singletons)
+                       .has_value());
+      EXPECT_EQ(dense::NonnegativeOnStepsIn<dense::BigOps>(branches, lambda,
+                                                          co_singletons),
+                reference);
+      EXPECT_EQ(dense::NonnegativeOnSteps(branches, lambda, co_singletons),
+                reference);
+
+      // The same coefficients under λ = (1/2, 1/2) stay in __int128.
+      const bool halves_reference =
+          MinOnGenerators(Combine(branches, halves), kind).sign() >= 0;
+      EXPECT_EQ(dense::NonnegativeOnStepsIn<dense::Int128Ops>(branches, halves,
+                                                             co_singletons),
+                std::optional<bool>(halves_reference));
+    }
   }
 }
 

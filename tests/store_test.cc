@@ -283,6 +283,28 @@ TEST(ProofStorePolicyTest, VerifyOnLoadRejectsADoctoredCertificateRecord) {
   EXPECT_FALSE(store->Contains(key));
 }
 
+TEST(ProofStorePolicyTest, VerifyOnLoadRejectsACertificateWeightChangedByOne) {
+  const std::string path = TempPath("doctored_weight");
+  std::string key;
+  api::DecisionResult solved = Solve(kTriangle, kFork, &key);
+  ASSERT_TRUE(solved.validity.has_value());
+  ASSERT_TRUE(solved.validity->certificate.has_value());
+  ASSERT_FALSE(solved.validity->certificate->combination.empty());
+
+  // One elemental's weight moves by 1: λ and the branches are intact, but
+  // the combination no longer sums to their λ-combination.
+  util::Rational& weight =
+      solved.validity->certificate->combination[0].second;
+  weight = weight + util::Rational(1);
+  auto store = MustOpen(path);
+  ASSERT_TRUE(store->AppendRaw(key, EncodeResult(solved)).ok());
+
+  api::DecisionResult out;
+  EXPECT_FALSE(store->Lookup(key, &out));
+  EXPECT_EQ(store->stats().verify_failures, 1);
+  EXPECT_EQ(store->stats().hits, 0);
+}
+
 TEST(ProofStorePolicyTest, UndecodablePayloadReadsAsAMiss) {
   auto store = MustOpen(TempPath("undecodable"));
   ASSERT_TRUE(store->AppendRaw("some-key", "not a wire encoding").ok());

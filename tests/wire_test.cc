@@ -287,11 +287,8 @@ TEST(WireResultTest, ContainedDecisionRoundTripsWithCertificate) {
   // The decoded certificate still verifies the λ-combination exactly — the
   // lossless-Rational claim, checked semantically.
   ASSERT_TRUE(out.inequality.has_value());
-  entropy::LinearExpr combo(out.inequality->n);
-  for (size_t b = 0; b < out.inequality->branches.size(); ++b) {
-    combo = combo + out.inequality->branches[b] * out.validity->lambda[b];
-  }
-  EXPECT_TRUE(out.validity->certificate->Verify(combo));
+  EXPECT_TRUE(out.validity->certificate->Verify(out.inequality->branches,
+                                                out.validity->lambda));
 }
 
 TEST(WireResultTest, RefutedDecisionRoundTripsWitnessAndCounterexample) {
