@@ -245,28 +245,15 @@ class LadderTableau {
   Solution RunImpl(const std::vector<BasisEntry>* hint) {
     Build();
     Solution out;
-
-    bool installed = false;
-    if (hint != nullptr) {
-      installed = TryInstall(*hint, &out.pivots);
-      if (!installed) {
-        // A failed install may have half-transformed the tableau; rebuild
-        // and forget the wasted work (pivot counts and tier promotions), so
-        // a rejected hint behaves exactly like a cold Solve().
-        Build();
-        out.pivots = 0;
-        word_pivots_ = wide_pivots_ = 0;
-        big_promotions_ = 0;
-      }
-    }
-    out.warm_started = installed;
+    out.warm_started = hint != nullptr && Install(*hint, &out.pivots);
     if (out.pivots > options_.max_pivots) {
       out.status = SolveStatus::kPivotLimit;
       return out;
     }
 
-    const bool need_phase_one =
-        installed ? InstalledBasisNeedsPhaseOne() : num_artificials_ > 0;
+    const bool need_phase_one = out.warm_started
+                                    ? InstalledBasisNeedsPhaseOne()
+                                    : num_artificials_ > 0;
     if (need_phase_one) {
       SetPhaseCosts(/*phase_one=*/true);
       SolveStatus status = Iterate(/*phase_one=*/true, &out.pivots);
@@ -285,7 +272,7 @@ class LadderTableau {
         return out;
       }
       PivotOutBasicArtificials();
-    } else if (installed && num_artificials_ > 0) {
+    } else if (out.warm_started && num_artificials_ > 0) {
       PivotOutBasicArtificials();
     }
 
@@ -849,28 +836,37 @@ class LadderTableau {
     return -1;
   }
 
+  // Whether row i beats row `leave` in the ratio test for column `enter`
+  // (both entries positive): rhs_i / M[i][enter] is smaller, or equal with
+  // the smaller basis column (Bland). The ratios are cross-multiplied; false
+  // when that overflows the tier.
   template <typename Ops>
-  bool SelectLeaveT(int enter, int* leave_out) {
+  bool RatioBeatsT(int enter, int i, int leave, bool* beats) const {
+    using T = typename Ops::T;
+    const T* ri = Ops::ArenaOf(ws_) + static_cast<size_t>(i) * stride_;
+    const T* rl = Ops::ArenaOf(ws_) + static_cast<size_t>(leave) * stride_;
+    int cmp;
+    if (!Ops::CompareProducts(ri[ncols_], rl[enter], rl[ncols_], ri[enter],
+                              &cmp)) {
+      return false;
+    }
+    *beats = cmp < 0 || (cmp == 0 && ws_.basis[i] < ws_.basis[leave]);
+    return true;
+  }
+
+  template <typename Ops>
+  bool SelectLeaveT(int enter, int* leave_out) const {
     using T = typename Ops::T;
     const T* a = Ops::ArenaOf(ws_);
     int leave = -1;
     for (int i = 0; i < m_; ++i) {
-      const T& pe = a[static_cast<size_t>(i) * stride_ + enter];
-      if (Ops::Sign(pe) <= 0) continue;
-      if (leave == -1) {
-        leave = i;
-        continue;
+      if (Ops::Sign(a[static_cast<size_t>(i) * stride_ + enter]) <= 0) continue;
+      if (leave >= 0) {
+        bool beats;
+        if (!RatioBeatsT<Ops>(enter, i, leave, &beats)) return false;
+        if (!beats) continue;
       }
-      // rhs_i / M[i][enter] vs rhs_leave / M[leave][enter], cross-multiplied
-      // (both pivot entries positive); Bland ties by smallest basis column.
-      int cmp;
-      if (!Ops::CompareProducts(
-              a[static_cast<size_t>(i) * stride_ + ncols_],
-              a[static_cast<size_t>(leave) * stride_ + enter],
-              a[static_cast<size_t>(leave) * stride_ + ncols_], pe, &cmp)) {
-        return false;
-      }
-      if (cmp < 0 || (cmp == 0 && ws_.basis[i] < ws_.basis[leave])) leave = i;
+      leave = i;
     }
     *leave_out = leave;
     return true;
@@ -913,54 +909,78 @@ class LadderTableau {
     return -1;
   }
 
-  // Column col is 1 at row r (its entry equals row r's scale) and 0
-  // elsewhere.
+  bool ValuesNonnegative() const {
+    return OnTier([&](auto ops) {
+      using Ops = decltype(ops);
+      const typename Ops::T* a = Ops::ArenaOf(ws_);
+      for (int i = 0; i < m_; ++i) {
+        if (Ops::Sign(a[static_cast<size_t>(i) * stride_ + ncols_]) < 0) {
+          return false;
+        }
+      }
+      return true;
+    });
+  }
+
+  // The row hint column col enters at (see Install), or -1 to skip it, in
+  // one pass over the column and rhs cells: the first unassigned row where
+  // the column is nonzero and the basic value 0, else the ratio-test row
+  // (SelectLeaveT) if that row is unassigned with a positive value. Reads
+  // only, so an overflow restarts it wholesale in the next tier.
   template <typename Ops>
-  bool IsUnitColumnAtT(int col, int r) {
+  bool InstallRowT(int col, const std::vector<char>& assigned, int* row) {
     using T = typename Ops::T;
     const T* a = Ops::ArenaOf(ws_);
-    const T& scale = a[static_cast<size_t>(r) * stride_ + ws_.basis[r]];
+    int leave = -1;
     for (int i = 0; i < m_; ++i) {
-      const T& v = a[static_cast<size_t>(i) * stride_ + col];
-      if (i == r ? !(v == scale) : !Ops::IsZero(v)) return false;
+      const T* ri = a + static_cast<size_t>(i) * stride_;
+      const int sign = Ops::Sign(ri[col]);
+      if (sign == 0) continue;
+      if (!assigned[i] && Ops::IsZero(ri[ncols_])) {
+        *row = i;
+        return true;
+      }
+      if (sign < 0) continue;
+      if (leave >= 0) {
+        bool beats;
+        if (!RatioBeatsT<Ops>(col, i, leave, &beats)) return false;
+        if (!beats) continue;
+      }
+      leave = i;
     }
+    const bool enters =
+        leave >= 0 && !assigned[leave] &&
+        Ops::Sign(a[static_cast<size_t>(leave) * stride_ + ncols_]) > 0;
+    *row = enters ? leave : -1;
     return true;
   }
 
-  bool IsUnitColumnAt(int col, int r) {
-    return OnTier(
-        [&](auto ops) { return IsUnitColumnAtT<decltype(ops)>(col, r); });
-  }
-
-  bool TryInstall(const std::vector<BasisEntry>& hint, int64_t* pivots) {
+  // The reference Tableau::Install rule, which keeps every basic value
+  // nonnegative: each hint column enters at the row InstallRowT picks, if
+  // any, with a degenerate pivot there on a negated row when its entry is
+  // negative. False, before any pivot, iff the hint does not map onto this
+  // program.
+  bool Install(const std::vector<BasisEntry>& hint, int64_t* pivots) {
     if (static_cast<int>(hint.size()) != m_) return false;
-    std::vector<int> cols(m_, -1);
-    for (int c = 0; c < m_; ++c) {
-      cols[c] = ColumnOfEntry(hint[c]);
-      if (cols[c] < 0) return false;
+    for (const BasisEntry& entry : hint) {
+      if (ColumnOfEntry(entry) < 0) return false;
     }
 
-    std::vector<char> row_done(m_, 0);
-    for (int col : cols) {
+    std::vector<char> assigned(m_, 0);
+    for (const BasisEntry& entry : hint) {
+      const int col = ColumnOfEntry(entry);
       int r = -1;
-      for (int i = 0; i < m_; ++i) {
-        if (!row_done[i] && SignAt(i, col) != 0) {
-          r = i;
-          break;
-        }
-      }
-      if (r < 0) return false;  // singular (or duplicated) column set
-      if (ws_.basis[r] != col || !IsUnitColumnAt(col, r)) {
+      RunPromoting([&](auto ops) {
+        return InstallRowT<decltype(ops)>(col, assigned, &r);
+      });
+      if (r < 0) continue;
+      if (ws_.basis[r] != col) {
         if (SignAt(r, col) < 0) NegateRow(r);
         PivotInto(r, col);
         ++*pivots;
+        BAGCQ_DCHECK(ValuesNonnegative());
       }
-      ws_.basis[r] = col;
-      row_done[r] = 1;
-    }
-
-    for (int i = 0; i < m_; ++i) {
-      if (SignAt(i, ncols_) < 0) return false;  // negative basic value
+      assigned[r] = 1;
     }
     return true;
   }

@@ -35,19 +35,10 @@ class Tableau {
     Build();
     Solution out;
 
-    // Warm start: re-factorize the hinted basis in place. A failed install
-    // may have half-transformed the tableau, so the cold path rebuilds — and
-    // forgets the wasted eliminations, so a rejected hint leaves the pivot
-    // count (and the cap) exactly where a cold Solve() would put them.
-    bool installed = false;
-    if (hint != nullptr) {
-      installed = TryInstall(*hint, &out.pivots);
-      if (!installed) {
-        Build();
-        out.pivots = 0;
-      }
-    }
-    out.warm_started = installed;
+    // Warm start: install the hinted basis in place. A hint that maps onto
+    // this program is always used, its install pivots counted toward the
+    // cap; one that does not is ignored before any pivot.
+    out.warm_started = hint != nullptr && Install(*hint, &out.pivots);
     if (out.pivots > options_.max_pivots) {
       out.status = SolveStatus::kPivotLimit;
       return out;
@@ -55,11 +46,11 @@ class Tableau {
 
     // Phase I: minimize the sum of artificial variables. Needed cold
     // whenever artificials exist; a warm start needs it only when the
-    // installed basis still carries an artificial at a nonzero value (an
-    // infeasibility hint — e.g. the Farkas basis of a previous solve).
+    // installed basis still carries an artificial at a nonzero value (a
+    // Farkas basis, or an artificial no hint column replaced).
     const bool has_artificials = art_begin_ < num_columns_;
     const bool need_phase_one =
-        installed ? InstalledBasisNeedsPhaseOne() : has_artificials;
+        out.warm_started ? InstalledBasisNeedsPhaseOne() : has_artificials;
     if (need_phase_one) {
       SetPhaseCosts(/*phase_one=*/true);
       SolveStatus status = Iterate(/*phase_one=*/true, &out.pivots);
@@ -76,7 +67,7 @@ class Tableau {
         return out;
       }
       PivotOutBasicArtificials();
-    } else if (installed && has_artificials) {
+    } else if (out.warm_started && has_artificials) {
       // The hint parked artificials at zero (redundant rows); mirror the
       // cold path so as few as possible stay basic. The cost row is still
       // the all-zero Build() state here, so these pivots touch only rows.
@@ -188,11 +179,31 @@ class Tableau {
     }
   }
 
+  // Leaving row for column `enter`: minimum ratio over positive pivot
+  // entries, Bland ties broken by smallest basis column; -1 if none.
+  int SelectLeave(int enter) const {
+    int leave = -1;
+    for (int i = 0; i < static_cast<int>(rows_.size()); ++i) {
+      if (rows_[i][enter].sign() <= 0) continue;
+      if (leave == -1) {
+        leave = i;
+        continue;
+      }
+      // Compare rhs_[i]/rows_[i][enter] vs rhs_[leave]/rows_[leave][enter]
+      // without division: cross-multiply (both pivots positive).
+      Rational lhs = rhs_[i] * rows_[leave][enter];
+      Rational rhs = rhs_[leave] * rows_[i][enter];
+      if (lhs < rhs || (!(rhs < lhs) && basis_[i] < basis_[leave])) {
+        leave = i;
+      }
+    }
+    return leave;
+  }
+
   // Runs pivots until optimal/unbounded. In phase II artificial columns may
   // not enter the basis (they stay parked at zero, preserving B^-1 columns
   // for dual extraction).
   SolveStatus Iterate(bool phase_one, int64_t* pivots) {
-    const int m = static_cast<int>(rows_.size());
     const int end = phase_one ? num_columns_ : art_begin_;
     while (true) {
       // Entering column: Bland's rule, the first negative reduced cost.
@@ -205,23 +216,7 @@ class Tableau {
       }
       if (enter == -1) return SolveStatus::kOptimal;
 
-      // Leaving row: minimum ratio over positive pivot entries; Bland ties
-      // broken by smallest basis column.
-      int leave = -1;
-      for (int i = 0; i < m; ++i) {
-        if (rows_[i][enter].sign() <= 0) continue;
-        if (leave == -1) {
-          leave = i;
-          continue;
-        }
-        // Compare rhs_[i]/rows_[i][enter] vs rhs_[leave]/rows_[leave][enter]
-        // without division: cross-multiply (both pivots positive).
-        Rational lhs = rhs_[i] * rows_[leave][enter];
-        Rational rhs = rhs_[leave] * rows_[i][enter];
-        if (lhs < rhs || (!(rhs < lhs) && basis_[i] < basis_[leave])) {
-          leave = i;
-        }
-      }
+      const int leave = SelectLeave(enter);
       if (leave == -1) return SolveStatus::kUnbounded;
 
       Pivot(leave, enter);
@@ -233,8 +228,8 @@ class Tableau {
   }
 
   // The row operations of a pivot, without the cost-row upkeep and without
-  // the positivity requirement — basis installation pivots on whatever
-  // nonzero entry it finds and rebuilds the cost row afterwards.
+  // the positivity requirement: a degenerate install pivot may be on a
+  // negative entry, and the cost row is rebuilt after the install.
   void RawPivot(int leave, int enter) {
     std::vector<Rational>& prow = rows_[leave];
     Rational pivot = prow[enter];
@@ -290,52 +285,53 @@ class Tableau {
     return -1;
   }
 
-  bool IsUnitColumnAt(int col, int r) const {
-    for (int i = 0; i < static_cast<int>(rows_.size()); ++i) {
-      const Rational diff = i == r ? rows_[i][col] - Rational(1) : rows_[i][col];
-      if (!diff.is_zero()) return false;
+  bool ValuesNonnegative() const {
+    for (const Rational& v : rhs_) {
+      if (v.sign() < 0) return false;
     }
     return true;
   }
 
-  // Gauss-Jordan the freshly built tableau onto the hinted basis. True iff
-  // the hint applies: every entry maps to an existing column, the column set
-  // is nonsingular (duplicates die naturally — once a column is a unit
-  // vector, no unassigned row has a nonzero entry in its twin), and the
-  // resulting basic values are all nonnegative. On false the tableau may be
-  // half-transformed and the caller must rebuild.
-  bool TryInstall(const std::vector<BasisEntry>& hint, int64_t* pivots) {
+  // Installs the hint on the freshly built tableau, whose basic values are
+  // all nonnegative, and keeps them so. False, before any pivot, iff the
+  // hint does not map onto this program (wrong row count, or a column it
+  // lacks). Each hint column, in hint order, enters at the first unassigned
+  // row where it is nonzero and the basic value is 0 (a degenerate pivot,
+  // which moves no value); else at the ratio-test row, if that row is
+  // unassigned and its value positive; else it is skipped. A row no hint
+  // column enters keeps its basic identity column: every install pivot is
+  // on another row, where that column is 0, so it stays a unit column. A
+  // column already basic at the row it would enter (a unit column there)
+  // takes no pivot; a column basic at an assigned row, such as a
+  // duplicate's twin, is zero on every unassigned row and is skipped.
+  bool Install(const std::vector<BasisEntry>& hint, int64_t* pivots) {
     const int m = static_cast<int>(rows_.size());
     if (static_cast<int>(hint.size()) != m) return false;
-    std::vector<int> cols(m, -1);
-    for (int c = 0; c < m; ++c) {
-      cols[c] = ColumnOfEntry(hint[c]);
-      if (cols[c] < 0) return false;
+    for (const BasisEntry& entry : hint) {
+      if (ColumnOfEntry(entry) < 0) return false;
     }
 
-    std::vector<char> row_done(m, 0);
-    for (int col : cols) {
+    std::vector<char> assigned(m, 0);
+    for (const BasisEntry& entry : hint) {
+      const int col = ColumnOfEntry(entry);
       int r = -1;
       for (int i = 0; i < m; ++i) {
-        if (!row_done[i] && !rows_[i][col].is_zero()) {
+        if (!assigned[i] && rhs_[i].is_zero() && !rows_[i][col].is_zero()) {
           r = i;
           break;
         }
       }
-      if (r < 0) return false;  // singular (or duplicated) column set
-      if (basis_[r] != col || !IsUnitColumnAt(col, r)) {
+      if (r < 0) {
+        const int leave = SelectLeave(col);
+        if (leave < 0 || assigned[leave] || rhs_[leave].sign() <= 0) continue;
+        r = leave;
+      }
+      if (basis_[r] != col) {
         RawPivot(r, col);
         ++*pivots;
+        BAGCQ_DCHECK(ValuesNonnegative());
       }
-      basis_[r] = col;
-      row_done[r] = 1;
-    }
-
-    // The installed basis must be primal feasible — for phase II directly,
-    // or for a phase-I resume when artificials stayed basic. Negative basic
-    // values would need the dual simplex this solver does not have.
-    for (int i = 0; i < m; ++i) {
-      if (rhs_[i].sign() < 0) return false;
+      assigned[r] = 1;
     }
     return true;
   }

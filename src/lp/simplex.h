@@ -65,11 +65,11 @@ struct Solution {
   /// empty on kUnbounded/kPivotLimit.
   std::vector<BasisEntry> basis;
   /// Total pivot count across both phases (for a warm start, including the
-  /// basis-installation eliminations).
+  /// basis-installation pivots).
   int64_t pivots = 0;
-  /// True when the solve resumed from a caller-supplied starting basis
-  /// (SolveFrom) instead of running phase I from scratch. False on a cold
-  /// solve or when the hint was rejected (singular / stale / infeasible).
+  /// True when a SolveFrom hint mapped onto the program (one entry per row,
+  /// each naming a column the program has), so the solve started from its
+  /// install. False on a cold solve and for a hint that does not map.
   bool warm_started = false;
   /// Escalation-ladder accounting (LadderSimplex only; zero elsewhere):
   /// pivots completed entirely in the overflow-checked int64 tier, pivots
@@ -87,7 +87,7 @@ struct SolverOptions {
   /// Cap on pivots, a bound on work rather than a guard against cycling
   /// (Bland's rule does not cycle). The solve fails soft with
   /// SolveStatus::kPivotLimit when the cap is hit.
-  /// Warm-start installation eliminations count toward the cap.
+  /// Warm-start installation pivots count toward the cap.
   int64_t max_pivots = 1'000'000;
   /// Consumed by lp::Solver (not by the simplexes themselves): gates the
   /// keyed warm-start slots behind Solver::SolveKeyed. Off, every keyed
@@ -104,20 +104,23 @@ class SimplexSolver {
   /// Bland's rule and exact arithmetic at the default cap).
   Solution Solve(const LpProblem& problem) const;
 
-  /// Warm start: re-factorizes `basis` (one entry per constraint row —
-  /// typically the terminal basis of a previous Solve of an equal-shaped
-  /// program, possibly with different rhs/objective data) by exact
-  /// Gauss-Jordan elimination and resumes pivoting from it. A hint whose
-  /// basis still carries artificials at nonzero values (a Farkas basis)
-  /// resumes *phase I* from that basis; a feasible hint skips phase I
-  /// entirely. Hints that do not apply — wrong row count, columns this
-  /// program lacks, a singular column set, or negative basic values — are
-  /// rejected and the solve falls back to the cold two-phase path;
-  /// Solution::warm_started reports which happened. On an accepted hint the
-  /// installation eliminations count toward `pivots` and the pivot cap, so
-  /// warm-vs-cold pivot counts stay comparable; a rejected hint's wasted
-  /// eliminations are forgotten, so the fallback behaves exactly like
-  /// Solve() (same result, same cap semantics).
+  /// Warm start: installs `basis` (one entry per constraint row, typically
+  /// the terminal basis of a previous Solve of an equal-shaped program,
+  /// possibly with different rhs/objective data) and resumes pivoting from
+  /// it. The install never lets a basic value go negative. Each hint
+  /// column, in hint order, enters at the first unassigned row where it is
+  /// nonzero and the basic value is 0 (a degenerate pivot); else at the
+  /// ratio-test row (Bland ties), if that row is unassigned and its value
+  /// positive; else it is skipped, and the row keeps the column already
+  /// basic there. So a singular column set or one whose Gauss-Jordan
+  /// solution is negative is installed in part. If the installed basis
+  /// still carries an artificial at a nonzero value (a Farkas basis, or an
+  /// artificial no hint column replaced), *phase I* resumes from it;
+  /// otherwise phase I is skipped. A hint that does not map onto the
+  /// program (wrong row count, or a column the program lacks) is ignored
+  /// before any pivot and the solve runs cold; Solution::warm_started
+  /// reports which happened. Install pivots count toward `pivots` and the
+  /// pivot cap.
   Solution SolveFrom(const LpProblem& problem,
                      const std::vector<BasisEntry>& basis) const;
 

@@ -31,8 +31,8 @@ struct SolverStats {
   int64_t exact_pivots = 0;
   /// Solves handed a starting-basis hint via SolveFrom/SolveKeyed.
   int64_t warm_attempts = 0;
-  /// Hinted solves where the simplex actually resumed from the hint instead
-  /// of rejecting it (singular / stale / infeasible basis) and going cold.
+  /// Hinted solves whose hint mapped onto the program and was installed
+  /// (Solution::warm_started), wholly or in part.
   int64_t warm_accepts = 0;
   /// Pivots avoided by keyed warm starts, measured against the recorded
   /// cold-solve pivot count of the same shape slot (SolveKeyed only).
@@ -57,21 +57,22 @@ class Solver {
   /// cycle) CHECK-fails rather than returning an uncertified kPivotLimit.
   Solution Solve(const LpProblem& problem);
 
-  /// Warm-started solve: resumes from `hint` (see SimplexSolver::SolveFrom)
-  /// when it applies, falling back to the cold path — never to a wrong
-  /// answer — when it does not. Exactness and certification guarantees are
-  /// identical to Solve.
+  /// Warm-started solve: resumes from the install of `hint` (see
+  /// SimplexSolver::SolveFrom), or runs cold when the hint does not map onto
+  /// the program. Exactness and certification guarantees are identical to
+  /// Solve.
   Solution SolveFrom(const LpProblem& problem,
                      const std::vector<BasisEntry>& hint);
 
   /// Keyed warm start: remembers the terminal basis of the last solve per
   /// caller-chosen shape key and hands it to the next solve under the same
   /// key as the starting basis. Callers pick keys so that equal keys imply
-  /// equal program *shape* (row/column counts); the program data may differ —
-  /// a stale basis that no longer applies is rejected inside SolveFrom and
-  /// the solve simply runs cold. This is how the decision pipeline chains
-  /// the branch LPs of one decision (and of a whole batch) incrementally.
-  /// With SolverOptions::warm_starts false this is exactly Solve().
+  /// equal program *shape* (row/column counts); the program data may differ.
+  /// Where the new data make a stale basis singular or infeasible,
+  /// SolveFrom installs it in part, and phase I and II go on from there.
+  /// This is how the decision pipeline chains the branch LPs of one
+  /// decision (and of a whole batch) incrementally. With
+  /// SolverOptions::warm_starts false this is exactly Solve().
   Solution SolveKeyed(const LpProblem& problem, std::string_view shape_key);
 
   /// The same three calls on integer input (lp_problem.h): the ladder fills

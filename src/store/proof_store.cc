@@ -33,6 +33,17 @@ uint32_t LoadU32(const char* p) {
          static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
 }
 
+// λ ≥ 0 and Σλ = 1: what makes a proof of Σ_ℓ λ_ℓ·E_ℓ ≥ 0 a proof of
+// max_ℓ E_ℓ ≥ 0 (MaxIIOracle::Check asserts it of every valid reply).
+bool IsConvex(const std::vector<util::Rational>& lambda) {
+  util::Rational total;
+  for (const util::Rational& l : lambda) {
+    if (l.sign() < 0) return false;
+    total += l;
+  }
+  return total == util::Rational(1);
+}
+
 void PutU32(std::string* out, uint32_t v) {
   out->push_back(static_cast<char>(v & 0xFF));
   out->push_back(static_cast<char>((v >> 8) & 0xFF));
@@ -223,14 +234,16 @@ bool ProofStore::Lookup(const std::string& key, api::DecisionResult* out) {
   if (decoded.ok() && d.exhausted()) {
     api::DecisionResult result = std::move(decoded).ValueOrDie();
     ok = true;
-    if (result.validity.has_value() &&
-        result.validity->certificate.has_value()) {
-      // Verify-on-load: the certificate must prove the λ-combination of the
-      // stored containment branches. A record that fails is a miss — the
-      // engine re-solves and re-proves from scratch.
-      ok = result.inequality.has_value() &&
-           result.validity->certificate->Verify(result.inequality->branches,
-                                                result.validity->lambda);
+    if (result.validity.has_value()) {
+      // Verify-on-load: λ must be convex, and a certificate must prove the
+      // λ-combination of the stored containment branches. A record that
+      // fails is a miss — the engine re-solves and re-proves from scratch.
+      const entropy::MaxIIResult& validity = *result.validity;
+      ok = IsConvex(validity.lambda) &&
+           (!validity.certificate.has_value() ||
+            (result.inequality.has_value() &&
+             validity.certificate->Verify(result.inequality->branches,
+                                          validity.lambda)));
     }
     if (ok) *out = std::move(result);
   }

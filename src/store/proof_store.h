@@ -28,11 +28,11 @@
 // to crashes or wrong answers.
 //
 // Load policy (normative, see docs/proof-store.md §4): a looked-up result
-// that carries a Shannon certificate is re-verified on load — the
-// certificate must prove the λ-combination of its containment branches
-// (ShannonCertificate::Verify) before the result is served
-// (verify-on-load).
-// A verdict-only record (no certificate to check) is served on the strength
+// that carries a validity is re-verified on load — its λ must be convex
+// (λ ≥ 0, Σλ = 1), and a Shannon certificate must prove the λ-combination
+// of its containment branches (ShannonCertificate::Verify) before the
+// result is served (verify-on-load).
+// A verdict-only record (no validity to check) is served on the strength
 // of its checksum alone (trust-but-checksum). Either failure reads as a
 // miss.
 //

@@ -527,6 +527,21 @@ TEST(EngineWarmStartTest, WarmAndColdEnginesAgreeOnTheDecisionSuite) {
       {"R(x,y), R(y,x)", "R(a,b)"},
       {"R(x,y), R(y,z), R(z,x)", "R(a,b), R(b,c), R(c,a)"},
   };
+  // λ may differ between the two (a warm reply depends on what the engine
+  // decided before), but each side's must be convex and proved by its own
+  // Shannon certificate.
+  auto expect_certified = [](const DecisionResult& d) {
+    ASSERT_TRUE(d.inequality.has_value());
+    ASSERT_TRUE(d.validity->certificate.has_value());
+    Rational total;
+    for (const Rational& l : d.validity->lambda) {
+      EXPECT_GE(l.sign(), 0);
+      total += l;
+    }
+    EXPECT_EQ(total, Rational(1));
+    EXPECT_TRUE(d.validity->certificate->Verify(d.inequality->branches,
+                                                d.validity->lambda));
+  };
   Engine warm;
   Engine cold{EngineOptions().set_warm_starts(false)};
   for (int round = 0; round < 2; ++round) {  // round 2 hits warm slots
@@ -536,7 +551,8 @@ TEST(EngineWarmStartTest, WarmAndColdEnginesAgreeOnTheDecisionSuite) {
       EXPECT_EQ(w.verdict, c.verdict) << row[0] << " vs " << row[1];
       ASSERT_EQ(w.validity.has_value(), c.validity.has_value());
       if (w.validity.has_value()) {
-        EXPECT_EQ(w.validity->lambda, c.validity->lambda);
+        expect_certified(w);
+        expect_certified(c);
       }
     }
   }

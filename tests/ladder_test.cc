@@ -9,6 +9,7 @@
 // LpProblem, on the decision procedure's own LPs included.
 #include "lp/ladder_simplex.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <numeric>
@@ -162,6 +163,124 @@ TEST_P(LadderDifferentialTest, WarmStartMatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LadderDifferentialTest,
+                         ::testing::Range(kFirstSeed, kLastSeed + 1));
+
+// ------------------------------------------------------------ warm install
+
+// x + w ≤ 4,  y + w ≤ 4,  x + y + 2w ≤ 10: w's column is the sum of x's and
+// y's, so the basis {x, y, w} is singular.
+LpProblem DependentColumnLp(std::vector<Rational> objective) {
+  LpProblem lp;
+  lp.AddVariable("x");
+  lp.AddVariable("y");
+  lp.AddVariable("w");
+  lp.AddConstraint({R(1), R(0), R(1)}, Sense::kLessEqual, R(4));
+  lp.AddConstraint({R(0), R(1), R(1)}, Sense::kLessEqual, R(4));
+  lp.AddConstraint({R(1), R(1), R(2)}, Sense::kLessEqual, R(10));
+  lp.SetObjective(std::move(objective));
+  return lp;
+}
+
+// x and y enter at their ratio-test rows 0 and 1. w is then zero on the one
+// unassigned row, row 2, and its ratio-test row is assigned, so it is
+// skipped and row 2 keeps its slack. With a zero objective the solution is
+// that installed basis.
+TEST(LadderWarmInstallTest, DependentHintColumnIsSkippedOnBothSimplexes) {
+  const std::vector<BasisEntry> hint{{BasisKind::kStructural, 0},
+                                     {BasisKind::kStructural, 1},
+                                     {BasisKind::kStructural, 2}};
+  const LpProblem lp = DependentColumnLp({R(0), R(0), R(0)});
+  const auto fast = LadderSimplex().SolveFrom(lp, hint);
+  const auto slow = ReferenceSolver().SolveFrom(lp, hint);
+  ExpectParity(lp, fast, slow, /*same_pivots=*/true);
+  EXPECT_TRUE(fast.warm_started);
+  EXPECT_TRUE(slow.warm_started);
+  EXPECT_EQ(fast.pivots, 2);
+  EXPECT_EQ(fast.values, (std::vector<Rational>{R(4), R(4), R(0)}));
+  ASSERT_EQ(fast.basis.size(), 3u);
+  EXPECT_EQ(fast.basis[2].kind, BasisKind::kSlack);
+  EXPECT_EQ(fast.basis[2].index, 2);
+
+  const LpProblem costed = DependentColumnLp({R(-1), R(-1), R(-3)});
+  const auto warm = LadderSimplex().SolveFrom(costed, hint);
+  ExpectParity(costed, warm, ReferenceSolver().SolveFrom(costed, hint),
+               /*same_pivots=*/true);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.objective, ReferenceSolver().Solve(costed).objective);
+}
+
+// A random hint for `lp`: usually one entry per row, each one of the
+// program's own columns (a variable, the slack of an inequality row, the
+// artificial of a row the layout gives one) or a repeat of an earlier
+// entry; now and then a row too many or too few, or an entry from another
+// shape (a variable or row the program lacks, the slack of an equality
+// row), which the program cannot map.
+std::vector<BasisEntry> RandomHint(const LpProblem& lp, std::mt19937_64& rng) {
+  const int n = lp.num_variables();
+  const int m = lp.num_constraints();
+  std::vector<BasisEntry> own;
+  for (int j = 0; j < n; ++j) own.push_back({BasisKind::kStructural, j});
+  for (int i = 0; i < m; ++i) {
+    const Constraint& row = lp.constraints()[i];
+    if (row.sense != Sense::kEqual) own.push_back({BasisKind::kSlack, i});
+    // A row gets an artificial unless its slack is +1 once rhs ≥ 0.
+    const bool slack_is_unit = row.sense == Sense::kLessEqual
+                                   ? row.rhs.sign() >= 0
+                                   : row.sense == Sense::kGreaterEqual &&
+                                         row.rhs.sign() < 0;
+    if (!slack_is_unit) own.push_back({BasisKind::kArtificial, i});
+  }
+  std::uniform_int_distribution<int> pct(0, 99);
+  const int size = std::max(0, m + (pct(rng) < 10 ? (pct(rng) < 50 ? -1 : 1)
+                                                  : 0));
+  std::vector<BasisEntry> hint;
+  for (int c = 0; c < size; ++c) {
+    const int roll = pct(rng);
+    if (roll < 3) {
+      hint.push_back({BasisKind::kStructural, n});
+    } else if (roll < 6) {
+      hint.push_back({BasisKind::kSlack, pct(rng) % (m + 1)});
+    } else if (roll < 25 && !hint.empty()) {
+      hint.push_back(hint[pct(rng) % hint.size()]);
+    } else {
+      hint.push_back(own[pct(rng) % own.size()]);
+    }
+  }
+  return hint;
+}
+
+class LadderWarmInstallSweepTest : public ::testing::TestWithParam<int> {};
+
+// Random programs × random hints, and the terminal basis of another
+// program: whatever the hint, SolveFrom reaches Solve's status and
+// objective with a certificate that verifies, and the ladder matches the
+// reference pivot for pivot.
+TEST_P(LadderWarmInstallSweepTest, RandomHintsMatchColdAndReference) {
+  int warm_solves = 0;
+  for (bool rational_coeffs : {false, true}) {
+    const LpProblem lp = RandomLp(GetParam(), rational_coeffs);
+    const Solution cold = ReferenceSolver().Solve(lp);
+    std::mt19937_64 rng(GetParam() * 7919 + rational_coeffs);
+    std::vector<std::vector<BasisEntry>> hints;
+    for (int h = 0; h < 8; ++h) hints.push_back(RandomHint(lp, rng));
+    hints.push_back(
+        ReferenceSolver().Solve(RandomLp(GetParam() + 1000, false)).basis);
+    for (const std::vector<BasisEntry>& hint : hints) {
+      const Solution fast = LadderSimplex().SolveFrom(lp, hint);
+      const Solution slow = ReferenceSolver().SolveFrom(lp, hint);
+      EXPECT_EQ(fast.warm_started, slow.warm_started) << lp.ToString();
+      ExpectParity(lp, fast, slow, /*same_pivots=*/true);
+      EXPECT_EQ(slow.status, cold.status) << lp.ToString();
+      if (cold.status == SolveStatus::kOptimal) {
+        EXPECT_EQ(slow.objective, cold.objective) << lp.ToString();
+      }
+      warm_solves += slow.warm_started;
+    }
+  }
+  EXPECT_GT(warm_solves, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LadderWarmInstallSweepTest,
                          ::testing::Range(kFirstSeed, kLastSeed + 1));
 
 // ------------------------------------------------------------ escalation

@@ -42,11 +42,12 @@ class Fnv1a {
   uint64_t hash_ = 1469598103934665603ULL;
 };
 
-// 200 pairs of the corpus decided in order by one default Engine (so warm
-// starts chain across the corpus, as in a session).
-std::string DecisionDigest(const cq::WorkloadOptions& options) {
+// 200 pairs of the corpus decided in order by one Engine: by default warm
+// starts chain across the corpus, as in a session.
+std::string DecisionDigest(const cq::WorkloadOptions& options,
+                           api::EngineOptions engine_options = {}) {
   cq::WorkloadGenerator generator(options);
-  api::Engine engine;
+  api::Engine engine(engine_options);
   Fnv1a fnv;
   for (const cq::GeneratedPair& g : generator.Generate(200)) {
     auto result = engine.Decide(g.pair.q1, g.pair.q2);
@@ -74,17 +75,25 @@ cq::WorkloadOptions Corpus(cq::ShapeRegime regime, int min_vars, int max_vars,
 
 TEST(OutputDigestTest, AcyclicMixedCorpus) {
   EXPECT_EQ(DecisionDigest(Corpus(cq::ShapeRegime::kAcyclic, 2, 5, 0.5)),
-            "057ca3b328af5eec");
+            "03dc17fd5d69fb13");
 }
 
 TEST(OutputDigestTest, AcyclicContainedCorpus) {
   EXPECT_EQ(DecisionDigest(Corpus(cq::ShapeRegime::kAcyclic, 2, 6, 1.0)),
-            "40ab1edb3056851a");
+            "650031cd817da000");
 }
 
 TEST(OutputDigestTest, CyclicMixedCorpus) {
   EXPECT_EQ(DecisionDigest(Corpus(cq::ShapeRegime::kCyclic, 3, 5, 0.5)),
-            "f1c841ab8d90a26c");
+            "7567399693aeebf6");
+}
+
+// A cold engine's replies depend only on their requests, so no change to
+// the warm path may move this digest.
+TEST(OutputDigestTest, ColdEngineContainedCorpus) {
+  EXPECT_EQ(DecisionDigest(Corpus(cq::ShapeRegime::kAcyclic, 2, 6, 1.0),
+                           api::EngineOptions().set_warm_starts(false)),
+            "20c3b4038140fd76");
 }
 
 void AddProof(util::Result<api::ProofResult> result, Fnv1a* fnv) {
@@ -109,7 +118,7 @@ TEST(OutputDigestTest, ProofResults) {
     AddProof(engine.ProveInequality(text), &fnv);
   }
   AddProof(engine.ProveInequality(entropy::ZhangYeungExpr()), &fnv);
-  EXPECT_EQ(fnv.Hex(), "d94fe421ffbac6a2");
+  EXPECT_EQ(fnv.Hex(), "8439db05c968bc9a");
 }
 
 // Max-inequalities over all three cones, with integer and with rational
@@ -136,7 +145,7 @@ TEST(OutputDigestTest, MaxInequalityResults) {
       AddProof(engine.CheckMaxInequality(branches, cone), &fnv);
     }
   }
-  EXPECT_EQ(fnv.Hex(), "4c53a931a65c745f");
+  EXPECT_EQ(fnv.Hex(), "fb276b8a16fba122");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "lp/ladder_simplex.h"
 #include "lp/lp_problem.h"
 #include "lp/solver.h"
 #include "util/rational.h"
@@ -295,20 +296,22 @@ TEST(SimplexWarmStartTest, ResumesFromOwnTerminalBasis) {
   EXPECT_LE(warm.pivots, cold.pivots);
 }
 
-TEST(SimplexWarmStartTest, SingularHintFallsBackToColdPath) {
+TEST(SimplexWarmStartTest, SingularHintInstallsItsIndependentColumn) {
   LpProblem lp = EqualityPair();
   SimplexSolver solver;
   auto cold = solver.Solve(lp);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
 
   // Both slots name variable x: a duplicated (hence singular) column set.
-  std::vector<BasisEntry> bogus{{BasisKind::kStructural, 0},
-                                {BasisKind::kStructural, 0}};
-  auto fallback = solver.SolveFrom(lp, bogus);
-  ASSERT_EQ(fallback.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(fallback.warm_started);
-  EXPECT_EQ(fallback.objective, cold.objective);
-  EXPECT_TRUE(VerifyDuals(lp, fallback));
+  // The first x enters; its twin is zero on the one unassigned row, so it
+  // is skipped and that row keeps its artificial for phase I to drive out.
+  std::vector<BasisEntry> duplicated{{BasisKind::kStructural, 0},
+                                     {BasisKind::kStructural, 0}};
+  auto warm = solver.SolveFrom(lp, duplicated);
+  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.objective, cold.objective);
+  EXPECT_TRUE(VerifyDuals(lp, warm));
 }
 
 TEST(SimplexWarmStartTest, HintNamingMissingColumnsIsRejected) {
@@ -400,22 +403,88 @@ TEST(SimplexWarmStartTest, PivotLimitCountsInstallationPivots) {
   EXPECT_TRUE(limited.basis.empty());  // no certificate on a soft failure
 }
 
-TEST(SimplexWarmStartTest, RejectedHintDoesNotEatThePivotBudget) {
+TEST(SimplexWarmStartTest, PartlyAppliedHintPivotsCountTowardTheCap) {
   LpProblem lp = EqualityPair();
-  auto cold = SimplexSolver().Solve(lp);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  // The duplicated hint burns an elimination before rejection; under a cap
-  // the cold solve needs exactly, the fallback must still complete — wasted
-  // install work may not count against the budget (or SolveFrom could fail
-  // programs that Solve finishes).
-  std::vector<BasisEntry> bogus{{BasisKind::kStructural, 0},
-                                {BasisKind::kStructural, 0}};
+  // The duplicated hint installs x with one pivot and skips its twin; like
+  // any used hint's, that install pivot counts toward max_pivots.
+  std::vector<BasisEntry> duplicated{{BasisKind::kStructural, 0},
+                                     {BasisKind::kStructural, 0}};
+  auto warm = SimplexSolver().SolveFrom(lp, duplicated);
+  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+  ASSERT_TRUE(warm.warm_started);
+  ASSERT_GT(warm.pivots, 0);
+
   SolverOptions at_cap;
-  at_cap.max_pivots = cold.pivots;
-  auto sol = SimplexSolver(at_cap).SolveFrom(lp, bogus);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(sol.warm_started);
-  EXPECT_EQ(sol.pivots, cold.pivots);
+  at_cap.max_pivots = warm.pivots;
+  auto full = SimplexSolver(at_cap).SolveFrom(lp, duplicated);
+  EXPECT_EQ(full.status, SolveStatus::kOptimal);
+  EXPECT_EQ(full.pivots, warm.pivots);
+  SolverOptions no_pivots;
+  no_pivots.max_pivots = 0;
+  auto limited = SimplexSolver(no_pivots).SolveFrom(lp, duplicated);
+  EXPECT_EQ(limited.status, SolveStatus::kPivotLimit);
+  EXPECT_TRUE(limited.warm_started);
+  EXPECT_EQ(limited.pivots, 1);  // the install pivot alone passes a cap of 0
+  auto ladder = LadderSimplex(no_pivots).SolveFrom(lp, duplicated);
+  EXPECT_EQ(ladder.status, SolveStatus::kPivotLimit);
+  EXPECT_EQ(ladder.pivots, 1);
+}
+
+namespace {
+// x + y + z ≤ 2,  2x + y ≤ 1,  y + 3z ≤ 3, with objective `objective`.
+// Gauss–Jordan onto the basis {x, y, z} gives x = −1, y = 3, z = 0, and
+// leaves s1 = −3 basic after its first pivot.
+LpProblem NegativeUnderGaussJordan(std::vector<Rational> objective) {
+  LpProblem lp;
+  lp.AddVariable("x");
+  lp.AddVariable("y");
+  lp.AddVariable("z");
+  lp.AddConstraint({R(1), R(1), R(1)}, Sense::kLessEqual, R(2));
+  lp.AddConstraint({R(2), R(1), R(0)}, Sense::kLessEqual, R(1));
+  lp.AddConstraint({R(0), R(1), R(3)}, Sense::kLessEqual, R(3));
+  lp.SetObjective(std::move(objective));
+  return lp;
+}
+
+const std::vector<BasisEntry> kStructuralBasis{{BasisKind::kStructural, 0},
+                                               {BasisKind::kStructural, 1},
+                                               {BasisKind::kStructural, 2}};
+}  // namespace
+
+TEST(SimplexWarmStartTest, HintThatGaussJordanMakesNegativeInstallsFeasibly) {
+  // With a zero objective phase II makes no pivot, so the solution is the
+  // installed basis itself. x enters at its ratio-test row 1 (x = 1/2); y's
+  // ratio-test row is row 1 again, already assigned, so y is skipped; z
+  // enters at row 2 (z = 1), and row 0 keeps its slack (s0 = 1/2).
+  const LpProblem lp = NegativeUnderGaussJordan({R(0), R(0), R(0)});
+  auto warm = SimplexSolver().SolveFrom(lp, kStructuralBasis);
+  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.pivots, 2);
+  EXPECT_EQ(warm.values, (std::vector<Rational>{R(1, 2), R(0), R(1)}));
+  ASSERT_EQ(warm.basis.size(), 3u);
+  EXPECT_EQ(warm.basis[0].kind, BasisKind::kSlack);
+  EXPECT_EQ(warm.basis[0].index, 0);
+  EXPECT_EQ(warm.basis[1].kind, BasisKind::kStructural);
+  EXPECT_EQ(warm.basis[1].index, 0);
+  EXPECT_EQ(warm.basis[2].kind, BasisKind::kStructural);
+  EXPECT_EQ(warm.basis[2].index, 2);
+  EXPECT_TRUE(VerifyDuals(lp, warm));
+  auto ladder = LadderSimplex().SolveFrom(lp, kStructuralBasis);
+  EXPECT_TRUE(ladder.warm_started);
+  EXPECT_EQ(ladder.pivots, warm.pivots);
+  EXPECT_EQ(ladder.values, warm.values);
+
+  // With a real objective, phase II goes on from there to cold's optimum.
+  const LpProblem costed = NegativeUnderGaussJordan({R(-1), R(-1), R(-1)});
+  auto cold = SimplexSolver().Solve(costed);
+  auto resumed = SimplexSolver().SolveFrom(costed, kStructuralBasis);
+  ASSERT_EQ(resumed.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(resumed.warm_started);
+  EXPECT_EQ(resumed.objective, cold.objective);
+  EXPECT_TRUE(VerifyDuals(costed, resumed));
+  EXPECT_EQ(LadderSimplex().SolveFrom(costed, kStructuralBasis).pivots,
+            resumed.pivots);
 }
 
 }  // namespace

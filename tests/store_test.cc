@@ -305,6 +305,62 @@ TEST(ProofStorePolicyTest, VerifyOnLoadRejectsACertificateWeightChangedByOne) {
   EXPECT_EQ(store->stats().hits, 0);
 }
 
+// A record whose certificate still proves its λ-combination, but whose λ
+// is not convex, must not be served: `doctor` edits a solved record and
+// the test checks that the certificate still verifies before storing it.
+void ExpectNonConvexLambdaIsAMiss(
+    const std::string& name, void (*doctor)(api::DecisionResult* result)) {
+  std::string key;
+  api::DecisionResult solved = Solve(kTriangle, kFork, &key);
+  ASSERT_TRUE(solved.inequality.has_value());
+  ASSERT_TRUE(solved.validity.has_value());
+  ASSERT_TRUE(solved.validity->certificate.has_value());
+  doctor(&solved);
+  ASSERT_TRUE(solved.validity->certificate->Verify(
+      solved.inequality->branches, solved.validity->lambda));
+
+  auto store = MustOpen(TempPath(name));
+  ASSERT_TRUE(store->AppendRaw(key, EncodeResult(solved)).ok());
+  api::DecisionResult out;
+  EXPECT_FALSE(store->Lookup(key, &out));
+  EXPECT_EQ(store->stats().verify_failures, 1);
+  EXPECT_EQ(store->stats().hits, 0);
+}
+
+TEST(ProofStorePolicyTest,
+     VerifyOnLoadRejectsAZeroLambdaWithAnEmptyCertificate) {
+  // λ = 0 and an empty combination: both sides of the check are 0.
+  ExpectNonConvexLambdaIsAMiss("zero_lambda", [](api::DecisionResult* r) {
+    for (util::Rational& l : r->validity->lambda) l = util::Rational();
+    r->validity->certificate->combination.clear();
+  });
+}
+
+TEST(ProofStorePolicyTest, VerifyOnLoadRejectsANegativeLambdaEntry) {
+  // Branch 0 appended again with weight -1, and its first copy's weight
+  // raised by 1: the same λ-combination, and Σλ is still 1.
+  ExpectNonConvexLambdaIsAMiss("negative_lambda", [](api::DecisionResult* r) {
+    core::ContainmentInequality& inequality = *r->inequality;
+    inequality.homs.push_back(inequality.homs[0]);
+    inequality.branch_conditionals.push_back(
+        inequality.branch_conditionals[0]);
+    inequality.branches.push_back(inequality.branches[0]);
+    std::vector<util::Rational>& lambda = r->validity->lambda;
+    lambda[0] = lambda[0] + util::Rational(1);
+    lambda.push_back(util::Rational(-1));
+  });
+}
+
+TEST(ProofStorePolicyTest, VerifyOnLoadRejectsALambdaThatDoesNotSumToOne) {
+  // λ and every certificate weight doubled: Σλ = 2.
+  ExpectNonConvexLambdaIsAMiss("doubled_lambda", [](api::DecisionResult* r) {
+    for (util::Rational& l : r->validity->lambda) l = l * util::Rational(2);
+    for (auto& term : r->validity->certificate->combination) {
+      term.second = term.second * util::Rational(2);
+    }
+  });
+}
+
 TEST(ProofStorePolicyTest, UndecodablePayloadReadsAsAMiss) {
   auto store = MustOpen(TempPath("undecodable"));
   ASSERT_TRUE(store->AppendRaw("some-key", "not a wire encoding").ok());
