@@ -7,6 +7,7 @@
 #include <random>
 
 #include "lp/ladder_simplex.h"
+#include "lp/simplex.h"
 #include "lp/solver.h"
 #include "util/bigint.h"
 

@@ -37,7 +37,6 @@ struct SessionSnapshot {
     out->lp_warm_pivots_saved =
         now.warm_pivots_saved - solver_stats.warm_pivots_saved;
     out->lp_word_pivots = now.word_pivots - solver_stats.word_pivots;
-    out->lp_wide_pivots = now.wide_pivots - solver_stats.wide_pivots;
     out->lp_bigint_promotions =
         now.bigint_promotions - solver_stats.bigint_promotions;
   }
@@ -364,7 +363,6 @@ EngineStats Engine::stats() const {
   out.lp_warm_accepts = ss.warm_accepts;
   out.lp_warm_pivots_saved = ss.warm_pivots_saved;
   out.lp_word_pivots = ss.word_pivots;
-  out.lp_wide_pivots = ss.wide_pivots;
   out.lp_bigint_promotions = ss.bigint_promotions;
   return out;
 }

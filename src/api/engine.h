@@ -83,10 +83,10 @@ struct EngineStats {
   int64_t store_misses = 0;    // store consulted, key absent (or unverifiable)
   int64_t store_appends = 0;   // fresh results persisted to the store
   int64_t store_rejects = 0;   // fresh results the store's admission refused
-  // Ladder pivots done in the int64 / 128-bit tier. Unlike lp_pivots they
-  // include phase-I artificial pivot-outs (see CallStats).
+  // Ladder pivots done in the int64 tier. Unlike lp_pivots they include
+  // phase-I artificial pivot-outs (see CallStats).
   int64_t lp_word_pivots = 0;
-  int64_t lp_wide_pivots = 0;
+  int64_t lp_wide_pivots = 0;  // always 0: wire slot of a removed tier
   int64_t lp_bigint_promotions = 0;  // exact solves escalated to BigInt
   double total_ms = 0.0;        // wall-clock across all calls
 

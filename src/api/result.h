@@ -43,14 +43,13 @@ struct CallStats {
   /// (for certificate-carrying results) re-verified, with no LP run. As
   /// with memo_hit, elapsed_ms/lp_pivots are those of the original solve.
   bool store_hit = false;
-  /// Escalation-ladder tallies: pivots completed in the int64 tier, in the
-  /// 128-bit tier, and how many solves promoted to BigInt. The two pivot
-  /// tallies also count the pivots that move basic artificials out of the
-  /// basis after phase I, which lp_pivots (like the reference simplex) does
-  /// not count, so they are not a split of lp_pivots: their sum can exceed
-  /// it.
+  /// Escalation-ladder tallies: pivots completed in the int64 tier, and how
+  /// many solves promoted to BigInt. lp_word_pivots also counts the pivots
+  /// that move basic artificials out of the basis after phase I, which
+  /// lp_pivots (like the reference simplex) does not count, so it can
+  /// exceed lp_pivots.
   int64_t lp_word_pivots = 0;
-  int64_t lp_wide_pivots = 0;
+  int64_t lp_wide_pivots = 0;  // always 0: wire slot of a removed tier
   int64_t lp_bigint_promotions = 0;
 };
 

@@ -8,7 +8,6 @@
 #include "entropy/dense_check.h"
 #include "entropy/functions.h"
 #include "lp/lp_problem.h"
-#include "lp/simplex.h"
 #include "util/check.h"
 
 namespace bagcq::entropy {

@@ -14,8 +14,6 @@ const char* LadderTierToString(LadderTier tier) {
   switch (tier) {
     case LadderTier::kWord:
       return "word";
-    case LadderTier::kWide:
-      return "wide";
     case LadderTier::kBig:
       return "big";
   }
@@ -28,31 +26,17 @@ using util::BigInt;
 using util::Rational;
 
 // |v| as an unsigned magnitude: well defined for the most negative value.
-template <typename U, typename T>
-U Magnitude(const T& v) {
-  return v < 0 ? U{0} - static_cast<U>(v) : static_cast<U>(v);
+uint64_t Magnitude(int64_t v) {
+  const auto u = static_cast<uint64_t>(v);
+  return v < 0 ? 0 - u : u;
 }
-
-// Divisibility by, and exact division by, a fixed g > 0 with the tier's own
-// operators (the word tier has a faster Divisor of its own).
-template <typename Ops>
-class PlainDivisor {
- public:
-  using T = typename Ops::T;
-  explicit PlainDivisor(T g) : g_(std::move(g)) {}
-  bool Divides(const T& x) const { return Ops::IsZero(x % g_); }
-  T Divide(const T& x) const { return Ops::ExactDiv(x, g_); }
-
- private:
-  T g_;
-};
 
 // Per-tier arithmetic. Every Mul/Sub reports whether the operation would
 // overflow the tier (the ladder promotes and retries); ExactDiv asserts in
 // debug builds that the division has no remainder (every division the
 // tableau makes is by a common factor). Gcd(a, b) is gcd(a, |b|) for a > 0,
-// so it never exceeds a and always fits the tier. CompareProducts decides
-// a*b <=> c*d, the cross-multiplied ratio test.
+// so it never exceeds a and always fits the tier. CompareProducts returns
+// the sign of a*b - c*d, the cross-multiplied ratio test, exactly.
 struct Ops64 {
   using T = int64_t;
   static bool Mul(const T& a, const T& b, T* out) {
@@ -64,8 +48,7 @@ struct Ops64 {
   static bool IsZero(const T& v) { return v == 0; }
   static int Sign(const T& v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
   static T Gcd(const T& a, const T& b) {
-    return static_cast<T>(std::gcd(static_cast<uint64_t>(a),
-                                   Magnitude<uint64_t>(b)));
+    return static_cast<T>(std::gcd(static_cast<uint64_t>(a), Magnitude(b)));
   }
   static T ExactDiv(const T& a, const T& b) {
     BAGCQ_DCHECK(a % b == 0);
@@ -86,13 +69,13 @@ struct Ops64 {
       for (int bits = 3; bits < 64; bits *= 2) inverse_ *= 2 - odd_ * inverse_;
     }
     bool Divides(const T& x) const {
-      const uint64_t m = Magnitude<uint64_t>(x);
+      const uint64_t m = Magnitude(x);
       return (m & ((uint64_t{1} << shift_) - 1)) == 0 &&
              (m >> shift_) * inverse_ <= limit_;
     }
     T Divide(const T& x) const {
       BAGCQ_DCHECK(Divides(x));
-      const T q = static_cast<T>((Magnitude<uint64_t>(x) >> shift_) * inverse_);
+      const T q = static_cast<T>((Magnitude(x) >> shift_) * inverse_);
       return x < 0 ? -q : q;
     }
 
@@ -105,74 +88,11 @@ struct Ops64 {
   static T Narrow(const BigInt& v) { return v.ToInt64(); }
   static BigInt ToBig(const T& v) { return BigInt(v); }
   static T* ArenaOf(LadderWorkspace& ws) { return ws.w64.data(); }
-  static bool CompareProducts(const T& a, const T& b, const T& c, const T& d,
-                              int* cmp) {
-#if defined(__SIZEOF_INT128__)
+  static int CompareProducts(const T& a, const T& b, const T& c, const T& d) {
     // Two int64 factors always fit a 128-bit product: exact, never promotes.
     const __int128 x = static_cast<__int128>(a) * b;
     const __int128 y = static_cast<__int128>(c) * d;
-    *cmp = x < y ? -1 : (x > y ? 1 : 0);
-    return true;
-#else
-    T x, y;
-    if (Mul(a, b, &x) || Mul(c, d, &y)) return false;
-    *cmp = x < y ? -1 : (x > y ? 1 : 0);
-    return true;
-#endif
-  }
-};
-
-struct OpsWide {
-  using T = LadderWide;
-#if defined(__SIZEOF_INT128__)
-  using U = unsigned __int128;
-#else
-  using U = uint64_t;
-#endif
-  static bool Mul(const T& a, const T& b, T* out) {
-    return __builtin_mul_overflow(a, b, out);
-  }
-  static bool Sub(const T& a, const T& b, T* out) {
-    return __builtin_sub_overflow(a, b, out);
-  }
-  static bool IsZero(const T& v) { return v == 0; }
-  static int Sign(const T& v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
-  static T Gcd(const T& a, const T& b) {
-    U x = static_cast<U>(a);
-    U y = Magnitude<U>(b);
-    while (y != 0) {
-      const U rest = x % y;
-      x = y;
-      y = rest;
-    }
-    return static_cast<T>(x);
-  }
-  static T ExactDiv(const T& a, const T& b) {
-    BAGCQ_DCHECK(a % b == 0);
-    return a / b;
-  }
-  using Divisor = PlainDivisor<OpsWide>;
-  static T Narrow(const BigInt& v) {
-#if defined(__SIZEOF_INT128__)
-    return v.ToInt128();
-#else
-    return v.ToInt64();
-#endif
-  }
-  static BigInt ToBig(const T& v) {
-#if defined(__SIZEOF_INT128__)
-    return BigInt::FromInt128(v);
-#else
-    return BigInt(v);
-#endif
-  }
-  static T* ArenaOf(LadderWorkspace& ws) { return ws.wwide.data(); }
-  static bool CompareProducts(const T& a, const T& b, const T& c, const T& d,
-                              int* cmp) {
-    T x, y;
-    if (Mul(a, b, &x) || Mul(c, d, &y)) return false;
-    *cmp = x < y ? -1 : (x > y ? 1 : 0);
-    return true;
+    return x < y ? -1 : (x > y ? 1 : 0);
   }
 };
 
@@ -195,22 +115,25 @@ struct OpsBig {
     BAGCQ_DCHECK(r.is_zero());
     return q;
   }
-  using Divisor = PlainDivisor<OpsBig>;
+  // Divisibility by, and exact division by, a fixed g > 0.
+  class Divisor {
+   public:
+    explicit Divisor(T g) : g_(std::move(g)) {}
+    bool Divides(const T& x) const { return (x % g_).is_zero(); }
+    T Divide(const T& x) const { return ExactDiv(x, g_); }
+
+   private:
+    T g_;
+  };
   static const T& Narrow(const BigInt& v) { return v; }
   static BigInt ToBig(const T& v) { return v; }
   static T* ArenaOf(LadderWorkspace& ws) { return ws.wbig.data(); }
-  static bool CompareProducts(const T& a, const T& b, const T& c, const T& d,
-                              int* cmp) {
+  static int CompareProducts(const T& a, const T& b, const T& c, const T& d) {
     const T x = a * b;
     const T y = c * d;
-    *cmp = x < y ? -1 : (x > y ? 1 : 0);
-    return true;
+    return x < y ? -1 : (x > y ? 1 : 0);
   }
 };
-
-// Magnitudes up to these bit lengths are guaranteed to fit the tier.
-constexpr size_t kWordBits = 62;
-constexpr size_t kWideBits = 126;
 
 // The row-scaled integer tableau + driver. Mirrors the reference Tableau in
 // simplex.cc decision for decision — same column layout, same Bland selection,
@@ -234,7 +157,6 @@ class LadderTableau {
   Solution Run(const std::vector<BasisEntry>* hint) {
     Solution out = RunImpl(hint);
     out.word_pivots = word_pivots_;
-    out.wide_pivots = wide_pivots_;
     out.bigint_promotions = big_promotions_;
     return out;
   }
@@ -403,7 +325,7 @@ class LadderTableau {
 
   // General path: integerize (row i scaled by t_i = lcm of its
   // denominators, objective by L), stage the scaled tableau in BigInt, and
-  // narrow the whole block into the smallest tier that holds it.
+  // narrow the whole block to the word tier if every datum fits it.
   void BuildStagedFill() {
     const LpProblem& problem = *lp_;
     const int n = problem.num_variables();
@@ -466,14 +388,10 @@ class LadderTableau {
     }
     a[scale_cell_] = BigInt(1);
 
-    if (max_bits <= kWordBits) {
+    if (max_bits <= IntegerProgram::kMaxBits) {
       ws_.w64.resize(cells_);
       for (size_t k = 0; k < cells_; ++k) ws_.w64[k] = a[k].ToInt64();
       tier_ = LadderTier::kWord;
-    } else if (kHasWideTier && max_bits <= kWideBits) {
-      ws_.wwide.resize(cells_);
-      for (size_t k = 0; k < cells_; ++k) ws_.wwide[k] = OpsWide::Narrow(a[k]);
-      tier_ = LadderTier::kWide;
     } else {
       tier_ = LadderTier::kBig;
     }
@@ -481,41 +399,27 @@ class LadderTableau {
 
   // ---- tier plumbing ------------------------------------------------------
 
-  // Calls fn with the Ops of the current tier (fn(Ops64{}), fn(OpsWide{})
-  // or fn(OpsBig{})): the one place the tier selects the arithmetic.
+  // Calls fn with the Ops of the current tier (fn(Ops64{}) or
+  // fn(OpsBig{})): the one place the tier selects the arithmetic.
   template <typename Fn>
   auto OnTier(Fn&& fn) const {
-    switch (tier_) {
-      case LadderTier::kWord:
-        return fn(Ops64{});
-      case LadderTier::kWide:
-        return fn(OpsWide{});
-      case LadderTier::kBig:
-        break;
-    }
-    return fn(OpsBig{});
+    return tier_ == LadderTier::kWord ? fn(Ops64{}) : fn(OpsBig{});
   }
 
   // Runs step(ops) in the current tier until it completes. A step returns
-  // false when an operation overflowed the tier; the tableau then promotes
-  // and the step runs again in the next tier, continuing from whatever
+  // false when an operation overflowed the word tier; the tableau then
+  // promotes and the step runs again in BigInt, continuing from whatever
   // state it saved (or from the start, if it only reads the tableau).
   template <typename Step>
   void RunPromoting(Step&& step) {
     while (!OnTier(step)) Promote();
   }
 
-  // Widens the whole block (and the in-flight pivot factor, held as BigInt
-  // in resume_) to the next tier. Lossless; never reversed within a solve.
+  // Widens the whole block to BigInt (the in-flight pivot factors already
+  // are, in resume_). Lossless; never reversed within a solve.
   void Promote() {
-    BAGCQ_DCHECK(tier_ != LadderTier::kBig);
-    if (tier_ == LadderTier::kWord && kHasWideTier) {
-      ws_.wwide.assign(ws_.w64.begin(), ws_.w64.end());
-      tier_ = LadderTier::kWide;
-      return;
-    }
-    ws_.wbig.resize(cells_);
-    for (size_t k = 0; k < cells_; ++k) ws_.wbig[k] = IndexBig(k);
+    BAGCQ_DCHECK(tier_ == LadderTier::kWord);
+    ws_.wbig.assign(ws_.w64.begin(), ws_.w64.end());
     tier_ = LadderTier::kBig;
     ++big_promotions_;
   }
@@ -690,11 +594,7 @@ class LadderTableau {
     resume_ = PivotResume{};
     RunPromoting([&](auto ops) { return PivotT<decltype(ops)>(r, c); });
     ws_.basis[r] = c;
-    if (tier_ == LadderTier::kWord) {
-      ++word_pivots_;
-    } else if (tier_ == LadderTier::kWide) {
-      ++wide_pivots_;
-    }
+    if (tier_ == LadderTier::kWord) ++word_pivots_;
   }
 
   template <typename Ops>
@@ -728,8 +628,8 @@ class LadderTableau {
   // the scale s, the lcm of the scales s_i of the rows whose basic column
   // has a nonzero cost — the integer image of the reference's
   // d_j = c_j - z_j recomputation — and makes it primitive. Reads only the
-  // constraint rows, so an overflow restarts the rebuild wholesale in the
-  // next tier.
+  // constraint rows, so an overflow restarts the rebuild wholesale in
+  // BigInt.
   void SetPhaseCosts(bool phase_one) {
     if (ip_ != nullptr) {
       // An artificial's phase-I cost lcm(t)/t_i is 1.
@@ -838,38 +738,28 @@ class LadderTableau {
 
   // Whether row i beats row `leave` in the ratio test for column `enter`
   // (both entries positive): rhs_i / M[i][enter] is smaller, or equal with
-  // the smaller basis column (Bland). The ratios are cross-multiplied; false
-  // when that overflows the tier.
+  // the smaller basis column (Bland). The ratios are cross-multiplied
+  // exactly, so this never overflows.
   template <typename Ops>
-  bool RatioBeatsT(int enter, int i, int leave, bool* beats) const {
+  bool RatioBeatsT(int enter, int i, int leave) const {
     using T = typename Ops::T;
     const T* ri = Ops::ArenaOf(ws_) + static_cast<size_t>(i) * stride_;
     const T* rl = Ops::ArenaOf(ws_) + static_cast<size_t>(leave) * stride_;
-    int cmp;
-    if (!Ops::CompareProducts(ri[ncols_], rl[enter], rl[ncols_], ri[enter],
-                              &cmp)) {
-      return false;
-    }
-    *beats = cmp < 0 || (cmp == 0 && ws_.basis[i] < ws_.basis[leave]);
-    return true;
+    const int cmp =
+        Ops::CompareProducts(ri[ncols_], rl[enter], rl[ncols_], ri[enter]);
+    return cmp < 0 || (cmp == 0 && ws_.basis[i] < ws_.basis[leave]);
   }
 
+  // The leaving row for column `enter` (Bland), or -1 if none bounds it.
   template <typename Ops>
-  bool SelectLeaveT(int enter, int* leave_out) const {
-    using T = typename Ops::T;
-    const T* a = Ops::ArenaOf(ws_);
+  int SelectLeaveT(int enter) const {
+    const typename Ops::T* a = Ops::ArenaOf(ws_);
     int leave = -1;
     for (int i = 0; i < m_; ++i) {
       if (Ops::Sign(a[static_cast<size_t>(i) * stride_ + enter]) <= 0) continue;
-      if (leave >= 0) {
-        bool beats;
-        if (!RatioBeatsT<Ops>(enter, i, leave, &beats)) return false;
-        if (!beats) continue;
-      }
-      leave = i;
+      if (leave < 0 || RatioBeatsT<Ops>(enter, i, leave)) leave = i;
     }
-    *leave_out = leave;
-    return true;
+    return leave;
   }
 
   SolveStatus Iterate(bool phase_one, int64_t* pivots) {
@@ -878,10 +768,8 @@ class LadderTableau {
           [&](auto ops) { return SelectEnterT<decltype(ops)>(phase_one); });
       if (enter == -1) return SolveStatus::kOptimal;
 
-      // The ratio test reads only; an overflow restarts it wholesale.
-      int leave = -1;
-      RunPromoting(
-          [&](auto ops) { return SelectLeaveT<decltype(ops)>(enter, &leave); });
+      const int leave =
+          OnTier([&](auto ops) { return SelectLeaveT<decltype(ops)>(enter); });
       if (leave == -1) return SolveStatus::kUnbounded;
 
       PivotInto(leave, enter);
@@ -925,10 +813,9 @@ class LadderTableau {
   // The row hint column col enters at (see Install), or -1 to skip it, in
   // one pass over the column and rhs cells: the first unassigned row where
   // the column is nonzero and the basic value 0, else the ratio-test row
-  // (SelectLeaveT) if that row is unassigned with a positive value. Reads
-  // only, so an overflow restarts it wholesale in the next tier.
+  // (SelectLeaveT) if that row is unassigned with a positive value.
   template <typename Ops>
-  bool InstallRowT(int col, const std::vector<char>& assigned, int* row) {
+  int InstallRowT(int col, const std::vector<char>& assigned) const {
     using T = typename Ops::T;
     const T* a = Ops::ArenaOf(ws_);
     int leave = -1;
@@ -936,23 +823,15 @@ class LadderTableau {
       const T* ri = a + static_cast<size_t>(i) * stride_;
       const int sign = Ops::Sign(ri[col]);
       if (sign == 0) continue;
-      if (!assigned[i] && Ops::IsZero(ri[ncols_])) {
-        *row = i;
-        return true;
+      if (!assigned[i] && Ops::IsZero(ri[ncols_])) return i;
+      if (sign > 0 && (leave < 0 || RatioBeatsT<Ops>(col, i, leave))) {
+        leave = i;
       }
-      if (sign < 0) continue;
-      if (leave >= 0) {
-        bool beats;
-        if (!RatioBeatsT<Ops>(col, i, leave, &beats)) return false;
-        if (!beats) continue;
-      }
-      leave = i;
     }
     const bool enters =
         leave >= 0 && !assigned[leave] &&
         Ops::Sign(a[static_cast<size_t>(leave) * stride_ + ncols_]) > 0;
-    *row = enters ? leave : -1;
-    return true;
+    return enters ? leave : -1;
   }
 
   // The reference Tableau::Install rule, which keeps every basic value
@@ -969,10 +848,8 @@ class LadderTableau {
     std::vector<char> assigned(m_, 0);
     for (const BasisEntry& entry : hint) {
       const int col = ColumnOfEntry(entry);
-      int r = -1;
-      RunPromoting([&](auto ops) {
-        return InstallRowT<decltype(ops)>(col, assigned, &r);
-      });
+      const int r = OnTier(
+          [&](auto ops) { return InstallRowT<decltype(ops)>(col, assigned); });
       if (r < 0) continue;
       if (ws_.basis[r] != col) {
         if (SignAt(r, col) < 0) NegateRow(r);
@@ -1076,7 +953,6 @@ class LadderTableau {
   LadderTier tier_ = LadderTier::kWord;
   PivotResume resume_;
   int64_t word_pivots_ = 0;
-  int64_t wide_pivots_ = 0;
   int64_t big_promotions_ = 0;
 };
 
@@ -1086,7 +962,6 @@ void LadderWorkspace::Release() { *this = LadderWorkspace(); }
 
 size_t LadderWorkspace::RetainedBytes() const {
   return w64.capacity() * sizeof(int64_t) +
-         wwide.capacity() * sizeof(LadderWide) +
          wbig.capacity() * sizeof(util::BigInt);
 }
 

@@ -24,16 +24,18 @@
 //     besides the one that gives a and b when piv > 1. A primitive row
 //     divides the row of the shared-denominator (Bareiss) tableau that
 //     represents the same rational row, so no entry or product is larger
-//     than there, and a tier promotion comes no earlier.
+//     than there, and a promotion comes no earlier.
 //
-//   * A three-tier arithmetic ladder. The tableau starts in the narrowest
-//     tier that holds the input and every multiply/add is overflow-checked
-//     (__builtin_*_overflow); the first operation that would overflow
-//     promotes the whole tableau losslessly to the next tier and resumes
-//     mid-pivot. Promotion is never speculative and never reversed within a
-//     solve. Tiers: kWord (int64), kWide (__int128 where available),
-//     kBig (util::BigInt — never overflows). The tier selects the arithmetic
-//     in one place (LadderTableau::OnTier in ladder_simplex.cc).
+//   * A two-tier arithmetic ladder: kWord (int64) and kBig (util::BigInt,
+//     which never overflows). The tableau starts in the word tier when its
+//     input fits IntegerProgram::kMaxBits, else in BigInt. In the word tier
+//     every multiply/subtract is overflow-checked (__builtin_*_overflow);
+//     the first operation that would overflow promotes the whole tableau
+//     losslessly to BigInt and resumes mid-pivot. Promotion is never
+//     speculative and never reversed within a solve. Ratio tests compare
+//     cross-products exactly in either tier (through __int128 in the word
+//     tier), so they never promote. The tier selects the arithmetic in one
+//     place (LadderTableau::OnTier in ladder_simplex.cc).
 //
 //   * Lossless Rational conversion only at the boundary: Solution values
 //     are built as Rational(rhs_i, s_i), and objective / duals / farkas
@@ -49,7 +51,7 @@
 // reference phase-I objective, which is what keeps Bland's pivot sequence
 // (signs and cross-multiplied ratio tests are invariant under positive
 // row/column scalings) identical to the reference simplex. An LpProblem is
-// staged in BigInt and narrowed to the smallest tier that holds it. An
+// staged in BigInt and narrowed to the word tier when it fits. An
 // IntegerProgram (lp_problem.h) needs none of that: t_i = L = 1, and its
 // sparse columns are scattered straight into the zeroed int64 arena.
 #pragma once
@@ -57,25 +59,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "lp/simplex.h"
+#include "lp/lp_problem.h"
 #include "util/bigint.h"
 
 namespace bagcq::lp {
 
-#if defined(__SIZEOF_INT128__)
-using LadderWide = __int128;
-inline constexpr bool kHasWideTier = true;
-#else
-// No 128-bit integer on this toolchain: the middle rung folds away and the
-// word tier promotes straight to BigInt.
-using LadderWide = int64_t;
-inline constexpr bool kHasWideTier = false;
-#endif
-
 /// Which rung of the arithmetic ladder a tableau is currently on.
 enum class LadderTier : uint8_t {
   kWord,  // overflow-checked int64
-  kWide,  // 128-bit (__int128)
   kBig,   // util::BigInt
 };
 
@@ -83,7 +74,7 @@ const char* LadderTierToString(LadderTier tier);
 
 /// Persistent arena for LadderSimplex. One tier's flat block is live at a
 /// time — (m+1) rows of (ncols+1) entries plus the trailing cell, the cost
-/// row's scale — and all three keep their capacity across solves, so a
+/// row's scale — and both keep their capacity across solves, so a
 /// session's repeated solves of equal-shaped programs (the keyed warm slots
 /// of one lp::Solver) do zero allocation.
 struct LadderWorkspace {
@@ -109,19 +100,18 @@ struct LadderWorkspace {
   std::vector<int> pivot_support;
   // The tiered arenas.
   std::vector<int64_t> w64;
-  std::vector<LadderWide> wwide;
   std::vector<util::BigInt> wbig;
 
   /// Releases all held memory (capacity included).
   void Release();
-  /// Bytes of arena capacity currently retained across all tiers.
+  /// Bytes of arena capacity currently retained across both tiers.
   size_t RetainedBytes() const;
 };
 
 /// Drop-in exact solver with the SimplexSolver contract (see simplex.h for
 /// Solve/SolveFrom semantics — warm starts, pivot caps, and certificate
-/// conventions are identical). Solutions additionally report word_pivots /
-/// wide_pivots / bigint_promotions.
+/// conventions are identical). Solutions additionally report word_pivots
+/// and bigint_promotions.
 class LadderSimplex {
  public:
   explicit LadderSimplex(SolverOptions options = {}) : options_(options) {}

@@ -18,6 +18,20 @@ const char* SenseToString(Sense sense) {
   return "?";
 }
 
+const char* SolveStatusToString(SolveStatus status) {
+  switch (status) {
+    case SolveStatus::kOptimal:
+      return "Optimal";
+    case SolveStatus::kInfeasible:
+      return "Infeasible";
+    case SolveStatus::kUnbounded:
+      return "Unbounded";
+    case SolveStatus::kPivotLimit:
+      return "PivotLimit";
+  }
+  return "?";
+}
+
 int LpProblem::AddVariable(std::string name) {
   if (name.empty()) name = "x" + std::to_string(names_.size());
   names_.push_back(std::move(name));
@@ -70,20 +84,22 @@ std::string LpProblem::ToString() const {
 }
 
 bool IntegerProgram::FromRational(const util::Rational& v, int64_t* out) {
-  if (!v.is_integer() || v.num().BitLength() > 62) return false;
+  if (!v.is_integer() || v.num().BitLength() > kMaxBits) return false;
   *out = v.num().ToInt64();
   return true;
 }
 
 int IntegerProgram::AddRow(Sense sense, int64_t rhs) {
-  BAGCQ_CHECK(Fits(rhs)) << "rhs " << rhs << " exceeds 62 bits";
+  BAGCQ_CHECK(Fits(rhs)) << "rhs " << rhs << " exceeds " << kMaxBits
+                         << " bits";
   sense_.push_back(sense);
   rhs_.push_back(rhs);
   return num_rows() - 1;
 }
 
 int IntegerProgram::AddColumn(int64_t cost) {
-  BAGCQ_CHECK(Fits(cost)) << "cost " << cost << " exceeds 62 bits";
+  BAGCQ_CHECK(Fits(cost)) << "cost " << cost << " exceeds " << kMaxBits
+                          << " bits";
   cost_.push_back(cost);
   column_end_.push_back(entries_.size());
   return num_columns() - 1;
@@ -92,7 +108,8 @@ int IntegerProgram::AddColumn(int64_t cost) {
 void IntegerProgram::AddEntry(int row, int64_t value) {
   BAGCQ_CHECK(!cost_.empty()) << "AddEntry before the first AddColumn";
   BAGCQ_CHECK(row >= 0 && row < num_rows()) << "row " << row;
-  BAGCQ_CHECK(Fits(value)) << "coefficient " << value << " exceeds 62 bits";
+  BAGCQ_CHECK(Fits(value)) << "coefficient " << value << " exceeds "
+                           << kMaxBits << " bits";
   if (value == 0) return;
   entries_.push_back({row, value});
   ++column_end_.back();

@@ -2,7 +2,8 @@
 // variable is nonnegative and the objective is minimized. Every LP the
 // decision procedure solves has that shape (the Γn and Nn/Mn LPs, the
 // Shannon prover, the AGM edge cover), so there are no free variables and
-// no maximize sense to carry.
+// no maximize sense to carry. The Solution both exact simplexes return for
+// such a program, and the SolverOptions they take, are declared here too.
 //
 // LpProblem: exact rational coefficients in dense rows, named variables.
 //
@@ -13,6 +14,7 @@
 // anything.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -71,8 +73,8 @@ class LpProblem {
 /// A linear program with integer data: minimize Σ_j cost_j x_j subject to
 /// one constraint Σ_j a_ij x_j (sense_i) rhs_i per row, x ≥ 0. Built row
 /// headers first, then column by column. Every coefficient, rhs and cost
-/// has magnitude below 2^62 (CHECK-enforced), the bound of the ladder's
-/// int64 tier, so a solve starts in that tier with no staging.
+/// has magnitude below 2^kMaxBits (CHECK-enforced), the input bound of the
+/// ladder's int64 tier, so a solve starts in that tier with no staging.
 class IntegerProgram {
  public:
   struct Entry {
@@ -80,9 +82,14 @@ class IntegerProgram {
     int64_t value;
   };
 
-  /// True iff |v| < 2^62, the magnitude bound of every datum.
+  /// The magnitude bound of every datum, in bits: |v| < 2^62. It is also
+  /// the bound below which the ladder (ladder_simplex.h) starts a staged
+  /// LpProblem in its int64 tier.
+  static constexpr size_t kMaxBits = 62;
+
+  /// True iff |v| < 2^kMaxBits.
   static bool Fits(int64_t v) {
-    constexpr int64_t kBound = int64_t{1} << 62;
+    constexpr int64_t kBound = int64_t{1} << kMaxBits;
     return v > -kBound && v < kBound;
   }
   /// Sets *out to v and returns true iff v is an integer that Fits.
@@ -114,6 +121,76 @@ class IntegerProgram {
   std::vector<int64_t> cost_;
   std::vector<size_t> column_end_;
   std::vector<Entry> entries_;
+};
+
+/// kPivotLimit is a soft failure: the pivot cap was hit (a cap set too low
+/// for the program; Bland's rule does not cycle) and the reported solution
+/// carries no certificate. With exact arithmetic the cap is unreachable at
+/// the default setting.
+enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kPivotLimit };
+
+const char* SolveStatusToString(SolveStatus status);
+
+/// What occupies one basis slot at termination, in *problem* terms (not
+/// internal tableau columns): a structural variable, the slack/surplus of a
+/// constraint, or a phase-I artificial. This is the warm-start hint
+/// SolveFrom consumes.
+enum class BasisKind : uint8_t {
+  kStructural,  // index = variable j
+  kSlack,       // index = constraint i (slack or surplus column)
+  kArtificial,  // index = constraint i (phase-I artificial)
+};
+
+struct BasisEntry {
+  BasisKind kind = BasisKind::kStructural;
+  int index = 0;
+};
+
+struct Solution {
+  SolveStatus status = SolveStatus::kInfeasible;
+  /// The minimum objective value (valid when kOptimal).
+  util::Rational objective;
+  /// One value per variable (valid when kOptimal).
+  std::vector<util::Rational> values;
+  /// One dual per constraint (valid when kOptimal); see VerifyDuals
+  /// (simplex.h).
+  std::vector<util::Rational> duals;
+  /// One multiplier per constraint (valid when kInfeasible); see
+  /// VerifyFarkas (simplex.h).
+  std::vector<util::Rational> farkas;
+  /// The terminal basis, one entry per constraint row. Populated on kOptimal
+  /// (phase-II basis) and kInfeasible (phase-I basis — the Farkas basis);
+  /// empty on kUnbounded/kPivotLimit.
+  std::vector<BasisEntry> basis;
+  /// Total pivot count across both phases (for a warm start, including the
+  /// basis-installation pivots).
+  int64_t pivots = 0;
+  /// True when a SolveFrom hint mapped onto the program (one entry per row,
+  /// each naming a column the program has), so the solve started from its
+  /// install. False on a cold solve and for a hint that does not map.
+  bool warm_started = false;
+  /// Escalation-ladder accounting (LadderSimplex only; zero elsewhere):
+  /// pivots completed entirely in the overflow-checked int64 tier, and
+  /// whether this solve's tableau ever promoted to BigInt arithmetic (0 or
+  /// 1). word_pivots also counts the pivots that move basic artificials out
+  /// after phase I, which `pivots` does not count, and leaves out pivots
+  /// completed in BigInt, so it is not a part of `pivots`.
+  int64_t word_pivots = 0;
+  int64_t bigint_promotions = 0;
+};
+
+struct SolverOptions {
+  /// Cap on pivots, a bound on work rather than a guard against cycling
+  /// (Bland's rule does not cycle). The solve fails soft with
+  /// SolveStatus::kPivotLimit when the cap is hit.
+  /// Warm-start installation pivots count toward the cap.
+  int64_t max_pivots = 1'000'000;
+  /// Consumed by lp::Solver (not by the simplexes themselves): gates the
+  /// keyed warm-start slots behind Solver::SolveKeyed. Off, every keyed
+  /// solve runs cold, so pivots, λ and certificates depend only on the
+  /// program: `bagcq_server --cold` turns it off for deterministic replies,
+  /// and warm-vs-cold benches use it as their ablation switch.
+  bool warm_starts = true;
 };
 
 }  // namespace bagcq::lp

@@ -4,20 +4,6 @@
 
 namespace bagcq::lp {
 
-const char* SolveStatusToString(SolveStatus status) {
-  switch (status) {
-    case SolveStatus::kOptimal:
-      return "Optimal";
-    case SolveStatus::kInfeasible:
-      return "Infeasible";
-    case SolveStatus::kUnbounded:
-      return "Unbounded";
-    case SolveStatus::kPivotLimit:
-      return "PivotLimit";
-  }
-  return "?";
-}
-
 namespace {
 
 using util::Rational;

@@ -7,7 +7,6 @@ namespace bagcq::lp {
 Solution Solver::Finish(Solution out) {
   stats_.exact_pivots += out.pivots;
   stats_.word_pivots += out.word_pivots;
-  stats_.wide_pivots += out.wide_pivots;
   stats_.bigint_promotions += out.bigint_promotions;
   // The Solver contract promises a certified answer; Bland's rule cannot
   // cycle, so hitting the cap means it was set too low for the program, a

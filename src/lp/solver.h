@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "lp/ladder_simplex.h"
-#include "lp/simplex.h"
+#include "lp/lp_problem.h"
 
 namespace bagcq::lp {
 
@@ -37,12 +37,11 @@ struct SolverStats {
   /// Pivots avoided by keyed warm starts, measured against the recorded
   /// cold-solve pivot count of the same shape slot (SolveKeyed only).
   int64_t warm_pivots_saved = 0;
-  /// Escalation-ladder accounting: exact pivots completed in the int64 tier,
-  /// in the 128-bit tier, and how many solves promoted all the way to BigInt.
-  /// The tier tallies include the phase-I artificial pivot-outs that
-  /// exact_pivots leaves out (see Solution::word_pivots).
+  /// Escalation-ladder accounting: exact pivots completed in the int64 tier
+  /// and how many solves promoted to BigInt. word_pivots includes the
+  /// phase-I artificial pivot-outs that exact_pivots leaves out (see
+  /// Solution::word_pivots).
   int64_t word_pivots = 0;
-  int64_t wide_pivots = 0;
   int64_t bigint_promotions = 0;
 };
 

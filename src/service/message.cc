@@ -436,7 +436,6 @@ std::string DebugString(const Response& response) {
              << ", lp_solves=" << r.stats.lp_solves
              << ", lp_pivots=" << r.stats.lp_pivots
              << ", lp_word_pivots=" << r.stats.lp_word_pivots
-             << ", lp_wide_pivots=" << r.stats.lp_wide_pivots
              << ", lp_bigint_promotions=" << r.stats.lp_bigint_promotions
              << ", memo_hits=" << r.stats.decision_memo_hits
              << ", store_hits=" << r.stats.store_hits

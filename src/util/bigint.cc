@@ -47,12 +47,6 @@ BigInt BigInt::FromMagnitude(bool negative, U128 magnitude) {
   return out;
 }
 
-BigInt BigInt::FromInt128(__int128 value) {
-  // Negate in unsigned space so the minimum value round-trips without UB.
-  return FromMagnitude(value < 0, value < 0 ? 0 - static_cast<U128>(value)
-                                            : static_cast<U128>(value));
-}
-
 bool BigInt::FitsInt128() const {
   if (limbs_.size() > 4) return false;
   if (limbs_.size() < 4) return true;

@@ -89,9 +89,6 @@ class BigInt {
   /// True if |value| is a power of two (1, 2, 4, ...).
   bool IsPowerOfTwo() const;
 
-  /// Lossless widening from a 128-bit machine integer (the simplex ladder's
-  /// middle tier promotes through this).
-  static BigInt FromInt128(__int128 value);
   /// True if the value fits in __int128.
   bool FitsInt128() const;
   /// Value as __int128; CHECK-fails if it does not fit.

@@ -72,9 +72,9 @@ namespace bagcq::wire {
 /// Bumped on any incompatible layout change; checked by the envelope.
 /// History: 1 → 2 appended the persistent-store counters to CallStats
 /// (store_hit) and EngineStats (store_hits/misses/appends/rejects).
-/// 2 → 3 appended the escalation-ladder counters to CallStats
-/// (lp_word_pivots/lp_wide_pivots/lp_bigint_promotions) and EngineStats
-/// (same three, appended before total_ms).
+/// 2 → 3 appended the escalation-ladder counters (int64-tier pivots,
+/// 128-bit-tier pivots, BigInt promotions) to CallStats and EngineStats
+/// (before total_ms). The 128-bit tier is gone; its slot always holds 0.
 /// 3 → 4 appended the front-level serving counters to the kStats response
 /// body (connections/in_flight/steals/bytes_in/bytes_out and the
 /// per-worker queue-depth high-water list).

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -333,37 +334,34 @@ TEST(BigIntTest, InlineAndHeapStorageKeepValues) {
   EXPECT_EQ(copies, values);
 }
 
-#if defined(__SIZEOF_INT128__)
 TEST(BigIntTest, Int128RoundTrip) {
-  const __int128 samples[] = {
-      0,
-      1,
-      -1,
-      static_cast<__int128>(INT64_MAX),
-      static_cast<__int128>(INT64_MIN),
-      static_cast<__int128>(INT64_MAX) * INT64_MAX,
-      -static_cast<__int128>(INT64_MAX) * INT64_MAX,
-  };
-  for (__int128 v : samples) {
-    const BigInt big = BigInt::FromInt128(v);
-    ASSERT_TRUE(big.FitsInt128());
-    EXPECT_TRUE(big.ToInt128() == v);
-  }
+  const BigInt max64(INT64_MAX);
+  const BigInt two127 = BigInt::TwoToThe(127);
+  const __int128 wide_max64 = INT64_MAX;
   // The extremes of the representable range.
   const __int128 max128 =
       ~(static_cast<__int128>(1) << 127);  // 2^127 - 1
   const __int128 min128 = static_cast<__int128>(1) << 127;  // -2^127
-  EXPECT_TRUE(BigInt::FromInt128(max128).ToInt128() == max128);
-  EXPECT_TRUE(BigInt::FromInt128(min128).ToInt128() == min128);
-  EXPECT_TRUE(BigInt::FromInt128(min128).FitsInt128());
+  const std::pair<BigInt, __int128> samples[] = {
+      {BigInt(0), 0},
+      {BigInt(1), 1},
+      {BigInt(-1), -1},
+      {max64, wide_max64},
+      {BigInt(INT64_MIN), INT64_MIN},
+      {max64 * max64, wide_max64 * INT64_MAX},
+      {-(max64 * max64), -wide_max64 * INT64_MAX},
+      {max64 * BigInt(4), wide_max64 * 4},
+      {two127 - BigInt(1), max128},
+      {-two127, min128},
+  };
+  for (const auto& [big, v] : samples) {
+    ASSERT_TRUE(big.FitsInt128()) << big;
+    EXPECT_TRUE(big.ToInt128() == v) << big;
+  }
   // 2^127 itself does not fit (only -2^127 does).
-  EXPECT_FALSE((-BigInt::FromInt128(min128)).FitsInt128());
+  EXPECT_FALSE(two127.FitsInt128());
   EXPECT_FALSE(BigInt::TwoToThe(128).FitsInt128());
-  // FromInt128 must agree with the decimal constructor path.
-  EXPECT_EQ(BigInt::FromInt128(static_cast<__int128>(INT64_MAX) * 4),
-            BigInt(INT64_MAX) * BigInt(4));
 }
-#endif
 
 TEST(BigIntDeathTest, DivisionByZeroChecks) {
   EXPECT_DEATH(BigInt(1) / BigInt(0), "division by zero");

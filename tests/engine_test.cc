@@ -373,17 +373,20 @@ std::vector<QueryPair> DecisionSuite(Engine& engine) {
 
 TEST(EngineStatsTest, RetiredScreenCountersStayZero) {
   // lp_screen_accepts and lp_exact_fallbacks belonged to an LP backend that
-  // no longer exists. They stay in EngineStats (and on the wire) as slots
-  // that are always zero, however much LP work the session does.
+  // no longer exists, and lp_wide_pivots to a ladder tier that no longer
+  // exists. They stay in EngineStats and CallStats (and on the wire) as
+  // slots that are always zero, however much LP work the session does.
   Engine engine;
   engine.ProveInequality("H(A) + H(B) >= H(A,B)").ValueOrDie();
   for (const QueryPair& pair : DecisionSuite(engine)) {
-    engine.Decide(pair.q1, pair.q2).ValueOrDie();
+    EXPECT_EQ(engine.Decide(pair.q1, pair.q2).ValueOrDie().stats.lp_wide_pivots,
+              0);
   }
   EngineStats stats = engine.stats();
   EXPECT_GT(stats.lp_solves, 0);
   EXPECT_EQ(stats.lp_screen_accepts, 0);
   EXPECT_EQ(stats.lp_exact_fallbacks, 0);
+  EXPECT_EQ(stats.lp_wide_pivots, 0);
 }
 
 // ------------------------------------------------------------ memoization

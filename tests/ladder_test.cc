@@ -126,7 +126,6 @@ TEST_P(LadderDifferentialTest, IntegerProgramsMatchReference) {
   ExpectParity(lp, fast, slow, /*same_pivots=*/true);
   // Small integer input never leaves the word tier.
   EXPECT_EQ(fast.word_pivots, fast.pivots);
-  EXPECT_EQ(fast.wide_pivots, 0);
   EXPECT_EQ(fast.bigint_promotions, 0);
 }
 
@@ -323,9 +322,10 @@ TEST(LadderEscalationTest, NearOverflowProgramsEscalateAndMatchReference) {
 }
 
 TEST(LadderEscalationTest, DeepPivotingPromotesToBigInt) {
-  // Dense 6×6 with ~2^61 entries: fraction-free subdeterminants blow past
-  // 126 bits within a few pivots, forcing the BigInt rung. The result must
-  // still match the reference exactly.
+  // Dense 6×6 with ~2^61 entries: the input fits the word tier, but
+  // fraction-free subdeterminants overflow int64 within a few pivots, which
+  // promotes the tableau to BigInt. The result must still match the
+  // reference exactly.
   const int64_t kHuge = INT64_MAX / 2;
   std::mt19937_64 rng(7);
   std::uniform_int_distribution<int64_t> coeff(kHuge / 2, kHuge);
@@ -347,11 +347,7 @@ TEST(LadderEscalationTest, DeepPivotingPromotesToBigInt) {
   ReferenceSolver reference;
   const auto fast = ladder.Solve(lp);
   ExpectParity(lp, fast, reference.Solve(lp), /*same_pivots=*/true);
-  if (kHasWideTier) {
-    EXPECT_GE(fast.bigint_promotions + fast.wide_pivots, 1);
-  } else {
-    EXPECT_GE(fast.bigint_promotions, 1);
-  }
+  EXPECT_EQ(fast.bigint_promotions, 1);
 }
 
 // A feasible, bounded LP whose integerized data need about `rhs_bits` + 3
@@ -388,30 +384,32 @@ LpProblem WideRhsLp(uint64_t seed, uint64_t rhs_bits) {
   return lp;
 }
 
-// The staged fill starts a solve in the smallest tier that holds its
-// integerized data. 63-126 bits start in the 128-bit tier (BigInt where
-// there is none), so no pivot is tallied in the word tier.
-TEST(LadderEscalationTest, WideDataStartInTheWideTier) {
+// The staged fill starts a solve in the word tier only when its integerized
+// data fit 62 bits. Data of 63-126 bits (an rhs near 2^64 integerizes to at
+// least 2^64/3, one near 2^120 to less than 2^123) start in BigInt with no
+// int64 arena filled, so no pivot is tallied in the word tier and nothing
+// is promoted: the solve is already at the top.
+TEST(LadderEscalationTest, Data63To126BitsStartInBigInt) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    const LpProblem lp = WideRhsLp(seed, /*rhs_bits=*/80);
-    LadderSimplex ladder;
-    ReferenceSolver reference;
-    const auto fast = ladder.Solve(lp);
-    ExpectParity(lp, fast, reference.Solve(lp), /*same_pivots=*/true);
-    EXPECT_EQ(fast.status, SolveStatus::kOptimal) << "seed " << seed;
-    EXPECT_GT(fast.pivots, 0) << "seed " << seed;
-    EXPECT_EQ(fast.word_pivots, 0) << "seed " << seed;
-    EXPECT_EQ(fast.bigint_promotions, 0) << "seed " << seed;
-    if (kHasWideTier) {
-      EXPECT_GE(fast.wide_pivots, fast.pivots) << "seed " << seed;
-    } else {
-      EXPECT_EQ(fast.wide_pivots, 0) << "seed " << seed;
+    for (uint64_t rhs_bits : {64, 80, 120}) {
+      const std::string what = "seed " + std::to_string(seed) + ", " +
+                               std::to_string(rhs_bits) + " bits";
+      const LpProblem lp = WideRhsLp(seed, rhs_bits);
+      LadderSimplex ladder;
+      ReferenceSolver reference;
+      const auto fast = ladder.Solve(lp);
+      ExpectParity(lp, fast, reference.Solve(lp), /*same_pivots=*/true);
+      EXPECT_EQ(fast.status, SolveStatus::kOptimal) << what;
+      EXPECT_GT(fast.pivots, 0) << what;
+      EXPECT_EQ(fast.word_pivots, 0) << what;
+      EXPECT_EQ(fast.bigint_promotions, 0) << what;
+      EXPECT_TRUE(ladder.workspace().w64.empty()) << what;
     }
   }
 }
 
-// More than 126 bits start in BigInt: nothing is tallied in either machine
-// tier, and nothing is promoted, because the solve is already at the top.
+// More than 126 bits start in BigInt too: nothing is tallied in the word
+// tier, and nothing is promoted.
 TEST(LadderEscalationTest, HugeDataStartInBigInt) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const LpProblem lp = WideRhsLp(seed, /*rhs_bits=*/140);
@@ -422,7 +420,6 @@ TEST(LadderEscalationTest, HugeDataStartInBigInt) {
     EXPECT_EQ(fast.status, SolveStatus::kOptimal) << "seed " << seed;
     EXPECT_GT(fast.pivots, 0) << "seed " << seed;
     EXPECT_EQ(fast.word_pivots, 0) << "seed " << seed;
-    EXPECT_EQ(fast.wide_pivots, 0) << "seed " << seed;
     EXPECT_EQ(fast.bigint_promotions, 0) << "seed " << seed;
   }
 }
@@ -487,7 +484,6 @@ void ExpectIntegerParity(const std::string& key, const IntegerProgram& program,
   const auto cold = ladder.Solve(program);
   ExpectParity(lp, cold, reference.Solve(lp), /*same_pivots=*/true);
   // Decision LPs have entries of a few bits: they never leave the word tier.
-  EXPECT_EQ(cold.wide_pivots, 0) << key;
   EXPECT_EQ(cold.bigint_promotions, 0) << key;
   auto it = bases->find(key);
   if (it != bases->end()) {
@@ -543,9 +539,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LadderIntegerProgramTest,
 // The first pivot is a unit pivot (piv = d = 1) whose update of the cost
 // row overflows int64 at the rhs column, its last support column: the
 // promotion happens inside the sparse loop after four committed cells of
-// that row, and the pivot resumes in the wide tier at the rhs. The cells
-// before it include row 0's slack column, from which row 0's dual is read,
-// so a resume that recomputed a committed cell would change the duals.
+// that row, and the pivot resumes in BigInt at the rhs. The cells before
+// it include row 0's slack column, from which row 0's dual is read, so a
+// resume that recomputed a committed cell would change the duals.
 TEST(LadderIntegerProgramTest, UnitPivotPromotesMidRow) {
   const int64_t kHuge = (int64_t{1} << 60) + 3;
   IntegerProgram program;
@@ -583,18 +579,18 @@ TEST(LadderIntegerProgramTest, UnitPivotPromotesMidRow) {
   ExpectParity(lp, fast, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
   ASSERT_GE(fast.pivots, 1);
   EXPECT_EQ(fast.word_pivots, 0) << "the first pivot must leave the word tier";
+  EXPECT_EQ(fast.bigint_promotions, 1) << "it promotes straight to BigInt";
   // The same program as an LpProblem runs the staged fill and must agree.
   const auto staged = LadderSimplex().Solve(lp);
   ExpectParity(lp, staged, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
-  EXPECT_EQ(staged.word_pivots, fast.word_pivots);
-  EXPECT_EQ(staged.wide_pivots, fast.wide_pivots);
-  EXPECT_EQ(staged.bigint_promotions, fast.bigint_promotions);
+  EXPECT_EQ(staged.word_pivots, 0);
+  EXPECT_EQ(staged.bigint_promotions, 1);
 }
 
 // A non-unit pivot (a = 4, b = -3) whose update of the cost row overflows
 // int64 at the rhs column, the objective's cell, after the cost row's
-// structural and slack cells are committed: the pivot resumes in the wide
-// tier at the rhs with both factors. The first pivot is on (0, x0) with
+// structural and slack cells are committed: the pivot resumes in BigInt at
+// the rhs with both factors. The first pivot is on (0, x0) with
 // entry 4 (x0 enters first, and only row 0 holds it); rows 1 and 2 have no
 // x0 and stay as they are. The cost row becomes 4*C + 3*row_0, and 3 times
 // row 0's rhs H overflows int64. A resume that lost a factor would change
@@ -632,15 +628,11 @@ TEST(LadderIntegerProgramTest, NonUnitPivotPromotesMidRow) {
   ExpectParity(lp, fast, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
   ASSERT_GE(fast.pivots, 2);
   EXPECT_EQ(fast.word_pivots, 0) << "the first pivot must leave the word tier";
-  EXPECT_EQ(fast.bigint_promotions, 0);
-  if (kHasWideTier) {
-    EXPECT_EQ(fast.wide_pivots, fast.pivots);
-  }
+  EXPECT_EQ(fast.bigint_promotions, 1) << "it promotes straight to BigInt";
   const auto staged = LadderSimplex().Solve(lp);
   ExpectParity(lp, staged, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
-  EXPECT_EQ(staged.word_pivots, fast.word_pivots);
-  EXPECT_EQ(staged.wide_pivots, fast.wide_pivots);
-  EXPECT_EQ(staged.bigint_promotions, fast.bigint_promotions);
+  EXPECT_EQ(staged.word_pivots, 0);
+  EXPECT_EQ(staged.bigint_promotions, 1);
 }
 
 // ------------------------------------------------------------ row scales
@@ -714,13 +706,6 @@ std::vector<util::BigInt> ArenaAsBig(const LadderWorkspace& ws,
     case LadderTier::kWord:
       for (int64_t v : ws.w64) out.emplace_back(v);
       break;
-    case LadderTier::kWide:
-#if defined(__SIZEOF_INT128__)
-      for (LadderWide v : ws.wwide) out.push_back(util::BigInt::FromInt128(v));
-#else
-      for (LadderWide v : ws.wwide) out.emplace_back(v);
-#endif
-      break;
     case LadderTier::kBig:
       out = ws.wbig;
       break;
@@ -756,7 +741,6 @@ void ExpectPrimitiveRows(const LadderWorkspace& ws, LadderTier tier,
 void ExpectPrimitiveWordRows(const LadderWorkspace& ws,
                              const Solution& solution,
                              const std::string& what) {
-  ASSERT_EQ(solution.wide_pivots, 0) << what;
   ASSERT_EQ(solution.bigint_promotions, 0) << what;
   ExpectPrimitiveRows(ws, LadderTier::kWord, what);
 }
@@ -777,25 +761,22 @@ TEST(LadderRowScaleTest, RandomLpRowsStayPrimitive) {
   }
 }
 
-// The same invariants in the wider tiers, on the programs whose
-// integerized data start there and never promote (see
-// WideDataStartInTheWideTier and HugeDataStartInBigInt).
+// The same invariants in the BigInt tier, on programs of both sizes whose
+// integerized data start there (see Data63To126BitsStartInBigInt and
+// HugeDataStartInBigInt).
 TEST(LadderRowScaleTest, WideAndBigRowsStayPrimitive) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     for (uint64_t rhs_bits : {80, 140}) {
       const std::string what = "seed " + std::to_string(seed) + ", " +
                                std::to_string(rhs_bits) + " bits";
-      const LadderTier tier = rhs_bits == 80 && kHasWideTier
-                                  ? LadderTier::kWide
-                                  : LadderTier::kBig;
       const LpProblem lp = WideRhsLp(seed, rhs_bits);
       LadderSimplex ladder;
       const Solution cold = ladder.Solve(lp);
       ASSERT_EQ(cold.bigint_promotions, 0) << what;
-      ExpectPrimitiveRows(ladder.workspace(), tier, what + " cold");
+      ExpectPrimitiveRows(ladder.workspace(), LadderTier::kBig, what + " cold");
       const Solution warm = ladder.SolveFrom(lp, cold.basis);
       ASSERT_EQ(warm.bigint_promotions, 0) << what;
-      ExpectPrimitiveRows(ladder.workspace(), tier, what + " warm");
+      ExpectPrimitiveRows(ladder.workspace(), LadderTier::kBig, what + " warm");
     }
   }
 }
@@ -855,7 +836,6 @@ TEST(LadderWorkspaceTest, ArenaIsReusedAcrossSolvesAndReleased) {
 
 TEST(LadderDispatchTest, TierNamesAreStable) {
   EXPECT_STREQ(LadderTierToString(LadderTier::kWord), "word");
-  EXPECT_STREQ(LadderTierToString(LadderTier::kWide), "wide");
   EXPECT_STREQ(LadderTierToString(LadderTier::kBig), "big");
 }
 

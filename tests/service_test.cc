@@ -185,7 +185,7 @@ TEST(ServiceMessageTest, StatsDebugStringShowsEveryCounter) {
   const std::string text = DebugString(Response{stats});
   for (const char* token :
        {"workers=4", "respawns=1", "decisions=500", "proofs=", "errors=",
-        "lp_solves=", "lp_pivots=", "lp_word_pivots=", "lp_wide_pivots=",
+        "lp_solves=", "lp_pivots=", "lp_word_pivots=",
         "lp_bigint_promotions=", "memo_hits=", "store_hits=",
         "store_misses=", "store_appends=", "store_rejects=", "connections=",
         "in_flight=", "steals=", "bytes_in=", "bytes_out=",
@@ -193,6 +193,11 @@ TEST(ServiceMessageTest, StatsDebugStringShowsEveryCounter) {
         "prover_cache_hits=493", "lp_warm_accepts=320",
         "lp_warm_pivots_saved=1100", "total_ms=2.5"}) {
     EXPECT_NE(text.find(token), std::string::npos) << token << " in " << text;
+  }
+  // The retired wire slots, which always hold 0, are not shown.
+  for (const char* token :
+       {"lp_wide_pivots", "lp_screen_accepts", "lp_exact_fallbacks"}) {
+    EXPECT_EQ(text.find(token), std::string::npos) << token << " in " << text;
   }
 }
 

@@ -9,6 +9,7 @@
 #include <random>
 
 #include "lp/lp_problem.h"
+#include "lp/simplex.h"
 
 namespace bagcq::lp {
 namespace {

@@ -16,9 +16,11 @@ Checks, each grep-level simple so failures are self-explanatory:
    `inline constexpr k*` declarations: magics, header size, record
    bound) appears by name in docs/proof-store.md — the log layout is a
    second normative spec that must not drift either.
-6. Every arithmetic tier of the exact-simplex escalation ladder (the
-   LadderTier enumerators of src/lp/ladder_simplex.h) appears, by its
-   ToString spelling, in the ladder section of docs/architecture.md.
+6. The tier rows of the ladder diagram in docs/architecture.md (lines
+   "│ name — ...", top to bottom) are exactly the arithmetic tiers of the
+   exact-simplex escalation ladder (the LadderTier enumerators of
+   src/lp/ladder_simplex.h, by their ToString spelling, in order), so a
+   tier can neither go undocumented nor linger in the diagram once gone.
 7. The serving surface cannot drift from its ops guide: every `--flag`
    the bagcq_server usage text declares appears in docs/serving.md, and
    every StatsResponse field name (src/service/message.h) appears there
@@ -152,19 +154,23 @@ def main():
                    "status code", failures)
 
     # The ladder tiers are normative names (stats fields, bench rows, docs);
-    # the enumerator kFoo is documented as its ToString spelling "foo".
+    # the enumerator kFoo is documented as its ToString spelling "foo", one
+    # diagram row per tier in escalation order.
     arch = read(root, os.path.join("docs", "architecture.md"))
     ladder_h = read(root, os.path.join("src", "lp", "ladder_simplex.h"))
     tier_names = [name[1:].lower()
                   for name in enum_names(ladder_h, "LadderTier")]
-    missing_tiers = [
-        name for name in tier_names
-        if not re.search(r"\b" + re.escape(name) + r"\b", arch)]
-    for name in missing_tiers:
+    section = re.search(r"^### The exact-arithmetic escalation ladder$"
+                        r"(.*?)(?=^#{1,3} |\Z)", arch, re.S | re.M)
+    if section is None:
+        sys.exit("error: ladder section not found in architecture.md")
+    diagram_rows = re.findall(r"│ (\w+)\s+—", section.group(1))
+    if diagram_rows != tier_names:
         failures.append(
-            f"architecture.md: ladder tier '{name}' is undocumented")
-    print(f"ladder tiers: {len(tier_names) - len(missing_tiers)}"
-          f"/{len(tier_names)} documented")
+            f"architecture.md: ladder diagram rows {diagram_rows} are not "
+            f"the LadderTier spellings {tier_names}")
+    documented = [name for name in tier_names if name in diagram_rows]
+    print(f"ladder tiers: {len(documented)}/{len(tier_names)} documented")
 
     # Server flags and stats counters are the operator's contract: every
     # --flag in the bagcq_server usage text and every StatsResponse field
