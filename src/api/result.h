@@ -43,11 +43,11 @@ struct CallStats {
   /// (for certificate-carrying results) re-verified, with no LP run. As
   /// with memo_hit, elapsed_ms/lp_pivots are those of the original solve.
   bool store_hit = false;
-  /// Escalation-ladder tallies: pivots completed in the int64 tier, and how
-  /// many solves promoted to BigInt. lp_word_pivots also counts the pivots
-  /// that move basic artificials out of the basis after phase I, which
-  /// lp_pivots (like the reference simplex) does not count, so it can
-  /// exceed lp_pivots.
+  /// Escalation-ladder tallies: pivots of the solves that ran in the int64
+  /// tier from start to finish, and how many solves overflowed it and ran
+  /// again in BigInt. lp_word_pivots also counts the pivots that move basic
+  /// artificials out of the basis after phase I, which lp_pivots (like the
+  /// reference simplex) does not count, so it can exceed lp_pivots.
   int64_t lp_word_pivots = 0;
   int64_t lp_wide_pivots = 0;  // always 0: wire slot of a removed tier
   int64_t lp_bigint_promotions = 0;

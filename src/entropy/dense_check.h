@@ -8,8 +8,8 @@
 // common denominator D and every branch coefficient over one denominator B,
 // so c holds integers, the exact values times D·B > 0; zero and sign are
 // unchanged. A pass runs in overflow-checked __int128 and, only when D, B,
-// a scaled weight or a sum leaves 128 bits, again in util::BigInt: the
-// values pick the tier, as in the simplex ladder.
+// a scaled weight or a sum leaves 128 bits, again from the start in
+// util::BigInt, as the simplex ladder reruns a solve that overflows int64.
 #pragma once
 
 #include <optional>

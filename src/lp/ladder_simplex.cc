@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "util/check.h"
@@ -32,11 +33,11 @@ uint64_t Magnitude(int64_t v) {
 }
 
 // Per-tier arithmetic. Every Mul/Sub reports whether the operation would
-// overflow the tier (the ladder promotes and retries); ExactDiv asserts in
-// debug builds that the division has no remainder (every division the
-// tableau makes is by a common factor). Gcd(a, b) is gcd(a, |b|) for a > 0,
-// so it never exceeds a and always fits the tier. CompareProducts returns
-// the sign of a*b - c*d, the cross-multiplied ratio test, exactly.
+// overflow the tier (the run is then abandoned); ExactDiv asserts in debug
+// builds that the division has no remainder (every division the tableau
+// makes is by a common factor). Gcd(a, b) is gcd(a, |b|) for a > 0, so it
+// never exceeds a and always fits the tier. CompareProducts returns the
+// sign of a*b - c*d, the cross-multiplied ratio test, exactly.
 struct Ops64 {
   using T = int64_t;
   static bool Mul(const T& a, const T& b, T* out) {
@@ -87,9 +88,9 @@ struct Ops64 {
   };
   static T Narrow(const BigInt& v) { return v.ToInt64(); }
   static BigInt ToBig(const T& v) { return BigInt(v); }
-  static T* ArenaOf(LadderWorkspace& ws) { return ws.w64.data(); }
+  static std::vector<T>& ArenaOf(LadderWorkspace& ws) { return ws.w64; }
   static int CompareProducts(const T& a, const T& b, const T& c, const T& d) {
-    // Two int64 factors always fit a 128-bit product: exact, never promotes.
+    // Two int64 factors always fit a 128-bit product: exact, never overflows.
     const __int128 x = static_cast<__int128>(a) * b;
     const __int128 y = static_cast<__int128>(c) * d;
     return x < y ? -1 : (x > y ? 1 : 0);
@@ -127,7 +128,7 @@ struct OpsBig {
   };
   static const T& Narrow(const BigInt& v) { return v; }
   static BigInt ToBig(const T& v) { return v; }
-  static T* ArenaOf(LadderWorkspace& ws) { return ws.wbig.data(); }
+  static std::vector<T>& ArenaOf(LadderWorkspace& ws) { return ws.wbig; }
   static int CompareProducts(const T& a, const T& b, const T& c, const T& d) {
     const T x = a * b;
     const T y = c * d;
@@ -145,6 +146,12 @@ struct OpsBig {
 // over its own positive scale (real entry = M[i][j] / scale_i), kept
 // primitive: the gcd of its entries, the cost row's scale included, is 1.
 // A constraint row's scale is its entry in its basic column.
+//
+// A run (RunIn) works in one tier, given by its Ops, from the filled arena
+// to the extracted Solution. Every step that can overflow the tier (a
+// pivot, a row negation, a cost-row rebuild) returns false when it did, and
+// the run then returns nullopt, leaving its arena half updated; Run starts
+// over in BigInt.
 class LadderTableau {
  public:
   LadderTableau(const LpProblem& problem, const SolverOptions& options,
@@ -154,78 +161,117 @@ class LadderTableau {
                 LadderWorkspace& workspace)
       : ip_(&program), options_(options), ws_(workspace) {}
 
+  // The whole solve in the word tier when the program's data fit it, else
+  // in BigInt. A word run that overflows is rerun from the start in BigInt,
+  // on a BigInt arena filled from the same program, with the same hint.
+  // Exact arithmetic and Bland's rule fix every choice, and a primitive
+  // integer row over a positive scale is unique for its rational row, so
+  // the rerun returns what the word run would have, pivot count included.
   Solution Run(const std::vector<BasisEntry>* hint) {
-    Solution out = RunImpl(hint);
-    out.word_pivots = word_pivots_;
-    out.bigint_promotions = big_promotions_;
+    int64_t promotions = 0;
+    if (FillWord()) {
+      if (std::optional<Solution> out = RunIn<Ops64>(hint)) {
+        out->word_pivots = tableau_pivots_;
+        return *std::move(out);
+      }
+      FillBig();
+      promotions = 1;
+    }
+    Solution out = *RunIn<OpsBig>(hint);
+    out.bigint_promotions = promotions;
     return out;
   }
 
  private:
   // ---- driver (the reference Tableau::Run flow) ---------------------------
 
-  Solution RunImpl(const std::vector<BasisEntry>* hint) {
-    Build();
+  template <typename Ops>
+  std::optional<Solution> RunIn(const std::vector<BasisEntry>* hint) {
     Solution out;
-    out.warm_started = hint != nullptr && Install(*hint, &out.pivots);
+    out.warm_started = hint != nullptr && HintMaps(*hint);
+    if (out.warm_started && !Install<Ops>(*hint, &out.pivots)) {
+      return std::nullopt;
+    }
     if (out.pivots > options_.max_pivots) {
       out.status = SolveStatus::kPivotLimit;
       return out;
     }
 
     const bool need_phase_one = out.warm_started
-                                    ? InstalledBasisNeedsPhaseOne()
+                                    ? InstalledBasisNeedsPhaseOne<Ops>()
                                     : num_artificials_ > 0;
     if (need_phase_one) {
-      SetPhaseCosts(/*phase_one=*/true);
-      SolveStatus status = Iterate(/*phase_one=*/true, &out.pivots);
-      BAGCQ_CHECK(status != SolveStatus::kUnbounded)
+      if (!SetPhaseCosts<Ops>(/*phase_one=*/true)) return std::nullopt;
+      const std::optional<SolveStatus> status =
+          Iterate<Ops>(/*phase_one=*/true, &out.pivots);
+      if (!status.has_value()) return std::nullopt;
+      BAGCQ_CHECK(*status != SolveStatus::kUnbounded)
           << "phase I cannot be unbounded";
-      if (status == SolveStatus::kPivotLimit) {
+      if (*status == SolveStatus::kPivotLimit) {
         out.status = SolveStatus::kPivotLimit;
         return out;
       }
       // Phase-I objective is -C[m][ncols]/d, d the cost row's scale (> 0):
       // positive iff the cost cell is negative.
-      if (SignAt(m_, ncols_) < 0) {
+      if (SignAt<Ops>(m_, ncols_) < 0) {
         out.status = SolveStatus::kInfeasible;
-        out.farkas = ExtractRowMultipliers(/*phase_one=*/true);
+        out.farkas = ExtractRowMultipliers<Ops>(/*phase_one=*/true);
         out.basis = ExtractBasis();
         return out;
       }
-      PivotOutBasicArtificials();
+      if (!PivotOutBasicArtificials<Ops>()) return std::nullopt;
     } else if (out.warm_started && num_artificials_ > 0) {
-      PivotOutBasicArtificials();
+      if (!PivotOutBasicArtificials<Ops>()) return std::nullopt;
     }
 
-    SetPhaseCosts(/*phase_one=*/false);
-    SolveStatus status = Iterate(/*phase_one=*/false, &out.pivots);
-    if (status == SolveStatus::kUnbounded ||
-        status == SolveStatus::kPivotLimit) {
-      out.status = status;
+    if (!SetPhaseCosts<Ops>(/*phase_one=*/false)) return std::nullopt;
+    const std::optional<SolveStatus> status =
+        Iterate<Ops>(/*phase_one=*/false, &out.pivots);
+    if (!status.has_value()) return std::nullopt;
+    if (*status == SolveStatus::kUnbounded ||
+        *status == SolveStatus::kPivotLimit) {
+      out.status = *status;
       return out;
     }
 
     out.status = SolveStatus::kOptimal;
     // Objective = -C[m][ncols] / (d * L), d the cost row's scale, undoing
     // the objective integerization scale (L = 1 for integer input).
-    out.objective = Rational(
-        -CellBig(m_, ncols_),
-        ip_ != nullptr ? CostRowScale() : CostRowScale() * ws_.cost_scale);
-    out.values = ExtractPrimal();
-    out.duals = ExtractRowMultipliers(/*phase_one=*/false);
+    const BigInt d = CellBig<Ops>(scale_cell_);
+    out.objective = Rational(-CellBig<Ops>(Index(m_, ncols_)),
+                             ip_ != nullptr ? d : d * ws_.cost_scale);
+    out.values = ExtractPrimal<Ops>();
+    out.duals = ExtractRowMultipliers<Ops>(/*phase_one=*/false);
     out.basis = ExtractBasis();
     return out;
   }
 
   // ---- build --------------------------------------------------------------
 
-  void Build() {
+  // Lays out the tableau and fills the word arena with the program's
+  // initial tableau. False, with the layout built and the staged tableau
+  // in the BigInt arena, when an LpProblem's integerized data do not fit
+  // IntegerProgram::kMaxBits.
+  bool FillWord() {
     BuildLayout();
     if (ip_ != nullptr) {
-      BuildIntegerFill();
+      FillInteger<Ops64>();
+      return true;
+    }
+    if (!FillStaged()) return false;
+    ws_.w64.resize(cells_);
+    for (size_t k = 0; k < cells_; ++k) ws_.w64[k] = ws_.wbig[k].ToInt64();
+    return true;
+  }
+
+  // Lays out the tableau again and fills the BigInt arena with the same
+  // initial tableau, for the rerun of a word run that overflowed.
+  void FillBig() {
+    BuildLayout();
+    if (ip_ != nullptr) {
+      FillInteger<OpsBig>();
     } else {
-      BuildStagedFill();
+      FillStaged();
     }
   }
 
@@ -298,35 +344,36 @@ class LadderTableau {
     return j < static_cast<int>(row.coeffs.size()) ? row.coeffs[j] : Rational();
   }
 
-  // Integer input: no scaling (t_i = L = 1) and no staging. The word-tier
+  // Integer input: no scaling (t_i = L = 1) and no staging. The tier's
   // arena is zeroed and each sparse column scattered into it; the costs
   // are read from the program when a phase starts (SetPhaseCosts).
-  void BuildIntegerFill() {
+  template <typename Ops>
+  void FillInteger() {
+    using T = typename Ops::T;
+    std::vector<T>& arena = Ops::ArenaOf(ws_);
+    arena.assign(cells_, T{});
+    T* a = arena.data();
     const int n = ip_->num_columns();
-    ws_.w64.assign(cells_, 0);
-    int64_t* a = ws_.w64.data();
     for (int j = 0; j < n; ++j) {
       for (const IntegerProgram::Entry& e : ip_->column(j)) {
-        a[static_cast<size_t>(e.row) * stride_ + j] =
-            e.value * ws_.row_sign[e.row];
+        a[Index(e.row, j)] = T(e.value * ws_.row_sign[e.row]);
       }
     }
     for (int i = 0; i < m_; ++i) {
-      int64_t* ri = a + static_cast<size_t>(i) * stride_;
-      ri[ncols_] = ip_->rhs(i) * ws_.row_sign[i];
+      T* ri = a + Index(i, 0);
+      ri[ncols_] = T(ip_->rhs(i) * ws_.row_sign[i]);
       if (ws_.slack_col_of_row[i] >= 0) {
-        ri[ws_.slack_col_of_row[i]] = SlackCoeff(i);
+        ri[ws_.slack_col_of_row[i]] = T(SlackCoeff(i));
       }
-      if (ws_.art_col_of_row[i] >= 0) ri[ws_.art_col_of_row[i]] = 1;
+      if (ws_.art_col_of_row[i] >= 0) ri[ws_.art_col_of_row[i]] = T(1);
     }
-    a[scale_cell_] = 1;
-    tier_ = LadderTier::kWord;
+    a[scale_cell_] = T(1);
   }
 
   // General path: integerize (row i scaled by t_i = lcm of its
-  // denominators, objective by L), stage the scaled tableau in BigInt, and
-  // narrow the whole block to the word tier if every datum fits it.
-  void BuildStagedFill() {
+  // denominators, objective by L) and stage the scaled tableau in the
+  // BigInt arena. Returns whether every datum fits the word tier.
+  bool FillStaged() {
     const LpProblem& problem = *lp_;
     const int n = problem.num_variables();
     ws_.row_scale.assign(m_, BigInt(1));
@@ -369,7 +416,7 @@ class LadderTableau {
     for (int i = 0; i < m_; ++i) {
       const Constraint& row = problem.constraints()[i];
       const BigInt& t = ws_.row_scale[i];
-      BigInt* ri = a + static_cast<size_t>(i) * stride_;
+      BigInt* ri = a + Index(i, 0);
       for (int j = 0; j < n; ++j) {
         const Rational c = CoeffAt(row, j);
         if (c.is_zero()) continue;
@@ -387,73 +434,26 @@ class LadderTableau {
       if (ws_.art_col_of_row[i] >= 0) ri[ws_.art_col_of_row[i]] = BigInt(1);
     }
     a[scale_cell_] = BigInt(1);
-
-    if (max_bits <= IntegerProgram::kMaxBits) {
-      ws_.w64.resize(cells_);
-      for (size_t k = 0; k < cells_; ++k) ws_.w64[k] = a[k].ToInt64();
-      tier_ = LadderTier::kWord;
-    } else {
-      tier_ = LadderTier::kBig;
-    }
+    return max_bits <= IntegerProgram::kMaxBits;
   }
 
-  // ---- tier plumbing ------------------------------------------------------
+  // ---- cells --------------------------------------------------------------
 
-  // Calls fn with the Ops of the current tier (fn(Ops64{}) or
-  // fn(OpsBig{})): the one place the tier selects the arithmetic.
-  template <typename Fn>
-  auto OnTier(Fn&& fn) const {
-    return tier_ == LadderTier::kWord ? fn(Ops64{}) : fn(OpsBig{});
+  size_t Index(int i, int j) const {
+    return static_cast<size_t>(i) * stride_ + j;
   }
 
-  // Runs step(ops) in the current tier until it completes. A step returns
-  // false when an operation overflowed the word tier; the tableau then
-  // promotes and the step runs again in BigInt, continuing from whatever
-  // state it saved (or from the start, if it only reads the tableau).
-  template <typename Step>
-  void RunPromoting(Step&& step) {
-    while (!OnTier(step)) Promote();
-  }
-
-  // Widens the whole block to BigInt (the in-flight pivot factors already
-  // are, in resume_). Lossless; never reversed within a solve.
-  void Promote() {
-    BAGCQ_DCHECK(tier_ == LadderTier::kWord);
-    ws_.wbig.assign(ws_.w64.begin(), ws_.w64.end());
-    tier_ = LadderTier::kBig;
-    ++big_promotions_;
-  }
-
+  template <typename Ops>
   int SignAt(int i, int j) const {
-    const size_t k = static_cast<size_t>(i) * stride_ + j;
-    return OnTier([&](auto ops) {
-      using Ops = decltype(ops);
-      return Ops::Sign(Ops::ArenaOf(ws_)[k]);
-    });
+    return Ops::Sign(Ops::ArenaOf(ws_)[Index(i, j)]);
   }
 
-  BigInt CellBig(int i, int j) const {
-    return IndexBig(static_cast<size_t>(i) * stride_ + j);
-  }
-
-  BigInt CostRowScale() const { return IndexBig(scale_cell_); }
-
-  BigInt IndexBig(size_t k) const {
-    return OnTier([&](auto ops) {
-      using Ops = decltype(ops);
-      return Ops::ToBig(Ops::ArenaOf(ws_)[k]);
-    });
+  template <typename Ops>
+  BigInt CellBig(size_t k) const {
+    return Ops::ToBig(Ops::ArenaOf(ws_)[k]);
   }
 
   // ---- pivoting -----------------------------------------------------------
-
-  struct PivotResume {
-    int row = 0;        // row to continue at
-    int col = 0;        // cell within that row; ncols_ + 1 is the cost
-                        // row's pending scale multiply
-    bool mid_row = false;
-    BigInt a, b;        // the in-progress row's factors
-  };
 
   // One pivot on (r, c), cost row included (it is row m_ of the block). The
   // pivot row is left as it is; its scale becomes piv = M[r][c] > 0. A row
@@ -464,32 +464,24 @@ class LadderTableau {
   // a constraint row's in its basic column, where the pivot row is zero.
   // With a = 1 only the pivot row's nonzero columns (its support) change,
   // so such a row computes just those. Each updated row is then made
-  // primitive again (ReduceRowT). Returns false when the tier overflowed:
-  // resume_ then records the exact cell to continue from, with both
-  // factors; committed cells of the current row keep their values under
-  // promotion, so resuming is exact.
+  // primitive again (ReduceRowT). False when an operation overflowed the
+  // tier.
   template <typename Ops>
-  bool PivotT(int r, int c) {
+  bool Pivot(int r, int c) {
     using T = typename Ops::T;
-    T* a = Ops::ArenaOf(ws_);
-    const T* pr = a + static_cast<size_t>(r) * stride_;
+    T* a = Ops::ArenaOf(ws_).data();
+    const T* pr = a + Index(r, 0);
     const T piv = pr[c];
     BAGCQ_DCHECK(Ops::Sign(piv) > 0);
     const bool unit_piv = piv == T{1};
     const int leave = ws_.basis[r];
     const int* support_end = nullptr;
-    for (int i = resume_.row; i <= m_; ++i) {
+    for (int i = 0; i <= m_; ++i) {
       if (i == r) continue;
-      T* ri = a + static_cast<size_t>(i) * stride_;
+      T* ri = a + Index(i, 0);
+      if (Ops::IsZero(ri[c])) continue;
       T fa, fb;
-      int j0 = 0;
-      if (resume_.mid_row && i == resume_.row) {
-        fa = Ops::Narrow(resume_.a);
-        fb = Ops::Narrow(resume_.b);
-        j0 = resume_.col;
-      } else if (Ops::IsZero(ri[c])) {
-        continue;
-      } else if (unit_piv) {
+      if (unit_piv) {
         fa = piv;
         fb = ri[c];
       } else {
@@ -499,40 +491,37 @@ class LadderTableau {
       }
       if (fa == T{1}) {
         if (support_end == nullptr) support_end = BuildSupportT<Ops>(pr);
-        const int* begin = ws_.pivot_support.data();
-        for (const int* k = std::lower_bound(begin, support_end, j0);
-             k != support_end; ++k) {
+        for (const int* k = ws_.pivot_support.data(); k != support_end; ++k) {
           const int j = *k;
           T t, next;
           if (Ops::Mul(fb, pr[j], &t) || Ops::Sub(ri[j], t, &next)) {
-            return SaveResume<Ops>(i, j, fa, fb);
+            return false;
           }
           ri[j] = std::move(next);
         }
       } else {
-        for (int j = j0; j <= ncols_; ++j) {
+        for (int j = 0; j <= ncols_; ++j) {
           T t1, t2, t3;
           if (Ops::Mul(fa, ri[j], &t1) || Ops::Mul(fb, pr[j], &t2) ||
               Ops::Sub(t1, t2, &t3)) {
-            return SaveResume<Ops>(i, j, fa, fb);
+            return false;
           }
           ri[j] = std::move(t3);
         }
         if (i == m_) {
           T scale;
-          if (Ops::Mul(fa, a[scale_cell_], &scale)) {
-            return SaveResume<Ops>(i, ncols_ + 1, fa, fb);
-          }
+          if (Ops::Mul(fa, a[scale_cell_], &scale)) return false;
           a[scale_cell_] = std::move(scale);
         }
       }
-      resume_.mid_row = false;
       // The leaving column is a unit column at r, so the row now holds
       // -b*M[r][leave] there; any common factor of the row divides that
       // entry and the row's scale.
       const T& scale = i == m_ ? a[scale_cell_] : ri[ws_.basis[i]];
       if (!(scale == T{1})) ReduceRowT<Ops>(i, Ops::Gcd(scale, ri[leave]));
     }
+    ws_.basis[r] = c;
+    ++tableau_pivots_;
     return true;
   }
 
@@ -550,29 +539,17 @@ class LadderTableau {
     return out;
   }
 
-  template <typename Ops>
-  bool SaveResume(int i, int j, const typename Ops::T& fa,
-                  const typename Ops::T& fb) {
-    resume_.row = i;
-    resume_.col = j;
-    resume_.mid_row = true;
-    resume_.a = Ops::ToBig(fa);
-    resume_.b = Ops::ToBig(fb);
-    return false;
-  }
-
   // Divides row i (the cost row together with its scale cell) by the gcd
   // of its entries, given g >= 1, a multiple of that gcd. A first pass,
   // without branches, checks whether g divides every entry, as it mostly
   // does; only if not is the gcd narrowed cell by cell, stopping as soon as
-  // it is 1. Division by a positive divisor cannot overflow, so this never
-  // promotes.
+  // it is 1. Division by a positive divisor cannot overflow.
   template <typename Ops>
   void ReduceRowT(int i, typename Ops::T g) {
     using T = typename Ops::T;
     if (g == T{1}) return;
-    T* a = Ops::ArenaOf(ws_);
-    T* ri = a + static_cast<size_t>(i) * stride_;
+    T* a = Ops::ArenaOf(ws_).data();
+    T* ri = a + Index(i, 0);
     typename Ops::Divisor divisor(g);
     bool divides = true;
     for (int j = 0; j <= ncols_; ++j) divides &= divisor.Divides(ri[j]);
@@ -588,36 +565,19 @@ class LadderTableau {
     if (i == m_) a[scale_cell_] = divisor.Divide(a[scale_cell_]);
   }
 
-  // A full pivot, promoting (and resuming mid-row) as many times as the
-  // entries demand. The pivot is tallied under the tier that completed it.
-  void PivotInto(int r, int c) {
-    resume_ = PivotResume{};
-    RunPromoting([&](auto ops) { return PivotT<decltype(ops)>(r, c); });
-    ws_.basis[r] = c;
-    if (tier_ == LadderTier::kWord) ++word_pivots_;
-  }
-
-  template <typename Ops>
-  bool NegateRowT(int i, int* j0) {
-    using T = typename Ops::T;
-    T* ri = Ops::ArenaOf(ws_) + static_cast<size_t>(i) * stride_;
-    for (int j = *j0; j <= ncols_; ++j) {
-      T v;
-      if (Ops::Sub(T{}, ri[j], &v)) {
-        *j0 = j;
-        return false;
-      }
-      ri[j] = std::move(v);
-    }
-    return true;
-  }
-
   // Negates row i in place (a sign-preserving setup step so pivots always
   // see a positive pivot entry; equivalent to the reference dividing by a
   // negative pivot). Only -INT64_MIN-style edges can overflow.
-  void NegateRow(int i) {
-    int j0 = 0;
-    RunPromoting([&](auto ops) { return NegateRowT<decltype(ops)>(i, &j0); });
+  template <typename Ops>
+  bool NegateRow(int i) {
+    using T = typename Ops::T;
+    T* ri = Ops::ArenaOf(ws_).data() + Index(i, 0);
+    for (int j = 0; j <= ncols_; ++j) {
+      T v;
+      if (Ops::Sub(T{}, ri[j], &v)) return false;
+      ri[j] = std::move(v);
+    }
+    return true;
   }
 
   // ---- cost row -----------------------------------------------------------
@@ -627,10 +587,10 @@ class LadderTableau {
   // the cost row C[j] = s*c_j - sum_i c_basis(i) * (s/s_i) * M[i][j] over
   // the scale s, the lcm of the scales s_i of the rows whose basic column
   // has a nonzero cost — the integer image of the reference's
-  // d_j = c_j - z_j recomputation — and makes it primitive. Reads only the
-  // constraint rows, so an overflow restarts the rebuild wholesale in
-  // BigInt.
-  void SetPhaseCosts(bool phase_one) {
+  // d_j = c_j - z_j recomputation — and makes it primitive. False when an
+  // operation overflowed the tier.
+  template <typename Ops>
+  bool SetPhaseCosts(bool phase_one) {
     if (ip_ != nullptr) {
       // An artificial's phase-I cost lcm(t)/t_i is 1.
       ws_.int_phase_cost.assign(ncols_, 0);
@@ -642,10 +602,7 @@ class LadderTableau {
           ws_.int_phase_cost[j] = ip_->cost(j);
         }
       }
-      RunPromoting([&](auto ops) {
-        return SetPhaseCostsT<decltype(ops)>(ws_.int_phase_cost);
-      });
-      return;
+      return SetPhaseCostsT<Ops>(ws_.int_phase_cost);
     }
     ws_.phase_cost.assign(ncols_, BigInt());
     if (phase_one) {
@@ -660,13 +617,11 @@ class LadderTableau {
         ws_.phase_cost[j] = ws_.structural_cost[j];
       }
     }
-    RunPromoting([&](auto ops) {
-      return SetPhaseCostsT<decltype(ops)>(ws_.phase_cost);
-    });
+    return SetPhaseCostsT<Ops>(ws_.phase_cost);
   }
 
   // A phase cost in the tier's integers: an int64 one widens; a BigInt one
-  // narrows (BuildStagedFill chose a tier that holds it).
+  // narrows (FillWord ran a word run only if it fits).
   template <typename Ops>
   static typename Ops::T CostInTier(int64_t c) {
     return typename Ops::T(c);
@@ -681,16 +636,16 @@ class LadderTableau {
   template <typename Ops, typename Cost>
   bool SetPhaseCostsT(const std::vector<Cost>& cost) {
     using T = typename Ops::T;
-    T* a = Ops::ArenaOf(ws_);
+    T* a = Ops::ArenaOf(ws_).data();
     T s{1};
     for (int i = 0; i < m_; ++i) {
       if (IsZeroCost(cost[ws_.basis[i]])) continue;
-      const T& si = a[static_cast<size_t>(i) * stride_ + ws_.basis[i]];
+      const T& si = a[Index(i, ws_.basis[i])];
       T lcm;
       if (Ops::Mul(s, Ops::ExactDiv(si, Ops::Gcd(si, s)), &lcm)) return false;
       s = std::move(lcm);
     }
-    T* crow = a + static_cast<size_t>(m_) * stride_;
+    T* crow = a + Index(m_, 0);
     for (int j = 0; j < ncols_; ++j) {
       if (IsZeroCost(cost[j])) {
         crow[j] = T{};
@@ -702,7 +657,7 @@ class LadderTableau {
     for (int i = 0; i < m_; ++i) {
       const Cost& cb_cost = cost[ws_.basis[i]];
       if (IsZeroCost(cb_cost)) continue;
-      const T* ri = a + static_cast<size_t>(i) * stride_;
+      const T* ri = a + Index(i, 0);
       T cb;
       if (Ops::Mul(CostInTier<Ops>(cb_cost),
                    Ops::ExactDiv(s, ri[ws_.basis[i]]), &cb)) {
@@ -726,8 +681,7 @@ class LadderTableau {
 
   template <typename Ops>
   int SelectEnterT(bool phase_one) const {
-    using T = typename Ops::T;
-    const T* crow = Ops::ArenaOf(ws_) + static_cast<size_t>(m_) * stride_;
+    const typename Ops::T* crow = Ops::ArenaOf(ws_).data() + Index(m_, 0);
     // Artificials sit last and may enter only in phase I.
     const int end = phase_one ? ncols_ : art_begin_;
     for (int j = 0; j < end; ++j) {
@@ -742,9 +696,9 @@ class LadderTableau {
   // exactly, so this never overflows.
   template <typename Ops>
   bool RatioBeatsT(int enter, int i, int leave) const {
-    using T = typename Ops::T;
-    const T* ri = Ops::ArenaOf(ws_) + static_cast<size_t>(i) * stride_;
-    const T* rl = Ops::ArenaOf(ws_) + static_cast<size_t>(leave) * stride_;
+    const typename Ops::T* a = Ops::ArenaOf(ws_).data();
+    const typename Ops::T* ri = a + Index(i, 0);
+    const typename Ops::T* rl = a + Index(leave, 0);
     const int cmp =
         Ops::CompareProducts(ri[ncols_], rl[enter], rl[ncols_], ri[enter]);
     return cmp < 0 || (cmp == 0 && ws_.basis[i] < ws_.basis[leave]);
@@ -753,26 +707,26 @@ class LadderTableau {
   // The leaving row for column `enter` (Bland), or -1 if none bounds it.
   template <typename Ops>
   int SelectLeaveT(int enter) const {
-    const typename Ops::T* a = Ops::ArenaOf(ws_);
     int leave = -1;
     for (int i = 0; i < m_; ++i) {
-      if (Ops::Sign(a[static_cast<size_t>(i) * stride_ + enter]) <= 0) continue;
+      if (SignAt<Ops>(i, enter) <= 0) continue;
       if (leave < 0 || RatioBeatsT<Ops>(enter, i, leave)) leave = i;
     }
     return leave;
   }
 
-  SolveStatus Iterate(bool phase_one, int64_t* pivots) {
+  // Bland's rule to optimality, unboundedness or the pivot cap; nullopt
+  // when a pivot overflowed the tier.
+  template <typename Ops>
+  std::optional<SolveStatus> Iterate(bool phase_one, int64_t* pivots) {
     while (true) {
-      const int enter = OnTier(
-          [&](auto ops) { return SelectEnterT<decltype(ops)>(phase_one); });
+      const int enter = SelectEnterT<Ops>(phase_one);
       if (enter == -1) return SolveStatus::kOptimal;
 
-      const int leave =
-          OnTier([&](auto ops) { return SelectLeaveT<decltype(ops)>(enter); });
+      const int leave = SelectLeaveT<Ops>(enter);
       if (leave == -1) return SolveStatus::kUnbounded;
 
-      PivotInto(leave, enter);
+      if (!Pivot<Ops>(leave, enter)) return std::nullopt;
       ++*pivots;
       if (*pivots > options_.max_pivots) return SolveStatus::kPivotLimit;
     }
@@ -797,17 +751,22 @@ class LadderTableau {
     return -1;
   }
 
+  // Whether the hint maps onto this program: one entry per row, each
+  // naming a column the program has.
+  bool HintMaps(const std::vector<BasisEntry>& hint) const {
+    if (static_cast<int>(hint.size()) != m_) return false;
+    for (const BasisEntry& entry : hint) {
+      if (ColumnOfEntry(entry) < 0) return false;
+    }
+    return true;
+  }
+
+  template <typename Ops>
   bool ValuesNonnegative() const {
-    return OnTier([&](auto ops) {
-      using Ops = decltype(ops);
-      const typename Ops::T* a = Ops::ArenaOf(ws_);
-      for (int i = 0; i < m_; ++i) {
-        if (Ops::Sign(a[static_cast<size_t>(i) * stride_ + ncols_]) < 0) {
-          return false;
-        }
-      }
-      return true;
-    });
+    for (int i = 0; i < m_; ++i) {
+      if (SignAt<Ops>(i, ncols_) < 0) return false;
+    }
+    return true;
   }
 
   // The row hint column col enters at (see Install), or -1 to skip it, in
@@ -817,10 +776,10 @@ class LadderTableau {
   template <typename Ops>
   int InstallRowT(int col, const std::vector<char>& assigned) const {
     using T = typename Ops::T;
-    const T* a = Ops::ArenaOf(ws_);
+    const T* a = Ops::ArenaOf(ws_).data();
     int leave = -1;
     for (int i = 0; i < m_; ++i) {
-      const T* ri = a + static_cast<size_t>(i) * stride_;
+      const T* ri = a + Index(i, 0);
       const int sign = Ops::Sign(ri[col]);
       if (sign == 0) continue;
       if (!assigned[i] && Ops::IsZero(ri[ncols_])) return i;
@@ -828,62 +787,60 @@ class LadderTableau {
         leave = i;
       }
     }
-    const bool enters =
-        leave >= 0 && !assigned[leave] &&
-        Ops::Sign(a[static_cast<size_t>(leave) * stride_ + ncols_]) > 0;
+    const bool enters = leave >= 0 && !assigned[leave] &&
+                        SignAt<Ops>(leave, ncols_) > 0;
     return enters ? leave : -1;
   }
 
-  // The reference Tableau::Install rule, which keeps every basic value
-  // nonnegative: each hint column enters at the row InstallRowT picks, if
-  // any, with a degenerate pivot there on a negated row when its entry is
-  // negative. False, before any pivot, iff the hint does not map onto this
-  // program.
+  // The reference Tableau::Install rule for a hint that maps (HintMaps),
+  // which keeps every basic value nonnegative: each hint column enters at
+  // the row InstallRowT picks, if any, with a degenerate pivot there on a
+  // negated row when its entry is negative. False when a row negation or
+  // a pivot overflowed the tier.
+  template <typename Ops>
   bool Install(const std::vector<BasisEntry>& hint, int64_t* pivots) {
-    if (static_cast<int>(hint.size()) != m_) return false;
-    for (const BasisEntry& entry : hint) {
-      if (ColumnOfEntry(entry) < 0) return false;
-    }
-
     std::vector<char> assigned(m_, 0);
     for (const BasisEntry& entry : hint) {
       const int col = ColumnOfEntry(entry);
-      const int r = OnTier(
-          [&](auto ops) { return InstallRowT<decltype(ops)>(col, assigned); });
+      const int r = InstallRowT<Ops>(col, assigned);
       if (r < 0) continue;
       if (ws_.basis[r] != col) {
-        if (SignAt(r, col) < 0) NegateRow(r);
-        PivotInto(r, col);
+        if (SignAt<Ops>(r, col) < 0 && !NegateRow<Ops>(r)) return false;
+        if (!Pivot<Ops>(r, col)) return false;
         ++*pivots;
-        BAGCQ_DCHECK(ValuesNonnegative());
+        BAGCQ_DCHECK(ValuesNonnegative<Ops>());
       }
       assigned[r] = 1;
     }
     return true;
   }
 
+  template <typename Ops>
   bool InstalledBasisNeedsPhaseOne() const {
     for (int i = 0; i < m_; ++i) {
       if (ws_.col_entry[ws_.basis[i]].kind == BasisKind::kArtificial &&
-          SignAt(i, ncols_) > 0) {
+          SignAt<Ops>(i, ncols_) > 0) {
         return true;
       }
     }
     return false;
   }
 
-  void PivotOutBasicArtificials() {
+  // False when a row negation or a pivot overflowed the tier.
+  template <typename Ops>
+  bool PivotOutBasicArtificials() {
     for (int i = 0; i < m_; ++i) {
       if (ws_.basis[i] < art_begin_) continue;  // artificials sit at the end
       for (int j = 0; j < art_begin_; ++j) {
-        const int s = SignAt(i, j);
+        const int s = SignAt<Ops>(i, j);
         if (s == 0) continue;
         // Direct elementary pivot (ratio irrelevant: rhs is zero).
-        if (s < 0) NegateRow(i);
-        PivotInto(i, j);
+        if (s < 0 && !NegateRow<Ops>(i)) return false;
+        if (!Pivot<Ops>(i, j)) return false;
         break;
       }
     }
+    return true;
   }
 
   // ---- extraction (the Rational boundary) ---------------------------------
@@ -896,12 +853,13 @@ class LadderTableau {
   }
 
   // A basic variable's value is its row's rhs over the row's scale.
+  template <typename Ops>
   std::vector<Rational> ExtractPrimal() const {
     std::vector<Rational> out(NumVariables());
     for (int i = 0; i < m_; ++i) {
       if (ws_.basis[i] < static_cast<int>(out.size())) {
-        out[ws_.basis[i]] =
-            Rational(CellBig(i, ncols_), CellBig(i, ws_.basis[i]));
+        out[ws_.basis[i]] = Rational(CellBig<Ops>(Index(i, ncols_)),
+                                     CellBig<Ops>(Index(i, ws_.basis[i])));
       }
     }
     return out;
@@ -913,8 +871,9 @@ class LadderTableau {
   // by the phase's objective scale (lcm(t) for the phase-I/Farkas
   // certificate, L for phase-II duals) — which lands exactly on what the
   // reference simplex extracts. Integer input has all three scales 1.
+  template <typename Ops>
   std::vector<Rational> ExtractRowMultipliers(bool phase_one) const {
-    const BigInt d = CostRowScale();
+    const BigInt d = CellBig<Ops>(scale_cell_);
     const bool integer = ip_ != nullptr;
     const BigInt den =
         integer ? d : d * (phase_one ? ws_.art_scale : ws_.cost_scale);
@@ -922,7 +881,7 @@ class LadderTableau {
     for (int i = 0; i < m_; ++i) {
       const int col = ws_.identity_col[i];
       BAGCQ_CHECK_GE(col, 0) << "row without identity column";
-      BigInt numer = -CellBig(m_, col);
+      BigInt numer = -CellBig<Ops>(Index(m_, col));
       if (!integer) {
         numer = (d * ws_.phase_cost[col] + numer) * ws_.row_scale[i];
       } else if (const int64_t c = ws_.int_phase_cost[col]; c == 1) {
@@ -950,10 +909,9 @@ class LadderTableau {
   size_t scale_cell_ = 0;
   size_t cells_ = 0;
 
-  LadderTier tier_ = LadderTier::kWord;
-  PivotResume resume_;
-  int64_t word_pivots_ = 0;
-  int64_t big_promotions_ = 0;
+  // Pivots made, the pivot-outs of basic artificials included: after the
+  // word run, its Solution::word_pivots.
+  int64_t tableau_pivots_ = 0;
 };
 
 }  // namespace
@@ -966,25 +924,21 @@ size_t LadderWorkspace::RetainedBytes() const {
 }
 
 Solution LadderSimplex::Solve(const LpProblem& problem) {
-  LadderTableau tableau(problem, options_, workspace_);
-  return tableau.Run(nullptr);
+  return LadderTableau(problem, options_, workspace_).Run(nullptr);
 }
 
 Solution LadderSimplex::SolveFrom(const LpProblem& problem,
                                   const std::vector<BasisEntry>& basis) {
-  LadderTableau tableau(problem, options_, workspace_);
-  return tableau.Run(&basis);
+  return LadderTableau(problem, options_, workspace_).Run(&basis);
 }
 
 Solution LadderSimplex::Solve(const IntegerProgram& program) {
-  LadderTableau tableau(program, options_, workspace_);
-  return tableau.Run(nullptr);
+  return LadderTableau(program, options_, workspace_).Run(nullptr);
 }
 
 Solution LadderSimplex::SolveFrom(const IntegerProgram& program,
                                   const std::vector<BasisEntry>& basis) {
-  LadderTableau tableau(program, options_, workspace_);
-  return tableau.Run(&basis);
+  return LadderTableau(program, options_, workspace_).Run(&basis);
 }
 
 }  // namespace bagcq::lp

@@ -24,18 +24,18 @@
 //     besides the one that gives a and b when piv > 1. A primitive row
 //     divides the row of the shared-denominator (Bareiss) tableau that
 //     represents the same rational row, so no entry or product is larger
-//     than there, and a promotion comes no earlier.
+//     than there, and the word tier overflows no earlier.
 //
-//   * A two-tier arithmetic ladder: kWord (int64) and kBig (util::BigInt,
-//     which never overflows). The tableau starts in the word tier when its
-//     input fits IntegerProgram::kMaxBits, else in BigInt. In the word tier
-//     every multiply/subtract is overflow-checked (__builtin_*_overflow);
-//     the first operation that would overflow promotes the whole tableau
-//     losslessly to BigInt and resumes mid-pivot. Promotion is never
-//     speculative and never reversed within a solve. Ratio tests compare
-//     cross-products exactly in either tier (through __int128 in the word
-//     tier), so they never promote. The tier selects the arithmetic in one
-//     place (LadderTableau::OnTier in ladder_simplex.cc).
+//   * A two-tier arithmetic ladder, one tier per run: kWord (int64) and
+//     kBig (util::BigInt, which never overflows). A solve runs in the word
+//     tier when its input fits IntegerProgram::kMaxBits, else in BigInt.
+//     In the word tier every multiply/subtract is overflow-checked
+//     (__builtin_*_overflow); the first that would overflow abandons the
+//     run, which starts over in BigInt from the same program and hint and,
+//     by exact arithmetic and Bland's rule, returns the same result. Ratio
+//     tests compare cross-products exactly in either tier (through __int128
+//     in the word tier), so they never overflow. A run's tier is a template
+//     parameter (Ops64 or OpsBig in ladder_simplex.cc).
 //
 //   * Lossless Rational conversion only at the boundary: Solution values
 //     are built as Rational(rhs_i, s_i), and objective / duals / farkas
@@ -64,7 +64,7 @@
 
 namespace bagcq::lp {
 
-/// Which rung of the arithmetic ladder a tableau is currently on.
+/// The rung of the arithmetic ladder a run works in.
 enum class LadderTier : uint8_t {
   kWord,  // overflow-checked int64
   kBig,   // util::BigInt

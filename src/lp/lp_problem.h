@@ -169,12 +169,13 @@ struct Solution {
   /// each naming a column the program has), so the solve started from its
   /// install. False on a cold solve and for a hint that does not map.
   bool warm_started = false;
-  /// Escalation-ladder accounting (LadderSimplex only; zero elsewhere):
-  /// pivots completed entirely in the overflow-checked int64 tier, and
-  /// whether this solve's tableau ever promoted to BigInt arithmetic (0 or
-  /// 1). word_pivots also counts the pivots that move basic artificials out
-  /// after phase I, which `pivots` does not count, and leaves out pivots
-  /// completed in BigInt, so it is not a part of `pivots`.
+  /// Escalation-ladder accounting (LadderSimplex only; zero elsewhere). A
+  /// solve runs in one tier: word_pivots is its pivot count when it ran in
+  /// the overflow-checked int64 tier from start to finish, else 0, and
+  /// bigint_promotions is 1 when its int64 run overflowed and it ran again
+  /// from the start in BigInt, else 0. word_pivots also counts the pivots
+  /// that move basic artificials out after phase I, which `pivots` does
+  /// not count, so it is not a part of `pivots`.
   int64_t word_pivots = 0;
   int64_t bigint_promotions = 0;
 };

@@ -37,10 +37,11 @@ struct SolverStats {
   /// Pivots avoided by keyed warm starts, measured against the recorded
   /// cold-solve pivot count of the same shape slot (SolveKeyed only).
   int64_t warm_pivots_saved = 0;
-  /// Escalation-ladder accounting: exact pivots completed in the int64 tier
-  /// and how many solves promoted to BigInt. word_pivots includes the
-  /// phase-I artificial pivot-outs that exact_pivots leaves out (see
-  /// Solution::word_pivots).
+  /// Escalation-ladder accounting, summed over solves (see
+  /// Solution::word_pivots): the pivots of the solves that ran in the int64
+  /// tier from start to finish, and how many solves overflowed it and ran
+  /// again in BigInt. word_pivots includes the phase-I artificial
+  /// pivot-outs that exact_pivots leaves out.
   int64_t word_pivots = 0;
   int64_t bigint_promotions = 0;
 };

@@ -309,13 +309,6 @@ util::Status ProofStore::AppendRaw(const std::string& key,
   return util::Status::OK();
 }
 
-bool ProofStore::ReadRaw(const std::string& key, std::string* payload) const {
-  util::MutexLock lock(&mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  return ReadPayloadLocked(key, it->second, payload);
-}
-
 bool ProofStore::Contains(const std::string& key) const {
   util::MutexLock lock(&mutex_);
   return index_.count(key) != 0;

@@ -132,10 +132,6 @@ class ProofStore : public api::DecisionStore {
   [[nodiscard]] util::Status AppendRaw(const std::string& key,
                                        const std::string& payload)
       BAGCQ_EXCLUDES(mutex_);
-  /// Reads the raw payload bytes for `key` (checksum re-verified, no decode
-  /// and no load policy). False when absent or damaged.
-  [[nodiscard]] bool ReadRaw(const std::string& key, std::string* payload)
-      const BAGCQ_EXCLUDES(mutex_);
   /// Visits every live (key, payload) pair in unspecified order; the export
   /// and compaction walk.
   [[nodiscard]] util::Status ForEach(

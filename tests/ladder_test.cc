@@ -285,8 +285,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LadderWarmInstallSweepTest,
 // ------------------------------------------------------------ escalation
 
 // Near-overflow coefficients (INT64_MAX/2 scale): the input still fits the
-// word tier, but the first fraction-free cross-multiplication exceeds 63 bits
-// and must escalate — losslessly — mid-pivot.
+// word tier, but the first fraction-free cross-multiplication exceeds 63 bits,
+// so the word run is abandoned and the solve reruns from the start in BigInt.
 TEST(LadderEscalationTest, NearOverflowProgramsEscalateAndMatchReference) {
   const int64_t kHuge = INT64_MAX / 2;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
@@ -316,16 +316,17 @@ TEST(LadderEscalationTest, NearOverflowProgramsEscalateAndMatchReference) {
     ExpectParity(lp, fast, slow, /*same_pivots=*/true);
     if (fast.pivots > 0) {
       // 62-bit entries cannot complete a fraction-free pivot in int64.
-      EXPECT_LT(fast.word_pivots, fast.pivots) << "seed " << seed;
+      EXPECT_EQ(fast.word_pivots, 0) << "seed " << seed;
+      EXPECT_EQ(fast.bigint_promotions, 1) << "seed " << seed;
     }
   }
 }
 
 TEST(LadderEscalationTest, DeepPivotingPromotesToBigInt) {
   // Dense 6×6 with ~2^61 entries: the input fits the word tier, but
-  // fraction-free subdeterminants overflow int64 within a few pivots, which
-  // promotes the tableau to BigInt. The result must still match the
-  // reference exactly.
+  // fraction-free subdeterminants overflow int64 within a few pivots, and
+  // the solve reruns in BigInt. The result must still match the reference
+  // exactly.
   const int64_t kHuge = INT64_MAX / 2;
   std::mt19937_64 rng(7);
   std::uniform_int_distribution<int64_t> coeff(kHuge / 2, kHuge);
@@ -421,6 +422,131 @@ TEST(LadderEscalationTest, HugeDataStartInBigInt) {
     EXPECT_GT(fast.pivots, 0) << "seed " << seed;
     EXPECT_EQ(fast.word_pivots, 0) << "seed " << seed;
     EXPECT_EQ(fast.bigint_promotions, 0) << "seed " << seed;
+  }
+}
+
+// A program with dense integer rows, as an IntegerProgram and as the
+// equivalent LpProblem.
+struct DenseTwin {
+  IntegerProgram program;
+  LpProblem lp;
+};
+
+DenseTwin MakeDenseTwin(const std::vector<std::vector<int64_t>>& rows,
+                        const std::vector<Sense>& senses,
+                        const std::vector<int64_t>& rhs,
+                        const std::vector<int64_t>& cost) {
+  DenseTwin twin;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    twin.program.AddRow(senses[i], rhs[i]);
+  }
+  for (size_t j = 0; j < cost.size(); ++j) {
+    twin.program.AddColumn(cost[j]);
+    twin.lp.AddVariable();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      twin.program.AddEntry(static_cast<int>(i), rows[i][j]);
+    }
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::vector<Rational> coeffs;
+    for (int64_t v : rows[i]) coeffs.push_back(R(v));
+    twin.lp.AddConstraint(std::move(coeffs), senses[i], R(rhs[i]));
+  }
+  std::vector<Rational> objective;
+  for (int64_t c : cost) objective.push_back(R(c));
+  twin.lp.SetObjective(std::move(objective));
+  return twin;
+}
+
+// A warm solve whose word run overflows reruns from the start in BigInt
+// and installs the same hint again. In "install", x0 enters at row 0, the
+// one row where it is positive, and row 1 + 5*row 0 overflows at x1
+// (5H > 2^63). In "phase I", the install pivots x2 into row 2 and leaves
+// row 0's artificial basic and positive; phase I's first pivot is on
+// (1, x0) with entry H (ratio 1 against row 0's H), and row 0 becomes
+// H*row 0 - row 1, where H*H overflows. For the IntegerProgram and its
+// LpProblem twin, the warm start, pivots, values, certificates and basis
+// are the reference's warm solve's, with no pivot tallied in the word
+// tier. With the pivot cap at `overflow_cap` the solve stops right after
+// the step that overflows, and has promoted; in "phase I", a cap one lower
+// stops after the install, in the word tier.
+TEST(LadderEscalationTest, WarmOverflowRerunsInBigIntWithTheSameHint) {
+  const int64_t kHuge = (int64_t{1} << 61) + 1;
+  struct Case {
+    std::string what;
+    DenseTwin twin;
+    std::vector<BasisEntry> hint;
+    int64_t overflow_cap;
+  };
+  const std::vector<Case> cases = {
+      {"install",
+       MakeDenseTwin({{1, kHuge}, {-5, 1}},
+                     {Sense::kLessEqual, Sense::kLessEqual}, {kHuge, 7},
+                     {-1, -1}),
+       {{BasisKind::kStructural, 0}, {BasisKind::kSlack, 1}},
+       /*overflow_cap=*/0},
+      {"phase I",
+       MakeDenseTwin({{1, kHuge, 0}, {kHuge, 1, 0}, {0, 0, 1}},
+                     {Sense::kGreaterEqual, Sense::kLessEqual,
+                      Sense::kLessEqual},
+                     {kHuge, kHuge, 5}, {1, 1, -1}),
+       {{BasisKind::kArtificial, 0},
+        {BasisKind::kSlack, 1},
+        {BasisKind::kStructural, 2}},
+       /*overflow_cap=*/1},
+  };
+  for (const Case& c : cases) {
+    const Solution slow = ReferenceSolver().SolveFrom(c.twin.lp, c.hint);
+    ASSERT_TRUE(slow.warm_started) << c.what;
+    for (const Solution& fast :
+         {LadderSimplex().SolveFrom(c.twin.program, c.hint),
+          LadderSimplex().SolveFrom(c.twin.lp, c.hint)}) {
+      EXPECT_TRUE(fast.warm_started) << c.what;
+      ExpectParity(c.twin.lp, fast, slow, /*same_pivots=*/true);
+      EXPECT_EQ(fast.word_pivots, 0) << c.what;
+      EXPECT_EQ(fast.bigint_promotions, 1) << c.what;
+    }
+    for (int64_t cap = std::max<int64_t>(0, c.overflow_cap - 1);
+         cap <= c.overflow_cap; ++cap) {
+      SolverOptions options;
+      options.max_pivots = cap;
+      const Solution capped =
+          LadderSimplex(options).SolveFrom(c.twin.program, c.hint);
+      EXPECT_EQ(capped.status, SolveStatus::kPivotLimit) << c.what;
+      EXPECT_EQ(capped.bigint_promotions, cap == c.overflow_cap ? 1 : 0)
+          << c.what << ", cap " << cap;
+    }
+  }
+}
+
+// A cold solve whose third pivot overflows int64: x0 and x1 enter first at
+// their own rows, then x2 enters at row 3 (ratio 1 against row 2's C) with
+// entry C, and row 2 becomes C*row 2 - row 3, where C*C = 2^80. Under every
+// cap below the solve's pivot count the ladder stops with kPivotLimit at
+// the reference's pivot count. Caps 0 and 1 stop in the word tier; every
+// larger cap stops after the overflow, so the rerun neither counts the
+// word run's two pivots again nor drops the cap.
+TEST(LadderEscalationTest, OverflowUnderPivotCapStopsAtReferenceCount) {
+  const int64_t kC = int64_t{1} << 40;
+  const DenseTwin twin = MakeDenseTwin(
+      {{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, kC}, {0, 0, kC, 1}},
+      std::vector<Sense>(4, Sense::kLessEqual), {1, 1, kC, kC},
+      {-1, -1, -1, 0});
+  const Solution full = LadderSimplex().Solve(twin.program);
+  ExpectParity(twin.lp, full, ReferenceSolver().Solve(twin.lp),
+               /*same_pivots=*/true);
+  ASSERT_GE(full.pivots, 3);
+  ASSERT_EQ(full.bigint_promotions, 1);
+  for (int64_t cap = 0; cap < full.pivots; ++cap) {
+    SolverOptions options;
+    options.max_pivots = cap;
+    const Solution fast = LadderSimplex(options).Solve(twin.program);
+    const Solution slow = ReferenceSolver(options).Solve(twin.lp);
+    EXPECT_EQ(fast.status, SolveStatus::kPivotLimit) << "cap " << cap;
+    EXPECT_EQ(slow.status, SolveStatus::kPivotLimit) << "cap " << cap;
+    EXPECT_EQ(fast.pivots, slow.pivots) << "cap " << cap;
+    EXPECT_EQ(fast.bigint_promotions, cap >= 2 ? 1 : 0) << "cap " << cap;
+    EXPECT_EQ(fast.word_pivots, cap >= 2 ? 0 : cap + 1) << "cap " << cap;
   }
 }
 
@@ -537,45 +663,25 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LadderIntegerProgramTest,
                          ::testing::Range(2, 7));
 
 // The first pivot is a unit pivot (piv = d = 1) whose update of the cost
-// row overflows int64 at the rhs column, its last support column: the
-// promotion happens inside the sparse loop after four committed cells of
-// that row, and the pivot resumes in BigInt at the rhs. The cells before
-// it include row 0's slack column, from which row 0's dual is read, so a
-// resume that recomputed a committed cell would change the duals.
-TEST(LadderIntegerProgramTest, UnitPivotPromotesMidRow) {
+// row overflows int64 at the rhs column, its last support column, after
+// four cells of that row are written, row 0's slack column among them:
+// the word run is abandoned with the cost row half updated, and the solve
+// reruns from the program in BigInt. It must match the reference, row 0's
+// dual (read from that slack column) included.
+TEST(LadderIntegerProgramTest, UnitPivotOverflowRerunsInBigInt) {
   const int64_t kHuge = (int64_t{1} << 60) + 3;
-  IntegerProgram program;
-  LpProblem lp;
   // x0 enters first (Bland: the first negative cost), and row 0
   // (x0 + x1 + x2 <= H, ratio H) beats row 1 (ratio 3H/2); row 2 has no
   // x0. So (0, x0) with entry 1 is the first pivot. The cost row's factor
   // is -H, and -H times row 0's rhs H overflows int64.
-  const std::vector<std::vector<int64_t>> rows = {{1, 1, 1, 0},
-                                                  {2, 2, kHuge, 1},
-                                                  {0, 0, 1, 1}};
-  const std::vector<int64_t> rhs = {kHuge, 3 * kHuge, 7};
-  const std::vector<int64_t> cost = {-kHuge, -1, 0, -2};
-  for (size_t i = 0; i < rows.size(); ++i) {
-    program.AddRow(Sense::kLessEqual, rhs[i]);
-  }
-  for (size_t j = 0; j < cost.size(); ++j) {
-    program.AddColumn(cost[j]);
-    lp.AddVariable();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      program.AddEntry(static_cast<int>(i), rows[i][j]);
-    }
-  }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::vector<Rational> coeffs;
-    for (int64_t v : rows[i]) coeffs.push_back(R(v));
-    lp.AddConstraint(std::move(coeffs), Sense::kLessEqual, R(rhs[i]));
-  }
-  std::vector<Rational> objective;
-  for (int64_t c : cost) objective.push_back(R(c));
-  lp.SetObjective(std::move(objective));
+  const DenseTwin twin = MakeDenseTwin(
+      {{1, 1, 1, 0}, {2, 2, kHuge, 1}, {0, 0, 1, 1}},
+      std::vector<Sense>(3, Sense::kLessEqual), {kHuge, 3 * kHuge, 7},
+      {-kHuge, -1, 0, -2});
+  const LpProblem& lp = twin.lp;
 
   LadderSimplex ladder;
-  const auto fast = ladder.Solve(program);
+  const auto fast = ladder.Solve(twin.program);
   ExpectParity(lp, fast, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
   ASSERT_GE(fast.pivots, 1);
   EXPECT_EQ(fast.word_pivots, 0) << "the first pivot must leave the word tier";
@@ -589,42 +695,22 @@ TEST(LadderIntegerProgramTest, UnitPivotPromotesMidRow) {
 
 // A non-unit pivot (a = 4, b = -3) whose update of the cost row overflows
 // int64 at the rhs column, the objective's cell, after the cost row's
-// structural and slack cells are committed: the pivot resumes in BigInt at
-// the rhs with both factors. The first pivot is on (0, x0) with
-// entry 4 (x0 enters first, and only row 0 holds it); rows 1 and 2 have no
-// x0 and stay as they are. The cost row becomes 4*C + 3*row_0, and 3 times
-// row 0's rhs H overflows int64. A resume that lost a factor would change
-// the objective; one that recomputed a committed cell would change later
-// entering choices and row 0's dual.
-TEST(LadderIntegerProgramTest, NonUnitPivotPromotesMidRow) {
+// structural and slack cells are written. The first pivot is on (0, x0)
+// with entry 4 (x0 enters first, and only row 0 holds it); rows 1 and 2
+// have no x0 and stay as they are. The cost row becomes 4*C + 3*row_0,
+// and 3 times row 0's rhs H overflows int64, so the word run is abandoned
+// with the cost row half updated. The BigInt rerun makes the same pivot
+// with both factors and must match the reference: the objective, the
+// later entering choices (pivot count) and row 0's dual.
+TEST(LadderIntegerProgramTest, NonUnitPivotOverflowRerunsInBigInt) {
   const int64_t kHuge = (int64_t{1} << 62) - 1;
-  IntegerProgram program;
-  LpProblem lp;
-  const std::vector<std::vector<int64_t>> rows = {{4, 1, 0},
-                                                  {0, 1, 1},
-                                                  {0, 2, 3}};
-  const std::vector<int64_t> rhs = {kHuge, 5, 7};
-  const std::vector<int64_t> cost = {-3, -1, -2};
-  for (size_t i = 0; i < rows.size(); ++i) {
-    program.AddRow(Sense::kLessEqual, rhs[i]);
-  }
-  for (size_t j = 0; j < cost.size(); ++j) {
-    program.AddColumn(cost[j]);
-    lp.AddVariable();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      program.AddEntry(static_cast<int>(i), rows[i][j]);
-    }
-  }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::vector<Rational> coeffs;
-    for (int64_t v : rows[i]) coeffs.push_back(R(v));
-    lp.AddConstraint(std::move(coeffs), Sense::kLessEqual, R(rhs[i]));
-  }
-  std::vector<Rational> objective;
-  for (int64_t c : cost) objective.push_back(R(c));
-  lp.SetObjective(std::move(objective));
+  const DenseTwin twin =
+      MakeDenseTwin({{4, 1, 0}, {0, 1, 1}, {0, 2, 3}},
+                    std::vector<Sense>(3, Sense::kLessEqual), {kHuge, 5, 7},
+                    {-3, -1, -2});
+  const LpProblem& lp = twin.lp;
 
-  const auto fast = LadderSimplex().Solve(program);
+  const auto fast = LadderSimplex().Solve(twin.program);
   ExpectParity(lp, fast, ReferenceSolver().Solve(lp), /*same_pivots=*/true);
   ASSERT_GE(fast.pivots, 2);
   EXPECT_EQ(fast.word_pivots, 0) << "the first pivot must leave the word tier";

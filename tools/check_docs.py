@@ -30,6 +30,12 @@ Checks, each grep-level simple so failures are self-explanatory:
    src/util/thread_annotations.h appears by name in
    docs/static-analysis.md — the annotation vocabulary is only usable
    if the document a reviewer is pointed at actually lists it.
+9. No doc names code that is gone: every CamelCase identifier (one with
+   an upper-case letter after its first character, and a lower-case one)
+   and every a::b name inside a backticked span of README.md or docs/*.md
+   occurs as a word (each a::b part as one) in the code, build or CI
+   files: src/, tools/, tests/, bench/, examples/, perfbench/, .github/,
+   CMakeLists.txt and .clang-tidy. Fenced blocks are skipped.
 
 It also prints, without gating on it, the served-closure line count: the
 lines of every src/ file reachable by #include from tools/bagcq_server.cc
@@ -46,6 +52,10 @@ import re
 import sys
 
 
+# Fenced code blocks of a markdown file.
+FENCE_RE = re.compile(r"^```.*?^```", re.S | re.M)
+
+
 def read(root, rel):
     path = os.path.join(root, rel)
     try:
@@ -58,7 +68,6 @@ def read(root, rel):
 def check_links(root, failures):
     link_re = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
     code_span_re = re.compile(r"`[^`]*`")
-    fence_re = re.compile(r"^```.*?^```", re.S | re.M)
     doc_files = ["README.md"] + sorted(
         os.path.join("docs", name)
         for name in os.listdir(os.path.join(root, "docs"))
@@ -68,7 +77,7 @@ def check_links(root, failures):
         base = os.path.dirname(os.path.join(root, doc))
         # Code spans and fenced blocks hold expressions like `f[i](x)` that
         # only look like links.
-        text = code_span_re.sub("", fence_re.sub("", read(root, doc)))
+        text = code_span_re.sub("", FENCE_RE.sub("", read(root, doc)))
         for target in link_re.findall(text):
             if target.startswith(("http://", "https://", "mailto:")):
                 continue
@@ -122,6 +131,45 @@ def report_served_lines(root):
     print(f"served closure: {served:,} of {total:,} lines in src/")
 
 
+CODE_DIRS = ("src", "tools", "tests", "bench", "examples", "perfbench",
+             ".github")
+CODE_FILES = ("CMakeLists.txt", ".clang-tidy")
+
+
+def code_words(root):
+    """Every word (run of [A-Za-z0-9_]) of the code, build and CI files."""
+    paths = [os.path.join(root, name) for name in CODE_FILES]
+    for top in CODE_DIRS:
+        for directory, _, names in os.walk(os.path.join(root, top)):
+            paths.extend(os.path.join(directory, name) for name in names)
+    words = set()
+    for path in paths:
+        with open(path, "r", encoding="utf-8", errors="replace") as f:
+            words.update(re.findall(r"\w+", f.read()))
+    return words
+
+
+def check_doc_names(root, doc_files, failures):
+    span_re = re.compile(r"`([^`]+)`")
+    name_re = re.compile(r"\b[A-Za-z_]\w*(?:::[A-Za-z_]\w*)*")
+    words = code_words(root)
+    names = {}
+    for doc in doc_files:
+        for span in span_re.findall(FENCE_RE.sub("", read(root, doc))):
+            for name in name_re.findall(span):
+                camel = (re.search(r"[a-z]", name) and
+                         re.search(r".[A-Z]", name))
+                if "::" in name or camel:
+                    names.setdefault(name, set()).add(doc)
+    missing = [name for name in sorted(names)
+               if not all(part in words for part in name.split("::"))]
+    for name in missing:
+        for doc in sorted(names[name]):
+            failures.append(f"{doc}: `{name}` names nothing in the code")
+    print(f"doc code names: {len(names) - len(missing)}/{len(names)} "
+          f"found in the code")
+
+
 def check_mentions(names, spec, what, failures):
     missing = [name for name in names if name not in spec]
     for name in missing:
@@ -133,7 +181,8 @@ def main():
     root = sys.argv[1] if len(sys.argv) > 1 else "."
     failures = []
 
-    check_links(root, failures)
+    doc_files = check_links(root, failures)
+    check_doc_names(root, doc_files, failures)
 
     spec = read(root, os.path.join("docs", "wire-format.md"))
     message_h = read(root, os.path.join("src", "service", "message.h"))
