@@ -3,38 +3,55 @@
 // LadderSimplex produces bit-identical results to the reference
 // SimplexSolver (same statuses, objectives, values, duals, Farkas
 // certificates, bases, and — under Bland's rule — the same pivot sequence),
-// but runs the tableau in integer arithmetic on a single flat strided block
-// instead of a vector-of-Rational matrix:
+// but runs the tableau in integer arithmetic, in revised form, on one small
+// flat block instead of a vector-of-Rational matrix:
 //
 //   * Row-scaled integer pivoting: every row is an integer row over its own
-//     positive scale, real entry = M[i][j] / s_i. A constraint row's scale
-//     is its entry in its basic column; the cost row's is the trailing cell
-//     of the block. A pivot on (r, c) with piv = M[r][c] > 0 leaves the
-//     pivot row as it is (its scale becomes piv) and every row with
-//     M[i][c] = 0 untouched; any other row becomes a*row_i - b*row_r, with
-//     g = gcd(piv, M[i][c]), a = piv/g and b = M[i][c]/g, and its scale is
-//     multiplied by a. Bland's choices read only signs and the ratios
-//     rhs_i / M[i][enter], in which a row's scale cancels, so they are the
-//     reference's. A row with a = 1 changes only in the pivot row's
-//     nonzero columns, so it computes only those. Each updated row is then
-//     made primitive (the gcd of its entries, scale included, is 1): the
-//     gcd of its scale and its entry in the leaving column bounds the
-//     row's common factor, and the row is scanned and divided only when
-//     that gcd exceeds 1. These are the only gcds the pivot loop runs,
-//     besides the one that gives a and b when piv > 1. A primitive row
-//     divides the row of the shared-denominator (Bareiss) tableau that
-//     represents the same rational row, so no entry or product is larger
-//     than there, and the word tier overflows no earlier.
+//     positive scale, real entry = M[i][j] / s_i, kept primitive (the gcd
+//     of its entries, the cost row's scale included, is 1). A constraint
+//     row's scale is its entry in its basic column. A pivot on (r, c) with
+//     piv = M[r][c] > 0 leaves the pivot row as it is (its scale becomes
+//     piv) and every row with M[i][c] = 0 untouched; any other row becomes
+//     a*row_i - b*row_r, with g = gcd(piv, M[i][c]), a = piv/g and
+//     b = M[i][c]/g, and its scale is multiplied by a. Bland's choices read
+//     only signs and the ratios rhs_i / M[i][enter], in which a row's scale
+//     cancels, so they are the reference's. Each updated row is then made
+//     primitive: the gcd of its scale and its entry in the leaving column,
+//     -b times the pivot row's old scale, bounds the row's common factor,
+//     and the row is scanned and divided only when that gcd exceeds 1. A
+//     primitive row divides the row of the shared-denominator (Bareiss)
+//     tableau that represents the same rational row, so no entry or product
+//     is larger than there.
 //
-//   * A two-tier arithmetic ladder, one tier per run: kWord (int64) and
-//     kBig (util::BigInt, which never overflows). A solve runs in the word
-//     tier when its input fits IntegerProgram::kMaxBits, else in BigInt.
-//     In the word tier every multiply/subtract is overflow-checked
-//     (__builtin_*_overflow); the first that would overflow abandons the
-//     run, which starts over in BigInt from the same program and hint and,
-//     by exact arithmetic and Bland's rule, returns the same result. Ratio
-//     tests compare cross-products exactly in either tier (through __int128
-//     in the word tier), so they never overflow. A run's tier is a template
+//   * Revised form: every constraint row stores only its entries in the m
+//     identity columns (row q's is its slack when that has coefficient +1,
+//     else its artificial), its rhs and its scale; the cost row stores its
+//     multipliers y_q = C[id(q)] - s*c_id(q) in place of its identity
+//     entries (they are those entries in phase II, where identity columns
+//     cost 0), its rhs and its scale s: (m+1) rows of m+2 cells. Every other
+//     entry is computed when a step reads it (the entering column, pricing,
+//     the pivot-out of basic artificials) from the program's sparse initial
+//     column a_j, row signs applied: M[i][j] = sum_q U[i][q] * a_qj, with
+//     U[i][q] row i's stored entry in row q's identity column, and
+//     C[j] = s*c_j + sum_q y_q * a_qj. A pivot, a negation and a reduction
+//     are row operations, so they act on the stored cells as on whole rows.
+//     Each computed value is the integer the full tableau would hold in that
+//     cell; every entry is an integer combination of the stored cells, and
+//     they of the entries, so the stored cells have the gcd of the whole row
+//     and a primitive reduction over them divides by what it would over the
+//     whole row.
+//
+//   * A two-tier arithmetic ladder, one tier per run: word (int64) and big
+//     (util::BigInt, which never overflows). A solve runs in the word tier
+//     when its input fits IntegerProgram::kMaxBits, else in BigInt. In the
+//     word tier every multiply/subtract of a stored cell is overflow-checked
+//     (__builtin_*_overflow), and a computed entry is accumulated exactly
+//     (in checked __int128, else in BigInt) and abandons the run only when
+//     its own value leaves int64. The first overflow abandons the run, which
+//     starts over in BigInt from the same program and hint and, by exact
+//     arithmetic and Bland's rule, returns the same result. Ratio tests
+//     compare cross-products exactly in either tier (through __int128 in the
+//     word tier), so they never overflow. A run's tier is a template
 //     parameter (Ops64 or OpsBig in ladder_simplex.cc).
 //
 //   * Lossless Rational conversion only at the boundary: Solution values
@@ -51,9 +68,9 @@
 // reference phase-I objective, which is what keeps Bland's pivot sequence
 // (signs and cross-multiplied ratio tests are invariant under positive
 // row/column scalings) identical to the reference simplex. An LpProblem is
-// staged in BigInt and narrowed to the word tier when it fits. An
-// IntegerProgram (lp_problem.h) needs none of that: t_i = L = 1, and its
-// sparse columns are scattered straight into the zeroed int64 arena.
+// integerized once into sparse BigInt columns, narrowed to int64 for the
+// word tier when every datum fits. An IntegerProgram (lp_problem.h) needs
+// none of that: t_i = L = 1, and its sparse columns are read in place.
 #pragma once
 
 #include <cstdint>
@@ -64,19 +81,41 @@
 
 namespace bagcq::lp {
 
-/// The rung of the arithmetic ladder a run works in.
-enum class LadderTier : uint8_t {
-  kWord,  // overflow-checked int64
-  kBig,   // util::BigInt
+/// One tier's storage in a LadderWorkspace, in that tier's integers
+/// (int64 for the word tier, util::BigInt for the big one).
+template <typename T>
+struct LadderArena {
+  struct Entry {
+    int row;
+    T value;
+  };
+  /// The stored block: (m+1) rows, the m constraint rows and then the cost
+  /// row, of m+2 cells each: a constraint row's entries in the m identity
+  /// columns (cell q for row q's), or the cost row's multipliers y_q; then
+  /// the row's rhs (cell m) and its scale (cell m+1).
+  std::vector<T> block;
+  /// An LpProblem's integerized structural columns, row signs applied;
+  /// column j's entries end at LadderWorkspace::column_end[j]. The big
+  /// tier's are the integerization itself, the word tier's their narrowing.
+  std::vector<Entry> entries;
+  /// The current phase's integer cost of every column (all 0 before the
+  /// first phase starts).
+  std::vector<T> cost;
+  /// The column a step reads: its entry in each constraint row, then the
+  /// cost row's.
+  std::vector<T> column;
+
+  /// Bytes of vector capacity held.
+  size_t RetainedBytes() const {
+    return block.capacity() * sizeof(T) + entries.capacity() * sizeof(Entry) +
+           cost.capacity() * sizeof(T) + column.capacity() * sizeof(T);
+  }
 };
 
-const char* LadderTierToString(LadderTier tier);
-
-/// Persistent arena for LadderSimplex. One tier's flat block is live at a
-/// time — (m+1) rows of (ncols+1) entries plus the trailing cell, the cost
-/// row's scale — and both keep their capacity across solves, so a
-/// session's repeated solves of equal-shaped programs (the keyed warm slots
-/// of one lp::Solver) do zero allocation.
+/// Persistent storage for LadderSimplex. One tier's arena is live at a
+/// time, and every vector keeps its capacity across solves, so a session's
+/// repeated solves of equal-shaped programs (the keyed warm slots of one
+/// lp::Solver) do zero allocation.
 struct LadderWorkspace {
   // Row and column metadata (see LadderTableau::BuildLayout).
   std::vector<int> basis;
@@ -86,25 +125,25 @@ struct LadderWorkspace {
   std::vector<int> art_col_of_row;
   std::vector<BasisEntry> col_entry;
   // Integerization state of an LpProblem: t_i per row, the objective
-  // scale L, lcm(t), and the integer (scaled) phase-II / current-phase cost
-  // vectors. An IntegerProgram has every scale 1 and int64 costs, so its
-  // current-phase costs are int_phase_cost and the rest is unused.
+  // scale L, lcm(t), the integer phase-II costs, the integer right-hand
+  // sides (row signs applied), and where each structural column's entries
+  // end in LadderArena::entries. An IntegerProgram uses none of it.
   std::vector<util::BigInt> row_scale;
   util::BigInt cost_scale;
   util::BigInt art_scale;
   std::vector<util::BigInt> structural_cost;
-  std::vector<util::BigInt> phase_cost;
-  std::vector<int64_t> int_phase_cost;
-  // The nonzero columns of the pivot row, listed when a pivot first
+  std::vector<util::BigInt> rhs;
+  std::vector<size_t> column_end;
+  // The nonzero stored cells of the pivot row, listed when a pivot first
   // updates a row with a = 1.
   std::vector<int> pivot_support;
   // The tiered arenas.
-  std::vector<int64_t> w64;
-  std::vector<util::BigInt> wbig;
+  LadderArena<int64_t> w64;
+  LadderArena<util::BigInt> wbig;
 
   /// Releases all held memory (capacity included).
   void Release();
-  /// Bytes of arena capacity currently retained across both tiers.
+  /// Bytes of vector capacity retained by every vector above.
   size_t RetainedBytes() const;
 };
 
@@ -119,8 +158,8 @@ class LadderSimplex {
   Solution Solve(const LpProblem& problem);
   Solution SolveFrom(const LpProblem& problem,
                      const std::vector<BasisEntry>& basis);
-  /// Integer input fills the word-tier arena directly (no integerization,
-  /// no staging); results are those of the equivalent LpProblem.
+  /// Integer input is read in place (no integerization, no staging);
+  /// results are those of the equivalent LpProblem.
   Solution Solve(const IntegerProgram& program);
   Solution SolveFrom(const IntegerProgram& program,
                      const std::vector<BasisEntry>& basis);

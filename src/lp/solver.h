@@ -3,7 +3,8 @@
 // bagcq::Engine, the AGM bound).
 //
 // It wraps the fraction-free escalation-ladder simplex (ladder_simplex.h)
-// with what a long-lived session needs on top: the persistent tableau arena,
+// with what a long-lived session needs on top: the persistent workspace (the
+// revised-form block of (m+1) x (m+2) cells and its per-solve vectors),
 // keyed warm-start slots, and cumulative SolverStats. Programs follow the
 // lp_problem.h contract: nonnegative variables, minimize. Every Solution it
 // returns is exact, and its certificate (duals or Farkas) passes

@@ -404,7 +404,7 @@ TEST(LadderEscalationTest, Data63To126BitsStartInBigInt) {
       EXPECT_GT(fast.pivots, 0) << what;
       EXPECT_EQ(fast.word_pivots, 0) << what;
       EXPECT_EQ(fast.bigint_promotions, 0) << what;
-      EXPECT_TRUE(ladder.workspace().w64.empty()) << what;
+      EXPECT_TRUE(ladder.workspace().w64.block.empty()) << what;
     }
   }
 }
@@ -723,13 +723,119 @@ TEST(LadderIntegerProgramTest, NonUnitPivotOverflowRerunsInBigInt) {
 
 // ------------------------------------------------------------ row scales
 
+// The initial tableau the ladder works from, rebuilt from the program
+// alone, in BigInt: row i of an LpProblem times t_i (the lcm of its
+// denominators), every row times its sign (-1 when its rhs is negative),
+// one column per tableau column of the workspace's layout: the program's
+// variables, then each inequality's slack (+1 for <=, -1 for >=), then the
+// artificials (+1).
+struct InitialTableau {
+  std::vector<std::vector<util::BigInt>> a;  // m rows of ncols entries
+  std::vector<util::BigInt> b;
+};
+
+InitialTableau InitialOf(const std::vector<Constraint>& rows, int n,
+                         const LadderWorkspace& ws) {
+  InitialTableau out;
+  out.a.assign(rows.size(), std::vector<util::BigInt>(ws.col_entry.size()));
+  out.b.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Constraint& row = rows[i];
+    util::BigInt t(1);
+    for (const Rational& c : row.coeffs) t = util::BigInt::Lcm(t, c.den());
+    t = util::BigInt::Lcm(t, row.rhs.den());
+    const util::BigInt sign(row.rhs.sign() < 0 ? -1 : 1);
+    auto scaled = [&](const Rational& v) {
+      return (t / v.den()) * v.num() * sign;
+    };
+    for (int j = 0; j < n; ++j) out.a[i][j] = scaled(row.coeffs[j]);
+    out.b[i] = scaled(row.rhs);
+  }
+  for (size_t j = n; j < ws.col_entry.size(); ++j) {
+    const BasisEntry& e = ws.col_entry[j];
+    const Constraint& row = rows[e.index];
+    out.a[e.index][j] =
+        e.kind == BasisKind::kArtificial
+            ? util::BigInt(1)
+            : util::BigInt((row.sense == Sense::kLessEqual ? 1 : -1) *
+                           (row.rhs.sign() < 0 ? -1 : 1));
+  }
+  return out;
+}
+
+InitialTableau InitialOf(const LpProblem& lp, const LadderWorkspace& ws) {
+  return InitialOf(lp.constraints(), lp.num_variables(), ws);
+}
+
+InitialTableau InitialOf(const IntegerProgram& program,
+                         const LadderWorkspace& ws) {
+  std::vector<Constraint> rows(program.num_rows());
+  for (int i = 0; i < program.num_rows(); ++i) {
+    rows[i].coeffs.assign(program.num_columns(), Rational());
+    rows[i].sense = program.sense(i);
+    rows[i].rhs = R(program.rhs(i));
+  }
+  for (int j = 0; j < program.num_columns(); ++j) {
+    for (const IntegerProgram::Entry& e : program.column(j)) {
+      rows[e.row].coeffs[j] = R(e.value);
+    }
+  }
+  return InitialOf(rows, program.num_columns(), ws);
+}
+
+// The full tableau of a solve, rebuilt from the stored block of `arena`
+// and the initial tableau: constraint row i is sum_q U[i][q] * (initial row
+// q), and the cost row is C[j] = s*c_j + sum_q y_q * a_qj over its scale s,
+// with the phase costs c the arena holds (U[i][q], y_q: the row's stored
+// cell q). Each row comes in the full layout, ncols entries and then the
+// rhs, the constraint rows first; `scales` holds each row's stored scale.
+// The rebuilt rhs must equal the stored one.
+struct FullTableau {
+  std::vector<std::vector<util::BigInt>> rows;
+  std::vector<util::BigInt> scales;
+};
+
+template <typename T>
+FullTableau Rebuild(const LadderWorkspace& ws, const LadderArena<T>& arena,
+                    const InitialTableau& init, const std::string& what) {
+  const size_t m = ws.basis.size();
+  const size_t ncols = ws.col_entry.size();
+  const size_t width = m + 2;
+  FullTableau out;
+  EXPECT_EQ(arena.block.size(), (m + 1) * width) << what;
+  if (arena.block.size() != (m + 1) * width) return out;
+  auto cell = [&](size_t i, size_t k) {
+    return util::BigInt(arena.block[i * width + k]);
+  };
+  for (size_t i = 0; i <= m; ++i) {
+    const util::BigInt s = cell(i, m + 1);
+    std::vector<util::BigInt> row(ncols + 1);
+    util::BigInt rhs;
+    for (size_t q = 0; q < m; ++q) {
+      const util::BigInt u = cell(i, q);
+      for (size_t j = 0; j < ncols; ++j) row[j] += u * init.a[q][j];
+      rhs += u * init.b[q];
+    }
+    if (i == m) {
+      for (size_t j = 0; j < ncols; ++j) {
+        row[j] += s * util::BigInt(arena.cost[j]);
+      }
+    }
+    EXPECT_EQ(rhs, cell(i, m)) << what << ", the stored rhs of row " << i;
+    row[ncols] = cell(i, m);
+    out.rows.push_back(std::move(row));
+    out.scales.push_back(s);
+  }
+  return out;
+}
+
 // A pivot rewrites only the rows whose pivot-column entry is nonzero. With
 // the pivot cap at 0 the solve stops after its first pivot, on (0, x0) with
-// entry 2, and leaves that tableau in the word-tier arena. Row 2 has no x0
-// and keeps its input integers (a tableau over one shared denominator
-// would hold twice them). Rows 1 and 3 and the cost row become
+// entry 2, and leaves that tableau's stored block in the word-tier arena.
+// Row 2 has no x0 and keeps its input integers (a tableau over one shared
+// denominator would hold twice them). Rows 1 and 3 and the cost row become
 // a*row_i - b*row_0 with g = gcd(2, M[i][x0]), a = 2/g, b = M[i][x0]/g,
-// each primitive; the cost row's scale, the trailing cell, becomes a.
+// each primitive; the cost row's scale becomes a.
 TEST(LadderRowScaleTest, ZeroFactorRowsAreUntouched) {
   // Columns: x0..x2, the slacks of rows 0..3, the rhs.
   const std::vector<std::vector<int64_t>> input = {
@@ -753,12 +859,16 @@ TEST(LadderRowScaleTest, ZeroFactorRowsAreUntouched) {
   ASSERT_EQ(capped.pivots, 1);
   ASSERT_EQ(capped.word_pivots, 1);
 
-  const std::vector<int64_t>& arena = ladder.workspace().w64;
-  const size_t stride = input[0].size();
-  ASSERT_EQ(arena.size(), 5 * stride + 1);
+  // The stored block: 5 rows of the 4 slack entries, the rhs and the scale.
+  const LadderWorkspace& ws = ladder.workspace();
+  ASSERT_EQ(ws.w64.block.size(), 5u * 6u);
+  const FullTableau full =
+      Rebuild(ws, ws.w64, InitialOf(program, ws), "capped");
+  ASSERT_EQ(full.rows.size(), 5u);
   auto row = [&](size_t i) {
-    return std::vector<int64_t>(arena.begin() + i * stride,
-                                arena.begin() + (i + 1) * stride);
+    std::vector<int64_t> out;
+    for (const util::BigInt& v : full.rows[i]) out.push_back(v.ToInt64());
+    return out;
   };
   EXPECT_EQ(row(0), input[0]) << "the pivot row is left as it is";
   EXPECT_EQ(row(2), input[2]) << "a zero factor leaves the row untouched";
@@ -768,8 +878,8 @@ TEST(LadderRowScaleTest, ZeroFactorRowsAreUntouched) {
   EXPECT_EQ(row(3), (std::vector<int64_t>{0, 4, 6, 2, 0, 0, 1, 18}));
   // The cost row (-1, 0, ..., 0) over scale 1: g = 1, a = 2, b = -1.
   EXPECT_EQ(row(4), (std::vector<int64_t>{0, 1, 0, 1, 0, 0, 0, 4}));
-  EXPECT_EQ(arena.back(), 2);
-  EXPECT_EQ(ladder.workspace().basis, (std::vector<int>{0, 4, 5, 6}));
+  EXPECT_EQ(full.scales[4], util::BigInt(2));
+  EXPECT_EQ(ws.basis, (std::vector<int>{0, 4, 5, 6}));
 
   // Uncapped, the same program matches the reference.
   LpProblem lp;
@@ -784,51 +894,43 @@ TEST(LadderRowScaleTest, ZeroFactorRowsAreUntouched) {
                /*same_pivots=*/true);
 }
 
-// The arena a solve left in `ws`, read in `tier`, as BigInts.
-std::vector<util::BigInt> ArenaAsBig(const LadderWorkspace& ws,
-                                     LadderTier tier) {
-  std::vector<util::BigInt> out;
-  switch (tier) {
-    case LadderTier::kWord:
-      for (int64_t v : ws.w64) out.emplace_back(v);
-      break;
-    case LadderTier::kBig:
-      out = ws.wbig;
-      break;
-  }
-  return out;
-}
-
-// The row-scaled invariants of the tableau a solve left in `ws`, in
-// `tier`: every constraint row is primitive (its entries have gcd 1) with
-// a positive entry, its scale, in its basic column; the cost row together
-// with its scale, the trailing cell, is primitive, and that scale is
-// positive.
-void ExpectPrimitiveRows(const LadderWorkspace& ws, LadderTier tier,
-                         const std::string& what) {
-  const std::vector<util::BigInt> arena = ArenaAsBig(ws, tier);
+// The invariants of the tableau a solve left in `arena`, on the rows
+// rebuilt from its stored block: every constraint row is primitive (its
+// entries have gcd 1) with a positive scale; the cost row together with
+// its scale is primitive, and that scale is positive; and every basic
+// column rebuilds to a unit column, its row's scale at its row and 0 in
+// every other row, the cost row included. That last is what the revised
+// form stands on: the stored cells of row i are its entries in the basis
+// of the initial tableau's identity columns.
+template <typename T>
+void ExpectPrimitiveRows(const LadderWorkspace& ws,
+                         const LadderArena<T>& arena,
+                         const InitialTableau& init, const std::string& what) {
+  const FullTableau full = Rebuild(ws, arena, init, what);
   const size_t m = ws.basis.size();
-  const size_t stride = ws.col_entry.size() + 1;
-  ASSERT_EQ(arena.size(), (m + 1) * stride + 1) << what;
+  ASSERT_EQ(full.rows.size(), m + 1) << what;
   for (size_t i = 0; i <= m; ++i) {
-    const util::BigInt* row = arena.data() + i * stride;
-    const size_t cells = i < m ? stride : stride + 1;
-    util::BigInt g;
-    for (size_t j = 0; j < cells; ++j) g = util::BigInt::Gcd(g, row[j]);
+    util::BigInt g = i < m ? util::BigInt() : full.scales[m];
+    for (const util::BigInt& v : full.rows[i]) g = util::BigInt::Gcd(g, v);
     EXPECT_EQ(g, util::BigInt(1)) << what << ", row " << i;
-    if (i < m) {
-      EXPECT_GT(row[ws.basis[i]].sign(), 0) << what << ", row " << i;
+    EXPECT_GT(full.scales[i].sign(), 0) << what << ", row " << i;
+  }
+  for (size_t k = 0; k < m; ++k) {
+    const int col = ws.basis[k];
+    for (size_t i = 0; i <= m; ++i) {
+      EXPECT_EQ(full.rows[i][col], i == k ? full.scales[k] : util::BigInt())
+          << what << ", basic column " << col << ", row " << i;
     }
   }
-  EXPECT_GT(arena.back().sign(), 0) << what;
 }
 
 // A solve that stayed in the word tier, checked there.
+template <typename Program>
 void ExpectPrimitiveWordRows(const LadderWorkspace& ws,
-                             const Solution& solution,
+                             const Solution& solution, const Program& program,
                              const std::string& what) {
   ASSERT_EQ(solution.bigint_promotions, 0) << what;
-  ExpectPrimitiveRows(ws, LadderTier::kWord, what);
+  ExpectPrimitiveRows(ws, ws.w64, InitialOf(program, ws), what);
 }
 
 TEST(LadderRowScaleTest, RandomLpRowsStayPrimitive) {
@@ -839,12 +941,20 @@ TEST(LadderRowScaleTest, RandomLpRowsStayPrimitive) {
       const LpProblem lp = RandomLp(seed, rational_coeffs);
       LadderSimplex ladder;
       const Solution cold = ladder.Solve(lp);
-      ExpectPrimitiveWordRows(ladder.workspace(), cold, what + " cold");
+      ExpectPrimitiveWordRows(ladder.workspace(), cold, lp, what + " cold");
       if (cold.basis.empty()) continue;
       const Solution warm = ladder.SolveFrom(lp, cold.basis);
-      ExpectPrimitiveWordRows(ladder.workspace(), warm, what + " warm");
+      ExpectPrimitiveWordRows(ladder.workspace(), warm, lp, what + " warm");
     }
   }
+}
+
+// A solve whose data started in the BigInt tier, checked there.
+void ExpectPrimitiveBigRows(const LadderWorkspace& ws, const Solution& solution,
+                            const LpProblem& lp, const std::string& what) {
+  ASSERT_EQ(solution.word_pivots, 0) << what;
+  ASSERT_EQ(solution.bigint_promotions, 0) << what;
+  ExpectPrimitiveRows(ws, ws.wbig, InitialOf(lp, ws), what);
 }
 
 // The same invariants in the BigInt tier, on programs of both sizes whose
@@ -858,19 +968,37 @@ TEST(LadderRowScaleTest, WideAndBigRowsStayPrimitive) {
       const LpProblem lp = WideRhsLp(seed, rhs_bits);
       LadderSimplex ladder;
       const Solution cold = ladder.Solve(lp);
-      ASSERT_EQ(cold.bigint_promotions, 0) << what;
-      ExpectPrimitiveRows(ladder.workspace(), LadderTier::kBig, what + " cold");
+      ExpectPrimitiveBigRows(ladder.workspace(), cold, lp, what + " cold");
       const Solution warm = ladder.SolveFrom(lp, cold.basis);
-      ASSERT_EQ(warm.bigint_promotions, 0) << what;
-      ExpectPrimitiveRows(ladder.workspace(), LadderTier::kBig, what + " warm");
+      ExpectPrimitiveBigRows(ladder.workspace(), warm, lp, what + " warm");
     }
   }
+}
+
+// `lp` with its last row (coefficients and rhs) times 2^64: the same
+// program, whose integerized data no longer fit the word tier.
+LpProblem WithLastRowScaled(const LpProblem& lp) {
+  const Rational factor(util::BigInt::TwoToThe(64), util::BigInt(1));
+  LpProblem out;
+  for (int j = 0; j < lp.num_variables(); ++j) out.AddVariable();
+  for (size_t i = 0; i < lp.constraints().size(); ++i) {
+    Constraint row = lp.constraints()[i];
+    if (i + 1 == lp.constraints().size()) {
+      for (Rational& c : row.coeffs) c = c * factor;
+      row.rhs = row.rhs * factor;
+    }
+    out.AddConstraint(std::move(row.coeffs), row.sense, std::move(row.rhs));
+  }
+  out.SetObjective(lp.objective());
+  return out;
 }
 
 class LadderRowScaleDecisionTest : public ::testing::TestWithParam<int> {};
 
 // The decision LPs of LadderIntegerProgramTest, cold and warm from their
-// own optimal or Farkas basis.
+// own optimal or Farkas basis: as IntegerPrograms in the word tier, and as
+// their LpProblem twins with the last row scaled past the word tier's
+// input bound in the BigInt tier.
 TEST_P(LadderRowScaleDecisionTest, DecisionLpRowsStayPrimitive) {
   const int n = GetParam();
   const std::vector<entropy::ElementalColumn> columns =
@@ -878,20 +1006,33 @@ TEST_P(LadderRowScaleDecisionTest, DecisionLpRowsStayPrimitive) {
   int solves = 0;
   for (const std::vector<entropy::LinearExpr>& branches : DecisionBranches(n)) {
     std::vector<IntegerProgram> programs;
+    std::vector<LpProblem> lps;
     programs.push_back(*entropy::GammaIntegerProgram(n, columns, branches));
+    lps.push_back(entropy::GammaLpProblem(n, columns, branches));
     for (entropy::ConeKind kind :
          {entropy::ConeKind::kNormal, entropy::ConeKind::kModular}) {
       programs.push_back(*entropy::GeneratorIntegerProgram(n, kind, branches));
+      lps.push_back(entropy::GeneratorLpProblem(n, kind, branches));
     }
-    for (const IntegerProgram& program : programs) {
+    for (size_t p = 0; p < programs.size(); ++p) {
       const std::string what = "n=" + std::to_string(n) + " lp " +
                                std::to_string(solves++);
       LadderSimplex ladder;
-      const Solution cold = ladder.Solve(program);
-      ExpectPrimitiveWordRows(ladder.workspace(), cold, what + " cold");
+      const Solution cold = ladder.Solve(programs[p]);
+      ExpectPrimitiveWordRows(ladder.workspace(), cold, programs[p],
+                              what + " cold");
+      const LpProblem big = WithLastRowScaled(lps[p]);
+      LadderSimplex big_ladder;
+      const Solution big_cold = big_ladder.Solve(big);
+      ExpectPrimitiveBigRows(big_ladder.workspace(), big_cold, big,
+                             what + " big cold");
       if (cold.basis.empty()) continue;
-      const Solution warm = ladder.SolveFrom(program, cold.basis);
-      ExpectPrimitiveWordRows(ladder.workspace(), warm, what + " warm");
+      const Solution warm = ladder.SolveFrom(programs[p], cold.basis);
+      ExpectPrimitiveWordRows(ladder.workspace(), warm, programs[p],
+                              what + " warm");
+      const Solution big_warm = big_ladder.SolveFrom(big, big_cold.basis);
+      ExpectPrimitiveBigRows(big_ladder.workspace(), big_warm, big,
+                             what + " big warm");
     }
   }
   EXPECT_GE(solves, 12) << "too few generated pairs at n = " << n;
@@ -920,9 +1061,27 @@ TEST(LadderWorkspaceTest, ArenaIsReusedAcrossSolvesAndReleased) {
   EXPECT_EQ(session.Solve(lp).status, ReferenceSolver().Solve(lp).status);
 }
 
-TEST(LadderDispatchTest, TierNamesAreStable) {
-  EXPECT_STREQ(LadderTierToString(LadderTier::kWord), "word");
-  EXPECT_STREQ(LadderTierToString(LadderTier::kBig), "big");
+// A Γ6 LP has 64 rows and about 310 columns. Its stored block is 65 rows
+// of 66 cells, and everything the workspace retains after a cold and a
+// warm solve stays under 48 KiB; a full-width tableau alone took about
+// 160 KiB.
+TEST(LadderWorkspaceTest, GammaSixWorkspaceStaysSmall) {
+  const int n = 6;
+  const std::vector<std::vector<entropy::LinearExpr>> branches =
+      DecisionBranches(n);
+  ASSERT_FALSE(branches.empty());
+  const IntegerProgram program = *entropy::GammaIntegerProgram(
+      n, entropy::ElementalColumns(n, entropy::ElementalInequalities(n)),
+      branches.front());
+  ASSERT_EQ(program.num_rows(), 64);
+  LadderSimplex ladder;
+  const Solution cold = ladder.Solve(program);
+  ASSERT_FALSE(cold.basis.empty());
+  const Solution warm = ladder.SolveFrom(program, cold.basis);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_EQ(ladder.workspace().w64.block.size(), 65u * 66u);
+  EXPECT_LT(ladder.workspace().RetainedBytes(), 48u * 1024u);
 }
 
 }  // namespace

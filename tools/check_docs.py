@@ -18,9 +18,9 @@ Checks, each grep-level simple so failures are self-explanatory:
    second normative spec that must not drift either.
 6. The tier rows of the ladder diagram in docs/architecture.md (lines
    "│ name — ...", top to bottom) are exactly the arithmetic tiers of the
-   exact-simplex escalation ladder (the LadderTier enumerators of
-   src/lp/ladder_simplex.h, by their ToString spelling, in order), so a
-   tier can neither go undocumented nor linger in the diagram once gone.
+   exact-simplex escalation ladder (the kName of each Ops* struct of
+   src/lp/ladder_simplex.cc, in declaration order), so a tier can neither
+   go undocumented nor linger in the diagram once gone.
 7. The serving surface cannot drift from its ops guide: every `--flag`
    the bagcq_server usage text declares appears in docs/serving.md, and
    every StatsResponse field name (src/service/message.h) appears there
@@ -202,13 +202,20 @@ def main():
     check_mentions(enum_names(status_h, "StatusCode"), spec,
                    "status code", failures)
 
-    # The ladder tiers are normative names (stats fields, bench rows, docs);
-    # the enumerator kFoo is documented as its ToString spelling "foo", one
-    # diagram row per tier in escalation order.
+    # The ladder tiers are normative names (stats fields, bench rows, docs):
+    # each tier's arithmetic struct Ops* names its tier in kName, and the
+    # diagram has one row per tier in escalation (declaration) order.
     arch = read(root, os.path.join("docs", "architecture.md"))
-    ladder_h = read(root, os.path.join("src", "lp", "ladder_simplex.h"))
-    tier_names = [name[1:].lower()
-                  for name in enum_names(ladder_h, "LadderTier")]
+    ladder_cc = read(root, os.path.join("src", "lp", "ladder_simplex.cc"))
+    tier_names = []
+    for body in re.findall(r"^struct\s+Ops\w+\s*\{(.*?)^\};", ladder_cc,
+                           re.S | re.M):
+        name = re.search(r'\bkName\s*=\s*"(\w+)"', body)
+        if name is None:
+            sys.exit("error: an Ops struct in ladder_simplex.cc has no kName")
+        tier_names.append(name.group(1))
+    if not tier_names:
+        sys.exit("error: no Ops structs found in ladder_simplex.cc")
     section = re.search(r"^### The exact-arithmetic escalation ladder$"
                         r"(.*?)(?=^#{1,3} |\Z)", arch, re.S | re.M)
     if section is None:
@@ -217,7 +224,7 @@ def main():
     if diagram_rows != tier_names:
         failures.append(
             f"architecture.md: ladder diagram rows {diagram_rows} are not "
-            f"the LadderTier spellings {tier_names}")
+            f"the Ops*::kName tiers {tier_names}")
     documented = [name for name in tier_names if name in diagram_rows]
     print(f"ladder tiers: {len(documented)}/{len(tier_names)} documented")
 
